@@ -295,6 +295,25 @@ struct Link {
 impl Link {
     fn send(&self, frame: &Frame) -> io::Result<()> {
         let bytes = self.writer.lock().send(frame)?;
+        self.sent(frame, bytes);
+        Ok(())
+    }
+
+    /// Sends `frames` back to back in one write — one TCP segment and at
+    /// most one wake-up of the receiving reactor instead of one per frame.
+    /// Metrics and recorder events stay per frame.
+    fn send_batch(&self, frames: &[Frame]) -> io::Result<()> {
+        self.writer.lock().send_batch(frames)?;
+        let mut encoded = Vec::new();
+        for frame in frames {
+            encoded.clear();
+            frame.encode(&mut encoded);
+            self.sent(frame, encoded.len());
+        }
+        Ok(())
+    }
+
+    fn sent(&self, frame: &Frame, bytes: usize) {
         self.frames_sent.inc();
         self.bytes_sent.add(bytes as u64);
         self.recorder.push(LiveEvent::FrameSent {
@@ -303,7 +322,6 @@ impl Link {
             bytes,
             at: self.recorder.now(),
         });
-        Ok(())
     }
 }
 
@@ -650,11 +668,7 @@ fn serve(
                     if kill.load(Ordering::Relaxed) {
                         return; // died mid-task: no report, just silence
                     }
-                    let ok = outcome.is_ok();
-                    // Span first, outcome second: the receiver merges the
-                    // span into the live timeline before it acts on the
-                    // outcome, keeping the trace causally ordered.
-                    let _ = link.send(&Frame::TaskSpan {
+                    let span = Frame::TaskSpan {
                         key: TraceKey {
                             job: SINGLE_JOB,
                             stage,
@@ -665,8 +679,8 @@ fn serve(
                         executor: id,
                         start_bits: started.to_bits(),
                         end_bits: link.recorder.now().to_bits(),
-                        ok,
-                    });
+                        ok: outcome.is_ok(),
+                    };
                     let frame = match outcome {
                         Ok(()) => {
                             tasks_finished.inc();
@@ -689,7 +703,10 @@ fn serve(
                             })
                         }
                     };
-                    let _ = link.send(&frame);
+                    // Span first, outcome second: the receiver merges the
+                    // span into the live timeline before it acts on the
+                    // outcome, keeping the trace causally ordered.
+                    let _ = link.send_batch(&[span, frame]);
                     let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
                     if kill_after_tasks.is_some_and(|n| done >= n) {
                         kill.store(true, Ordering::Relaxed);
@@ -779,7 +796,7 @@ fn serve(
                             false
                         }
                     };
-                    let _ = link.send(&Frame::TaskSpan {
+                    let span = Frame::TaskSpan {
                         key: TraceKey {
                             job,
                             stage,
@@ -791,14 +808,15 @@ fn serve(
                         start_bits: started.to_bits(),
                         end_bits: link.recorder.now().to_bits(),
                         ok,
-                    });
-                    let _ = link.send(&Frame::JobTaskOutcome {
+                    };
+                    let outcome = Frame::JobTaskOutcome {
                         job,
                         task,
                         executor: id,
                         attempt: 0,
                         ok,
-                    });
+                    };
+                    let _ = link.send_batch(&[span, outcome]);
                     let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
                     if kill_after_tasks.is_some_and(|n| done >= n) {
                         kill.store(true, Ordering::Relaxed);

@@ -68,7 +68,13 @@
 //! times, no executor placement and no server-assigned ids, so two
 //! fault-free runs of the same submission schedule produce byte-identical
 //! journals — the determinism the `jobserver` bench asserts.
+//!
+//! Jobs are never forgotten, so what the server keeps per job lives in a
+//! slot table (`jobs.rs`) built so that no submit, dispatch, outcome or
+//! tick walks the jobs already finished: a terminal job's slot is
+//! stripped in place to the few hundred bytes its reads still need.
 
+mod jobs;
 pub mod json;
 pub mod sched;
 
@@ -79,7 +85,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sae_dag::sched::PendingQueue;
 use sae_dag::{Message, TraceEvent};
 use sae_metrics::{
     render_prometheus, Counter, Gauge, MetricRegistry, RegistrySnapshot, EXPOSITION_CONTENT_TYPE,
@@ -94,6 +99,7 @@ use crate::log::Logger;
 use crate::recorder::{FlightRecorder, LiveEvent, Subscription};
 use crate::wire::{Frame, FrameCursor};
 
+use jobs::{JobState, JobTable, StageRun};
 use json::Value;
 use sched::FairShare;
 
@@ -240,63 +246,6 @@ pub struct ServerReport {
     pub metrics: RegistrySnapshot,
 }
 
-/// Mutable state of one job's current stage (the multi-job analogue of
-/// the driver's `StageState`).
-struct StageRun {
-    done: Vec<bool>,
-    assigned_to: Vec<Option<usize>>,
-    failures: Vec<usize>,
-    failed_on: Vec<Vec<usize>>,
-    remaining: usize,
-    attempts: usize,
-    failed_attempts: usize,
-    started: Instant,
-}
-
-impl StageRun {
-    fn new(tasks: usize) -> Self {
-        Self {
-            done: vec![false; tasks],
-            assigned_to: vec![None; tasks],
-            failures: vec![0; tasks],
-            failed_on: vec![Vec::new(); tasks],
-            remaining: tasks,
-            attempts: 0,
-            failed_attempts: 0,
-            started: Instant::now(),
-        }
-    }
-}
-
-/// One admitted job.
-struct JobState {
-    id: u64,
-    job: LiveJob,
-    tenant: String,
-    weight: u64,
-    status: JobStatus,
-    stage_idx: usize,
-    queue: PendingQueue,
-    st: StageRun,
-    started_at: Option<Instant>,
-    runtime_secs: f64,
-    total_attempts: usize,
-    total_failed: usize,
-    stages_completed: usize,
-    /// Wall-clock seconds per completed stage, in stage order.
-    stage_durations: Vec<f64>,
-    journal: String,
-    /// Lines in `journal` — the next journal SSE event id.
-    journal_lines: u64,
-}
-
-impl JobState {
-    /// Can this job absorb another slot right now?
-    fn runnable(&self) -> bool {
-        self.status == JobStatus::Running && !self.queue.is_empty()
-    }
-}
-
 /// Server-side view of one executor.
 struct ExecState {
     registered: bool,
@@ -417,19 +366,21 @@ impl ServerMetrics {
     /// Per-tenant handles, created on first use. Tenant names are
     /// validated at submission to a label-safe charset.
     fn tenant(&mut self, tenant: &str) -> &TenantMetrics {
-        let registry = &self.registry;
-        self.per_tenant
-            .entry(tenant.to_string())
-            .or_insert_with(|| TenantMetrics {
-                submitted: registry
-                    .counter(&format!("server.jobs_submitted{{tenant=\"{tenant}\"}}")),
-                completed: registry
-                    .counter(&format!("server.jobs_completed{{tenant=\"{tenant}\"}}")),
-                cancelled: registry
-                    .counter(&format!("server.jobs_cancelled{{tenant=\"{tenant}\"}}")),
-                failed: registry.counter(&format!("server.jobs_failed{{tenant=\"{tenant}\"}}")),
-                tasks: registry.counter(&format!("server.tasks_completed{{tenant=\"{tenant}\"}}")),
-            })
+        if !self.per_tenant.contains_key(tenant) {
+            let counter = |what: &str| {
+                self.registry
+                    .counter(&format!("server.{what}{{tenant=\"{tenant}\"}}"))
+            };
+            let handles = TenantMetrics {
+                submitted: counter("jobs_submitted"),
+                completed: counter("jobs_completed"),
+                cancelled: counter("jobs_cancelled"),
+                failed: counter("jobs_failed"),
+                tasks: counter("tasks_completed"),
+            };
+            self.per_tenant.insert(tenant.to_string(), handles);
+        }
+        &self.per_tenant[tenant]
     }
 }
 
@@ -497,12 +448,11 @@ struct ServerLoop {
     dirty: Vec<usize>,
     scratch: Vec<u8>,
     fair: FairShare,
-    jobs: BTreeMap<u64, JobState>,
+    jobs: JobTable,
     waiting: VecDeque<u64>,
     /// `(job, task) -> executor` for every assignment whose outcome has
     /// not arrived. The only place slot accounting is decremented.
     inflight: HashMap<(u64, usize), usize>,
-    next_job: u64,
     draining: Option<Instant>,
     metrics: ServerMetrics,
     /// Last metric values streamed to cluster `/events` subscribers;
@@ -554,10 +504,9 @@ impl ServerLoop {
             dirty: Vec::new(),
             scratch: Vec::new(),
             fair: FairShare::new(),
-            jobs: BTreeMap::new(),
+            jobs: JobTable::default(),
             waiting: VecDeque::new(),
             inflight: HashMap::new(),
-            next_job: 1,
             draining: None,
             metrics: ServerMetrics::new(&cfg.metrics),
             last_metrics: BTreeMap::new(),
@@ -616,8 +565,8 @@ impl ServerLoop {
             self.pump_streams();
             self.free.append(&mut self.freed_now);
             if let Some(since) = self.draining {
-                let running = self.jobs.values().any(|j| !j.status.terminal());
-                if !running || since.elapsed() > self.cfg.shutdown_drain {
+                let idle = self.jobs.live_ids().next().is_none();
+                if idle || since.elapsed() > self.cfg.shutdown_drain {
                     break;
                 }
             }
@@ -643,12 +592,7 @@ impl ServerLoop {
         {
             self.begin_drain();
         }
-        let running = self
-            .jobs
-            .values()
-            .filter(|j| j.status == JobStatus::Running)
-            .count();
-        self.metrics.jobs_running.set(running as f64);
+        self.metrics.jobs_running.set(self.jobs.running() as f64);
         self.metrics.jobs_queued.set(self.waiting.len() as f64);
         self.publish_drop_totals();
         self.stream_metric_deltas();
@@ -744,11 +688,9 @@ impl ServerLoop {
     /// After the loop: cancel whatever is still running, broadcast
     /// `Shutdown`, flush, and build the report.
     fn finish(&mut self) -> io::Result<ServerReport> {
-        let ids: Vec<u64> = self.jobs.keys().copied().collect();
-        for id in ids {
-            if !self.jobs[&id].status.terminal() {
-                self.cancel_job(id);
-            }
+        let live: Vec<u64> = self.jobs.live_ids().collect();
+        for id in live {
+            self.cancel_job(id);
         }
         // Let event streams carry the terminal journal lines, then close
         // each with an `end` frame and the terminal chunk.
@@ -781,26 +723,8 @@ impl ServerLoop {
         self.broadcast(&Frame::Shutdown);
         self.drain_writes();
         self.drain_http_writes();
-        let jobs = self
-            .jobs
-            .values()
-            .map(|j| JobSummary {
-                id: j.id,
-                name: j.job.name.clone(),
-                tenant: j.tenant.clone(),
-                weight: j.weight,
-                status: j.status,
-                stages_completed: j.stages_completed,
-                // Jobs that ended mid-stage (failed/cancelled) still owe
-                // their in-flight stage's dispatches to the total.
-                attempts: j.total_attempts + j.st.attempts,
-                failed_attempts: j.total_failed,
-                runtime_secs: j.runtime_secs,
-                journal: j.journal.clone(),
-            })
-            .collect();
         Ok(ServerReport {
-            jobs,
+            jobs: std::mem::take(&mut self.jobs).into_summaries(),
             metrics: self.cfg.metrics.snapshot(),
         })
     }
@@ -868,28 +792,34 @@ impl ServerLoop {
     }
 
     fn read_drain(&mut self, idx: usize) {
+        // The read buffer leaves `self` for the duration so the pumps,
+        // which need all of `self`, can run between reads.
+        let mut buf = std::mem::take(&mut self.read_buf);
+        self.read_drain_with(idx, &mut buf);
+        self.read_buf = buf;
+    }
+
+    fn read_drain_with(&mut self, idx: usize, buf: &mut [u8]) {
         loop {
             let conn = match self.conns[idx].as_mut() {
                 Some(c) => c,
                 None => return,
             };
-            match conn.stream.read(&mut self.read_buf) {
+            match conn.stream.read(buf) {
                 Ok(0) => return self.close_conn(idx),
                 Ok(n) => {
-                    let bytes: Vec<u8> = self.read_buf[..n].to_vec();
-                    match &mut conn.kind {
+                    let alive = match &mut conn.kind {
                         ConnKind::Wire { cursor, .. } => {
-                            cursor.extend(&bytes);
-                            if !self.pump_wire(idx) {
-                                return;
-                            }
+                            cursor.extend(&buf[..n]);
+                            self.pump_wire(idx)
                         }
                         ConnKind::Http { parser, .. } => {
-                            parser.extend(&bytes);
-                            if !self.pump_http(idx) {
-                                return;
-                            }
+                            parser.extend(&buf[..n]);
+                            self.pump_http(idx)
                         }
+                    };
+                    if !alive {
+                        return;
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -1351,8 +1281,9 @@ impl ServerLoop {
     fn announce_jobs_to(&mut self, e: usize) {
         let frames: Vec<Frame> = self
             .jobs
-            .values()
-            .filter(|j| j.status == JobStatus::Running)
+            .live_ids()
+            .filter_map(|id| self.jobs.live(id))
+            .filter(|j| j.status() == JobStatus::Running)
             .map(stage_frame)
             .collect();
         for frame in frames {
@@ -1412,10 +1343,10 @@ impl ServerLoop {
         self.inflight.remove(&(job, task));
         self.execs[e].running = self.execs[e].running.saturating_sub(1);
         self.metrics.outcomes.inc();
-        let Some(js) = self.jobs.get_mut(&job) else {
+        let Some(js) = self.jobs.live_mut(job) else {
             return;
         };
-        if js.status != JobStatus::Running
+        if js.status() != JobStatus::Running
             || task >= js.st.done.len()
             || js.st.done[task]
             || js.st.assigned_to[task] != Some(e)
@@ -1426,9 +1357,9 @@ impl ServerLoop {
         if ok {
             js.st.done[task] = true;
             js.st.remaining -= 1;
-            let tenant = js.tenant.clone();
-            self.metrics.tenant(&tenant).tasks.inc();
-            if self.jobs[&job].st.remaining == 0 {
+            let stage_done = js.st.remaining == 0;
+            self.metrics.tenant(&js.tenant).tasks.inc();
+            if stage_done {
                 self.finish_stage(job);
             }
         } else {
@@ -1437,10 +1368,10 @@ impl ServerLoop {
     }
 
     fn record_failure(&mut self, job: u64, task: usize, e: usize) {
-        let Some(js) = self.jobs.get_mut(&job) else {
+        let Some(js) = self.jobs.live_mut(job) else {
             return;
         };
-        if js.status != JobStatus::Running || task >= js.st.done.len() || js.st.done[task] {
+        if js.status() != JobStatus::Running || task >= js.st.done.len() || js.st.done[task] {
             return;
         }
         js.st.assigned_to[task] = None;
@@ -1464,8 +1395,7 @@ impl ServerLoop {
 
     fn begin_stage(&mut self, job: u64) {
         let executors = self.cfg.executors;
-        let recorder = self.cfg.recorder.clone();
-        let js = self.jobs.get_mut(&job).expect("job exists");
+        let js = self.jobs.live_mut(job).expect("job is live");
         let spec = &js.job.stages[js.stage_idx];
         let tasks = spec.tasks;
         let kind = spec.kind;
@@ -1480,7 +1410,7 @@ impl ServerLoop {
             kind_name(kind),
             tasks
         );
-        journal_line(&recorder, js, line);
+        journal_line(&self.cfg.recorder, js, line);
         let frame = stage_frame(js);
         self.log
             .info(|| format!("job {job} stage started: {tasks} tasks"));
@@ -1488,8 +1418,8 @@ impl ServerLoop {
     }
 
     fn finish_stage(&mut self, job: u64) {
-        let recorder = self.cfg.recorder.clone();
-        let js = self.jobs.get_mut(&job).expect("job exists");
+        let recorder = &self.cfg.recorder;
+        let js = self.jobs.live_mut(job).expect("job is live");
         let stage = js.stage_idx;
         // Journal per-task attempt counts in task order — content depends
         // only on the job's logical history, never on completion order.
@@ -1500,13 +1430,13 @@ impl ServerLoop {
                 t,
                 js.st.failures[t] + 1
             );
-            journal_line(&recorder, js, line);
+            journal_line(recorder, js, line);
         }
         let line = format!(
             "{{\"event\":\"stage-end\",\"stage\":{},\"attempts\":{},\"failed_attempts\":{}}}",
             stage, js.st.attempts, js.st.failed_attempts
         );
-        journal_line(&recorder, js, line);
+        journal_line(recorder, js, line);
         js.total_attempts += js.st.attempts;
         // Absorbed into the running total: zero the stage counter so the
         // live views' `total + current` sum stays exact after the final
@@ -1517,21 +1447,10 @@ impl ServerLoop {
             .push(js.st.started.elapsed().as_secs_f64());
         js.stages_completed += 1;
         js.stage_idx += 1;
-        if js.stage_idx == js.job.stages.len() {
-            js.status = JobStatus::Completed;
-            let line = format!(
-                "{{\"event\":\"completed\",\"stages\":{}}}",
-                js.job.stages.len()
-            );
-            journal_line(&recorder, js, line);
-            js.runtime_secs = js
-                .started_at
-                .map(|t| t.elapsed().as_secs_f64())
-                .unwrap_or(0.0);
-            status_event(&recorder, js);
-            let tenant = js.tenant.clone();
-            self.metrics.tenant(&tenant).completed.inc();
-            self.retire_job(job);
+        let stages = js.job.stages.len();
+        if js.stage_idx == stages {
+            let line = format!("{{\"event\":\"completed\",\"stages\":{stages}}}");
+            self.end_job(job, JobStatus::Completed, line);
             self.log.info(|| format!("job {job} completed"));
         } else {
             self.begin_stage(job);
@@ -1539,81 +1458,69 @@ impl ServerLoop {
     }
 
     fn fail_job(&mut self, job: u64, task: usize) {
-        let recorder = self.cfg.recorder.clone();
-        let js = self.jobs.get_mut(&job).expect("job exists");
-        js.status = JobStatus::Failed;
+        let Some(js) = self.jobs.live(job) else {
+            return;
+        };
         let line = format!(
             "{{\"event\":\"failed\",\"stage\":{},\"task\":{}}}",
             js.stage_idx, task
         );
-        journal_line(&recorder, js, line);
-        js.runtime_secs = js
-            .started_at
-            .map(|t| t.elapsed().as_secs_f64())
-            .unwrap_or(0.0);
-        status_event(&recorder, js);
-        let tenant = js.tenant.clone();
-        self.metrics.tenant(&tenant).failed.inc();
-        self.retire_job(job);
+        self.end_job(job, JobStatus::Failed, line);
     }
 
     fn cancel_job(&mut self, job: u64) {
-        let recorder = self.cfg.recorder.clone();
-        let Some(js) = self.jobs.get_mut(&job) else {
+        let Some(js) = self.jobs.live(job) else {
             return;
         };
-        let was_queued = js.status == JobStatus::Queued;
-        js.status = JobStatus::Cancelled;
-        let line = format!("{{\"event\":\"cancelled\",\"stage\":{}}}", js.stage_idx);
-        journal_line(&recorder, js, line);
-        js.runtime_secs = js
-            .started_at
-            .map(|t| t.elapsed().as_secs_f64())
-            .unwrap_or(0.0);
-        status_event(&recorder, js);
-        let tenant = js.tenant.clone();
-        self.metrics.tenant(&tenant).cancelled.inc();
-        if was_queued {
+        if js.status() == JobStatus::Queued {
             self.waiting.retain(|&id| id != job);
         }
-        self.retire_job(job);
+        let line = format!("{{\"event\":\"cancelled\",\"stage\":{}}}", js.stage_idx);
+        self.end_job(job, JobStatus::Cancelled, line);
         self.log.info(|| format!("job {job} cancelled"));
     }
 
-    /// Common terminal-state bookkeeping: out of the allocator, `JobEnd`
-    /// to the fleet (which fences queued-but-unstarted attempts on the
-    /// executors), and a queued job promoted into the freed active slot.
-    /// In-flight table entries stay — their outcomes still free slots.
-    fn retire_job(&mut self, job: u64) {
+    /// The terminal transition every path shares: the journal's last
+    /// line, the status event and the tenant counter; then the job leaves
+    /// the allocator, its slot is stripped to a retired record, `JobEnd`
+    /// goes to the fleet (which fences queued-but-unstarted attempts on
+    /// the executors), and a queued job is promoted into the freed active
+    /// slot. In-flight table entries stay — their outcomes still free
+    /// slots.
+    fn end_job(&mut self, job: u64, status: JobStatus, line: String) {
+        let Some(js) = self.jobs.live_mut(job) else {
+            return;
+        };
+        journal_line(&self.cfg.recorder, js, line);
+        status_event(&self.cfg.recorder, job, &js.tenant, status);
+        let tenant = self.metrics.tenant(&js.tenant);
+        match status {
+            JobStatus::Completed => tenant.completed.inc(),
+            JobStatus::Failed => tenant.failed.inc(),
+            _ => tenant.cancelled.inc(),
+        }
+        self.jobs.retire(job, status);
         self.fair.retire(job);
         self.broadcast(&Frame::JobEnd { job });
         self.promote_waiting();
     }
 
     fn promote_waiting(&mut self) {
-        while self.active_jobs() < self.cfg.max_active {
+        while self.jobs.running() < self.cfg.max_active {
             let Some(id) = self.waiting.pop_front() else {
                 return;
             };
-            if self.jobs[&id].status == JobStatus::Queued {
-                self.start_job(id);
-            }
+            self.start_job(id);
         }
     }
 
-    fn active_jobs(&self) -> usize {
-        self.jobs
-            .values()
-            .filter(|j| j.status == JobStatus::Running)
-            .count()
-    }
-
+    /// Moves a queued job into an active slot; a job that is no longer
+    /// queued is left alone.
     fn start_job(&mut self, job: u64) {
-        let recorder = self.cfg.recorder.clone();
-        let js = self.jobs.get_mut(&job).expect("job exists");
-        js.status = JobStatus::Running;
-        js.started_at = Some(Instant::now());
-        status_event(&recorder, js);
+        let Some(js) = self.jobs.start(job) else {
+            return;
+        };
+        status_event(&self.cfg.recorder, job, &js.tenant, JobStatus::Running);
         let weight = js.weight;
         self.fair.admit(job, weight);
         self.begin_stage(job);
@@ -1639,11 +1546,11 @@ impl ServerLoop {
                     let fair = &self.fair;
                     let jobs = &self.jobs;
                     let Some(j) = fair.peek(|id| {
-                        !tried.contains(&id) && jobs.get(&id).is_some_and(JobState::runnable)
+                        !tried.contains(&id) && jobs.live(id).is_some_and(JobState::runnable)
                     }) else {
                         break;
                     };
-                    let js = self.jobs.get_mut(&j).expect("peeked job exists");
+                    let js = self.jobs.live_mut(j).expect("peeked job is live");
                     let JobState { queue, st, .. } = js;
                     match queue.pick(e, |t| st.failed_on[t].contains(&e)) {
                         Some(task) => {
@@ -1657,7 +1564,7 @@ impl ServerLoop {
                     break;
                 };
                 self.fair.charge(job);
-                let js = self.jobs.get_mut(&job).expect("job exists");
+                let js = self.jobs.live_mut(job).expect("picked job is live");
                 js.st.assigned_to[task] = Some(e);
                 js.st.attempts += 1;
                 self.inflight.insert((job, task), e);
@@ -1715,27 +1622,29 @@ impl ServerLoop {
                 resp
             }
             (Method::Post, ["jobs"]) => self.submit(req),
-            (Method::Get, ["jobs"]) => self.list_jobs(),
-            (Method::Get, ["jobs", id]) => match self.parse_id(id) {
-                Some(job) => self.job_status(job),
-                None => Response::error(404, "no such job"),
-            },
-            (Method::Delete, ["jobs", id]) => match self.parse_id(id) {
-                Some(job) => self.cancel_request(job),
-                None => Response::error(404, "no such job"),
-            },
-            (Method::Get, ["jobs", id, "report"]) => match self.parse_id(id) {
-                Some(job) => self.job_report(job),
-                None => Response::error(404, "no such job"),
-            },
-            (Method::Get, ["jobs", id, "journal"]) => match self.parse_id(id) {
-                Some(job) => Response::text(200, self.jobs[&job].journal.clone()),
-                None => Response::error(404, "no such job"),
-            },
-            (Method::Get, ["jobs", id, "trace"]) => match self.parse_id(id) {
-                Some(_) => Response::json(200, self.cfg.recorder.chrome_trace()),
-                None => Response::error(404, "no such job"),
-            },
+            (Method::Get, ["jobs"]) => Response::json(200, self.jobs.list()),
+            (Method::Get, ["jobs", id]) => found(
+                self.parse_id(id)
+                    .and_then(|job| self.jobs.status_line(job))
+                    .map(|body| Response::json(200, body)),
+            ),
+            (Method::Delete, ["jobs", id]) => {
+                found(self.parse_id(id).map(|job| self.cancel_request(job)))
+            }
+            (Method::Get, ["jobs", id, "report"]) => found(
+                self.parse_id(id)
+                    .and_then(|job| self.jobs.report(job))
+                    .map(|body| Response::json(200, body)),
+            ),
+            (Method::Get, ["jobs", id, "journal"]) => found(
+                self.parse_id(id)
+                    .and_then(|job| self.jobs.view(job))
+                    .map(|(_, journal)| Response::text(200, journal)),
+            ),
+            (Method::Get, ["jobs", id, "trace"]) => found(
+                self.parse_id(id)
+                    .map(|_| Response::json(200, self.cfg.recorder.chrome_trace())),
+            ),
             (
                 _,
                 ["jobs"] | ["jobs", _] | ["jobs", _, _] | ["metrics"] | ["healthz"] | ["events"],
@@ -1847,10 +1756,10 @@ impl ServerLoop {
             }
             let mut buf = Vec::new();
             if let Some(job) = st.job {
-                let Some(js) = self.jobs.get(&job) else {
+                let Some((job_status, journal)) = self.jobs.view(job) else {
                     return;
                 };
-                let status = js.status.as_str();
+                let status = job_status.as_str();
                 if st.last_status != Some(status) {
                     st.last_status = Some(status);
                     push_sse(
@@ -1864,7 +1773,7 @@ impl ServerLoop {
                 // journal line is newline-terminated, so the tail never
                 // splits a record.
                 let mut drained = true;
-                for line in js.journal[st.next_byte..].lines() {
+                for line in journal[st.next_byte..].lines() {
                     if st.line_no >= st.start_line {
                         if out.len() + buf.len() >= HIGH_WATER {
                             drained = false;
@@ -1880,7 +1789,7 @@ impl ServerLoop {
                     st.line_no += 1;
                     st.next_byte += line.len() + 1;
                 }
-                if js.status.terminal() && drained && out.len() + buf.len() < HIGH_WATER {
+                if job_status.terminal() && drained && out.len() + buf.len() < HIGH_WATER {
                     push_sse(
                         &mut buf,
                         &SseFrame::new(format!("{{\"status\":\"{status}\"}}")).with_event("end"),
@@ -1944,7 +1853,7 @@ impl ServerLoop {
 
     fn parse_id(&self, s: &str) -> Option<u64> {
         let id = s.parse::<u64>().ok()?;
-        self.jobs.contains_key(&id).then_some(id)
+        self.jobs.contains(id).then_some(id)
     }
 
     fn submit(&mut self, req: &Request) -> Response {
@@ -1961,31 +1870,13 @@ impl ServerLoop {
             Err(detail) => return Response::error(400, detail),
         };
         let queue_full = self.waiting.len() >= self.cfg.max_queued;
-        let start_now = self.active_jobs() < self.cfg.max_active;
+        let start_now = self.jobs.running() < self.cfg.max_active;
         if !start_now && queue_full {
             self.metrics.jobs_rejected.inc();
             return Response::error(429, "admission queue is full");
         }
-        let id = self.next_job;
-        self.next_job += 1;
-        let mut js = JobState {
-            id,
-            tenant: spec.tenant.clone(),
-            weight: spec.weight,
-            status: JobStatus::Queued,
-            stage_idx: 0,
-            queue: PendingQueue::new(),
-            st: StageRun::new(0),
-            started_at: None,
-            runtime_secs: 0.0,
-            total_attempts: 0,
-            total_failed: 0,
-            stages_completed: 0,
-            stage_durations: Vec::new(),
-            journal: String::new(),
-            journal_lines: 0,
-            job: spec.job,
-        };
+        let js = self.jobs.admit(spec.job, spec.tenant, spec.weight);
+        let id = js.id;
         let line = format!(
             "{{\"event\":\"submitted\",\"name\":\"{}\",\"tenant\":\"{}\",\"weight\":{},\"stages\":{}}}",
             http::escape_json(&js.job.name),
@@ -1993,16 +1884,14 @@ impl ServerLoop {
             js.weight,
             js.job.stages.len()
         );
-        journal_line(&self.cfg.recorder, &mut js, line);
-        let tenant = js.tenant.clone();
-        self.metrics.tenant(&tenant).submitted.inc();
-        self.jobs.insert(id, js);
+        journal_line(&self.cfg.recorder, js, line);
+        self.metrics.tenant(&js.tenant).submitted.inc();
         let status = if start_now {
             self.start_job(id);
             JobStatus::Running
         } else {
+            status_event(&self.cfg.recorder, id, &js.tenant, JobStatus::Queued);
             self.waiting.push_back(id);
-            status_event(&self.cfg.recorder, &self.jobs[&id]);
             JobStatus::Queued
         };
         Response::json(
@@ -2012,87 +1901,17 @@ impl ServerLoop {
     }
 
     fn cancel_request(&mut self, job: u64) -> Response {
-        if self.jobs[&job].status.terminal() {
+        if self.jobs.live(job).is_none() {
             return Response::error(409, "job already terminal");
         }
         self.cancel_job(job);
         Response::json(200, format!("{{\"job\":{job},\"status\":\"cancelled\"}}"))
     }
+}
 
-    fn status_line(&self, js: &JobState) -> String {
-        let (done, total) = if js.status == JobStatus::Running {
-            (js.st.done.iter().filter(|d| **d).count(), js.st.done.len())
-        } else {
-            (0, 0)
-        };
-        format!(
-            "{{\"job\":{},\"name\":\"{}\",\"tenant\":\"{}\",\"weight\":{},\"status\":\"{}\",\
-             \"stage\":{},\"stages\":{},\"tasks_done\":{},\"tasks_total\":{},\
-             \"attempts\":{},\"failed_attempts\":{}}}",
-            js.id,
-            http::escape_json(&js.job.name),
-            js.tenant,
-            js.weight,
-            js.status.as_str(),
-            js.stage_idx,
-            js.job.stages.len(),
-            done,
-            total,
-            js.total_attempts + js.st.attempts,
-            js.total_failed
-        )
-    }
-
-    fn job_status(&self, job: u64) -> Response {
-        Response::json(200, self.status_line(&self.jobs[&job]))
-    }
-
-    fn list_jobs(&self) -> Response {
-        let items: Vec<String> = self.jobs.values().map(|js| self.status_line(js)).collect();
-        Response::json(200, format!("{{\"jobs\":[{}]}}", items.join(",")))
-    }
-
-    fn job_report(&self, job: u64) -> Response {
-        let js = &self.jobs[&job];
-        let runtime = match js.status {
-            JobStatus::Running => js
-                .started_at
-                .map(|t| t.elapsed().as_secs_f64())
-                .unwrap_or(0.0),
-            _ => js.runtime_secs,
-        };
-        let stages: Vec<String> = js
-            .job
-            .stages
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                format!(
-                    "{{\"stage\":{},\"name\":\"{}\",\"kind\":\"{}\",\"tasks\":{},\"done\":{},\
-                     \"duration_secs\":{:.6}}}",
-                    i,
-                    http::escape_json(&s.name),
-                    kind_name(s.kind),
-                    s.tasks,
-                    i < js.stages_completed,
-                    js.stage_durations.get(i).copied().unwrap_or(0.0)
-                )
-            })
-            .collect();
-        Response::json(
-            200,
-            format!(
-                "{{\"job\":{},\"status\":\"{}\",\"runtime_secs\":{:.6},\"attempts\":{},\
-                 \"failed_attempts\":{},\"stages\":[{}]}}",
-                js.id,
-                js.status.as_str(),
-                runtime,
-                js.total_attempts + js.st.attempts,
-                js.total_failed,
-                stages.join(",")
-            ),
-        )
-    }
+/// `resp`, or the `404` every `/jobs/:id…` route answers for an unknown id.
+fn found(resp: Option<Response>) -> Response {
+    resp.unwrap_or_else(|| Response::error(404, "no such job"))
 }
 
 /// Appends one line to a job's journal and mirrors it to the recorder as
@@ -2114,11 +1933,11 @@ fn journal_line(recorder: &FlightRecorder, js: &mut JobState, line: String) {
 }
 
 /// Announces a job lifecycle transition to `/events` subscribers.
-fn status_event(recorder: &FlightRecorder, js: &JobState) {
+fn status_event(recorder: &FlightRecorder, job: u64, tenant: &str, status: JobStatus) {
     recorder.push(LiveEvent::JobStatusChanged {
-        job: js.id,
-        tenant: js.tenant.clone(),
-        status: js.status.as_str(),
+        job,
+        tenant: tenant.to_string(),
+        status: status.as_str(),
         at: recorder.now(),
     });
 }
@@ -2436,60 +2255,268 @@ mod tests {
         assert!(cfg.shutdown_drain > Duration::ZERO);
     }
 
-    /// A server loop with no attached executors, one Running job with
-    /// `tasks` tasks, and task 0 booked in-flight on executor 1.
-    fn loop_with_booked_task(tasks: usize) -> ServerLoop {
+    /// A server loop with no sockets behind it. Every configured executor
+    /// is marked registered with `slots` slots and given a lane that
+    /// accepts frames (and never flushes: no connection backs it), so the
+    /// real submit / dispatch / outcome paths run without a fleet.
+    fn test_loop(cfg: ServerConfig, slots: usize) -> ServerLoop {
         let wire = TcpListener::bind("127.0.0.1:0").unwrap();
         let http = TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut sl = ServerLoop::new(wire, http, ServerConfig::default()).unwrap();
-        let spec =
-            parse_job_spec(&format!("{{\"tasks\":{tasks},\"records_per_task\":1}}")).unwrap();
-        let mut st = StageRun::new(tasks);
-        st.assigned_to[0] = Some(1);
-        sl.jobs.insert(
-            1,
-            JobState {
-                id: 1,
-                tenant: spec.tenant.clone(),
-                weight: spec.weight,
-                status: JobStatus::Running,
-                stage_idx: 0,
-                queue: PendingQueue::new(),
-                st,
-                started_at: Some(Instant::now()),
-                runtime_secs: 0.0,
-                total_attempts: 1,
-                total_failed: 0,
-                stages_completed: 0,
-                stage_durations: Vec::new(),
-                journal: String::new(),
-                journal_lines: 0,
-                job: spec.job,
-            },
-        );
-        sl.execs[1].running = 1;
-        sl.inflight.insert((1, 0), 1);
+        let mut sl = ServerLoop::new(wire, http, cfg).unwrap();
+        for e in 0..sl.execs.len() {
+            sl.lanes[e].conn = Some(e as u64 + 1);
+            sl.execs[e].registered = true;
+            sl.execs[e].alive = true;
+            sl.execs[e].slots = slots;
+        }
         sl
+    }
+
+    /// `POST /jobs` through the real handler: `(status, job id if 201)`.
+    fn post(sl: &mut ServerLoop, body: &str) -> (u16, u64) {
+        let resp = sl.submit(&Request {
+            method: Method::Post,
+            target: "/jobs".into(),
+            headers: Vec::new(),
+            body: body.as_bytes().to_vec(),
+        });
+        let id = json::parse(std::str::from_utf8(&resp.body).unwrap())
+            .ok()
+            .and_then(|doc| doc.get("job").and_then(Value::as_u64))
+            .unwrap_or(0);
+        (resp.status, id)
+    }
+
+    /// Reports `ok` for every attempt of `job` now in flight.
+    fn settle_inflight(sl: &mut ServerLoop, job: u64, ok: bool) {
+        let mut booked: Vec<(usize, usize)> = sl
+            .inflight
+            .iter()
+            .filter(|((j, _), _)| *j == job)
+            .map(|((_, task), e)| (*task, *e))
+            .collect();
+        booked.sort_unstable();
+        for (task, e) in booked {
+            sl.handle_outcome(job, task, e, ok);
+        }
     }
 
     #[test]
     fn stale_outcome_from_wrong_executor_leaves_booking_intact() {
-        // Task (1,0) was requeued off executor 0 and reassigned to 1; a
-        // late outcome replayed by resurrected executor 0 must not free
-        // executor 1's booking or mark the task done.
-        let mut sl = loop_with_booked_task(2);
-        sl.handle_outcome(1, 0, 0, true);
-        assert_eq!(sl.inflight.get(&(1, 0)), Some(&1), "booking was dropped");
-        assert_eq!(sl.execs[1].running, 1, "assignee's slot was over-freed");
-        assert!(!sl.jobs[&1].st.done[0]);
-        assert_eq!(sl.jobs[&1].st.assigned_to[0], Some(1));
+        // An outcome for task (1,0) replayed by an executor that does not
+        // hold its booking (lost, requeued elsewhere, then resurrected)
+        // must not free the assignee's slot or mark the task done.
+        let mut sl = test_loop(ServerConfig::default(), 1);
+        let (_, job) = post(&mut sl, r#"{"tasks":2,"records_per_task":1}"#);
+        sl.try_assign();
+        let holder = sl.inflight[&(job, 0)];
+        let other = 1 - holder;
+        sl.handle_outcome(job, 0, other, true);
+        assert_eq!(
+            sl.inflight.get(&(job, 0)),
+            Some(&holder),
+            "booking was dropped"
+        );
+        assert_eq!(
+            sl.execs[holder].running, 1,
+            "assignee's slot was over-freed"
+        );
+        let js = sl.jobs.live(job).unwrap();
+        assert!(!js.st.done[0]);
+        assert_eq!(js.st.assigned_to[0], Some(holder));
 
-        // The real outcome from executor 1 then settles the ledger once.
-        sl.handle_outcome(1, 0, 1, true);
-        assert!(sl.inflight.is_empty());
-        assert_eq!(sl.execs[1].running, 0);
-        assert!(sl.jobs[&1].st.done[0]);
-        assert_eq!(sl.jobs[&1].st.remaining, 1);
+        // The real outcome from the holder then settles the ledger once.
+        sl.handle_outcome(job, 0, holder, true);
+        assert!(!sl.inflight.contains_key(&(job, 0)));
+        assert_eq!(sl.execs[holder].running, 0);
+        let js = sl.jobs.live(job).unwrap();
+        assert!(js.st.done[0]);
+        assert_eq!(js.st.remaining, 1);
+    }
+
+    #[test]
+    fn job_table_tracks_every_lifecycle_path() {
+        let cfg = ServerConfig {
+            max_active: 2,
+            max_queued: 2,
+            ..ServerConfig::default()
+        };
+        let mut sl = test_loop(cfg, 2);
+        let spec = r#"{"tasks":2,"records_per_task":1}"#;
+        let ids: Vec<u64> = (0..4).map(|_| post(&mut sl, spec).1).collect();
+        assert_eq!(ids, [1, 2, 3, 4]);
+        assert_eq!(post(&mut sl, spec).0, 429, "active and queue both full");
+        let (a, b, c, d) = (1, 2, 3, 4);
+        sl.jobs.assert_consistent();
+        assert_eq!(sl.jobs.running(), 2);
+        assert_eq!(sl.jobs.live_ids().collect::<Vec<_>>(), [a, b, c, d]);
+
+        // Cancel while queued: never started, nothing dispatched.
+        sl.cancel_job(d);
+        sl.jobs.assert_consistent();
+        assert_eq!(sl.waiting, [c]);
+
+        // Complete: both stages of `a`; `c` takes over its active slot.
+        sl.try_assign();
+        assert_eq!(sl.inflight.len(), 4, "two tasks each of a and b");
+        settle_inflight(&mut sl, a, true);
+        sl.jobs.assert_consistent();
+        sl.try_assign();
+        settle_inflight(&mut sl, a, true);
+        sl.jobs.assert_consistent();
+        assert!(sl.jobs.live(a).is_none());
+        assert_eq!(
+            sl.jobs.live(c).map(JobState::status),
+            Some(JobStatus::Running)
+        );
+        assert_eq!(sl.jobs.live_ids().collect::<Vec<_>>(), [b, c]);
+        assert!(sl.waiting.is_empty());
+
+        // Cancel mid-stage: one task done, one in flight.
+        sl.try_assign();
+        let e0 = sl.inflight[&(c, 0)];
+        sl.handle_outcome(c, 0, e0, true);
+        sl.cancel_job(c);
+        sl.jobs.assert_consistent();
+        assert_eq!(sl.jobs.running(), 1);
+
+        // The cancelled job's straggler reports late: the slot ledger
+        // settles, the table does not move. Likewise an outcome for a
+        // job retired long ago, which misses the ledger altogether.
+        let e1 = sl.inflight[&(c, 1)];
+        let before = sl.execs[e1].running;
+        sl.handle_outcome(c, 1, e1, true);
+        assert_eq!(sl.execs[e1].running, before - 1);
+        assert!(!sl.inflight.contains_key(&(c, 1)));
+        sl.handle_outcome(a, 0, 0, true);
+        sl.jobs.assert_consistent();
+        assert_eq!(sl.jobs.live_ids().collect::<Vec<_>>(), [b]);
+
+        // Fail: task 0 of `b` burns its attempt budget (task 1 stays in
+        // flight throughout).
+        for _ in 0..sl.cfg.max_task_attempts {
+            let e = sl.inflight[&(b, 0)];
+            sl.handle_outcome(b, 0, e, false);
+            sl.jobs.assert_consistent();
+            sl.try_assign();
+        }
+        assert!(sl.jobs.live(b).is_none());
+        assert_eq!(sl.jobs.running(), 0);
+        assert!(sl.jobs.live_ids().next().is_none());
+
+        // A job still running when the loop exits is cancelled by
+        // `finish`, in-flight dispatches included.
+        let (_, f) = post(&mut sl, spec);
+        sl.try_assign();
+        let listed = sl.jobs.list();
+        let report = sl.finish().unwrap();
+        let got: Vec<(u64, JobStatus, usize, usize, usize)> = report
+            .jobs
+            .iter()
+            .map(|j| {
+                (
+                    j.id,
+                    j.status,
+                    j.stages_completed,
+                    j.attempts,
+                    j.failed_attempts,
+                )
+            })
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (a, JobStatus::Completed, 2, 4, 0),
+                (b, JobStatus::Failed, 0, 5, 4),
+                (c, JobStatus::Cancelled, 0, 2, 0),
+                (d, JobStatus::Cancelled, 0, 0, 0),
+                (f, JobStatus::Cancelled, 0, 2, 0),
+            ]
+        );
+        assert_eq!(
+            report.jobs[3].journal,
+            "{\"event\":\"submitted\",\"name\":\"job\",\"tenant\":\"default\",\"weight\":1,\"stages\":2}\n\
+             {\"event\":\"cancelled\",\"stage\":0}\n"
+        );
+        assert!(report.jobs[1]
+            .journal
+            .ends_with("{\"event\":\"failed\",\"stage\":0,\"task\":0}\n"));
+        // `GET /jobs` lists every id in order, retired and live alike.
+        let doc = json::parse(&listed).unwrap();
+        let listed_ids: Vec<u64> = doc
+            .get("jobs")
+            .and_then(Value::as_arr)
+            .unwrap()
+            .iter()
+            .map(|j| j.get("job").and_then(Value::as_u64).unwrap())
+            .collect();
+        assert_eq!(listed_ids, [a, b, c, d, f]);
+    }
+
+    #[test]
+    fn a_retired_small_job_keeps_about_a_kilobyte() {
+        // The benchmark's control-plane job: one stage, one task.
+        let mut sl = test_loop(ServerConfig::default(), 1);
+        let (_, job) = post(
+            &mut sl,
+            r#"{"tenant":"bench","stages":[{"kind":"spill","tasks":1,"records_per_task":500,"seed":7}]}"#,
+        );
+        let line_while_live = sl.jobs.status_line(job).unwrap();
+        sl.try_assign();
+        settle_inflight(&mut sl, job, true);
+        sl.jobs.assert_consistent();
+        assert!(sl.jobs.live(job).is_none());
+        let bytes = sl.jobs.retained_bytes(job);
+        assert!(bytes <= 1200, "a retired 1x500 job retains {bytes} bytes");
+        // The cached line is the live line with the terminal fields set.
+        assert_eq!(
+            sl.jobs.status_line(job).unwrap(),
+            line_while_live
+                .replace(
+                    "\"status\":\"running\",\"stage\":0",
+                    "\"status\":\"completed\",\"stage\":1"
+                )
+                .replace(
+                    "\"tasks_total\":1,\"attempts\":0",
+                    "\"tasks_total\":0,\"attempts\":1"
+                )
+        );
+    }
+
+    #[test]
+    fn submit_cost_does_not_grow_with_retired_history() {
+        // No lanes attached: nothing accumulates but the job table.
+        let cfg = ServerConfig::default();
+        let wire = TcpListener::bind("127.0.0.1:0").unwrap();
+        let http = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut sl = ServerLoop::new(wire, http, cfg).unwrap();
+        let spec = r#"{"stages":[{"kind":"spill","tasks":1,"records_per_task":500}]}"#;
+        // Median wall clock of a submit, over 200 submit + cancel rounds.
+        let median_submit = |sl: &mut ServerLoop| {
+            let mut costs: Vec<Duration> = (0..200)
+                .map(|_| {
+                    let started = Instant::now();
+                    let (status, id) = post(sl, spec);
+                    let cost = started.elapsed();
+                    assert_eq!(status, 201);
+                    sl.cancel_job(id);
+                    cost
+                })
+                .collect();
+            costs.sort_unstable();
+            costs[costs.len() / 2]
+        };
+        let fresh = median_submit(&mut sl);
+        for _ in 0..50_000 {
+            let (_, id) = post(&mut sl, spec);
+            sl.cancel_job(id);
+        }
+        let loaded = median_submit(&mut sl);
+        sl.jobs.assert_consistent();
+        assert!(
+            loaded < fresh * 10,
+            "submit over 50k retired jobs costs {loaded:?}, over none {fresh:?}"
+        );
     }
 
     #[test]

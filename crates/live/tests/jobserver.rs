@@ -396,10 +396,7 @@ fn streamed_job_events_match_the_final_journal() {
             "journal event ids must be dense line numbers"
         );
     }
-    let streamed: String = journal_frames
-        .iter()
-        .map(|f| format!("{}\n", f.data))
-        .collect();
+    let streamed = streamed_journal(&frames);
     let (sj, journal) = http(h.http_addr, "GET", &format!("/jobs/{id}/journal"), "");
     assert_eq!(sj, 200);
     assert_eq!(
@@ -417,14 +414,164 @@ fn streamed_job_events_match_the_final_journal() {
         .filter(|f| f.event.as_deref() == Some("journal"))
         .collect();
     assert_eq!(tail_frames[0].id.as_deref(), Some("3"));
-    let tail: String = tail_frames
-        .iter()
-        .map(|f| format!("{}\n", f.data))
-        .collect();
+    let tail = streamed_journal(&resumed);
     let skipped: usize = journal.lines().take(3).map(|l| l.len() + 1).sum();
     assert_eq!(tail, journal[skipped..], "resume must start at line 3");
 
     h.shutdown();
+}
+
+/// The journal a job stream carried: its `journal` frames, in order,
+/// each closed with the journal's own newline.
+fn streamed_journal(frames: &[SseFrame]) -> String {
+    frames
+        .iter()
+        .filter(|f| f.event.as_deref() == Some("journal"))
+        .map(|f| format!("{}\n", f.data))
+        .collect()
+}
+
+/// Blanks the wall-clock figures (`…_secs":<number>`) of a report body.
+fn without_timings(report: &str) -> String {
+    let mut out = String::new();
+    let mut rest = report;
+    while let Some(at) = rest.find("_secs\":") {
+        let (head, tail) = rest.split_at(at + "_secs\":".len());
+        out.push_str(head);
+        out.push('T');
+        rest = tail.trim_start_matches(|c: char| c.is_ascii_digit() || c == '.');
+    }
+    out + rest
+}
+
+#[test]
+fn retired_jobs_answer_every_route_with_the_same_bytes() {
+    let h = Harness::launch(ServerConfig::default(), 1);
+    let is_end = |f: &SseFrame| f.event.as_deref() == Some("end");
+
+    // Job 1 completes, followed by a stream that attaches while it runs
+    // and rides through its retirement to the `end` frame.
+    let (s, b) = h
+        .submit(r#"{"name":"done","tenant":"alice","tasks":4,"records_per_task":100000,"seed":3}"#);
+    assert_eq!((s, json_field(&b, "job").as_str()), (201, "1"), "{b}");
+    let across = sse_collect(h.http_addr, "/jobs/1/events", "", is_end);
+    assert_eq!(
+        across[0].data, r#"{"job":1,"status":"running"}"#,
+        "the stream must attach before the job retires"
+    );
+    assert_eq!(across.last().unwrap().data, r#"{"status":"completed"}"#);
+
+    // Job 2 fails: with its executor's spill directory gone every attempt
+    // of its one task errors until the attempt budget is spent.
+    let exec_dir = h._spill.path().join("exec-0");
+    std::fs::remove_dir_all(&exec_dir).unwrap();
+    let (s, b) = h.submit(
+        r#"{"name":"doomed","tenant":"bob","stages":[{"kind":"spill","tasks":1,"records_per_task":10}]}"#,
+    );
+    assert_eq!((s, json_field(&b, "job").as_str()), (201, "2"), "{b}");
+    assert_eq!(h.await_terminal("2"), "failed");
+    std::fs::create_dir_all(&exec_dir).unwrap();
+
+    // Job 3 is cancelled mid-stage, with dispatched tasks still in flight.
+    let (s, b) = h.submit(r#"{"name":"big","tenant":"carol","tasks":8,"records_per_task":200000}"#);
+    assert_eq!((s, json_field(&b, "job").as_str()), (201, "3"), "{b}");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while json_field(&http(h.http_addr, "GET", "/jobs/3", "").1, "attempts") == "0" {
+        assert!(Instant::now() < deadline, "job 3 never dispatched a task");
+        thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(http(h.http_addr, "DELETE", "/jobs/3", "").0, 200);
+
+    // Status lines: fixed bytes for the fault-free and the always-failing
+    // job; the cancelled one keeps however many dispatches were in flight.
+    let status = |id: u64| http(h.http_addr, "GET", &format!("/jobs/{id}"), "").1;
+    assert_eq!(
+        status(1),
+        r#"{"job":1,"name":"done","tenant":"alice","weight":1,"status":"completed","stage":2,"stages":2,"tasks_done":0,"tasks_total":0,"attempts":8,"failed_attempts":0}"#
+    );
+    assert_eq!(
+        status(2),
+        r#"{"job":2,"name":"doomed","tenant":"bob","weight":1,"status":"failed","stage":0,"stages":1,"tasks_done":0,"tasks_total":0,"attempts":4,"failed_attempts":4}"#
+    );
+    let in_flight: usize = json_field(&status(3), "attempts").parse().unwrap();
+    assert!(in_flight >= 1);
+    assert_eq!(
+        status(3),
+        format!(
+            r#"{{"job":3,"name":"big","tenant":"carol","weight":1,"status":"cancelled","stage":0,"stages":2,"tasks_done":0,"tasks_total":0,"attempts":{in_flight},"failed_attempts":0}}"#
+        )
+    );
+    assert_eq!(
+        http(h.http_addr, "GET", "/jobs", "").1,
+        format!("{{\"jobs\":[{},{},{}]}}", status(1), status(2), status(3))
+    );
+
+    // Reports: same rows as while live, wall-clock figures aside.
+    let report =
+        |id: u64| without_timings(&http(h.http_addr, "GET", &format!("/jobs/{id}/report"), "").1);
+    assert_eq!(
+        report(1),
+        r#"{"job":1,"status":"completed","runtime_secs":T,"attempts":8,"failed_attempts":0,"stages":[{"stage":0,"name":"spill-0","kind":"spill","tasks":4,"done":true,"duration_secs":T},{"stage":1,"name":"sort-1","kind":"sort","tasks":4,"done":true,"duration_secs":T}]}"#
+    );
+    assert_eq!(
+        report(2),
+        r#"{"job":2,"status":"failed","runtime_secs":T,"attempts":4,"failed_attempts":4,"stages":[{"stage":0,"name":"spill-0","kind":"spill","tasks":1,"done":false,"duration_secs":T}]}"#
+    );
+    assert_eq!(
+        report(3),
+        format!(
+            r#"{{"job":3,"status":"cancelled","runtime_secs":T,"attempts":{in_flight},"failed_attempts":0,"stages":[{{"stage":0,"name":"spill-0","kind":"spill","tasks":8,"done":false,"duration_secs":T}},{{"stage":1,"name":"sort-1","kind":"sort","tasks":8,"done":false,"duration_secs":T}}]}}"#
+        )
+    );
+
+    // Journals: the stored text, a fresh replay and a `Last-Event-ID`
+    // resume agree line for line; so does the stream that was already
+    // attached when job 1 retired.
+    let journals: Vec<String> = (1..=3)
+        .map(|id| http(h.http_addr, "GET", &format!("/jobs/{id}/journal"), "").1)
+        .collect();
+    assert_eq!(
+        journals[1],
+        "{\"event\":\"submitted\",\"name\":\"doomed\",\"tenant\":\"bob\",\"weight\":1,\"stages\":1}\n\
+         {\"event\":\"stage-start\",\"stage\":0,\"kind\":\"spill\",\"tasks\":1}\n\
+         {\"event\":\"failed\",\"stage\":0,\"task\":0}\n"
+    );
+    assert!(journals[0].ends_with("{\"event\":\"completed\",\"stages\":2}\n"));
+    assert!(journals[2].ends_with("{\"event\":\"cancelled\",\"stage\":0}\n"));
+    assert_eq!(streamed_journal(&across), journals[0]);
+    for (id, status) in [(1, "completed"), (2, "failed"), (3, "cancelled")] {
+        let journal = &journals[id - 1];
+        let path = format!("/jobs/{id}/events");
+        let fresh = sse_collect(h.http_addr, &path, "", is_end);
+        assert_eq!(
+            fresh[0].data,
+            format!("{{\"job\":{id},\"status\":\"{status}\"}}")
+        );
+        assert_eq!(fresh[1].id.as_deref(), Some("0"));
+        assert_eq!(
+            fresh.last().unwrap().data,
+            format!("{{\"status\":\"{status}\"}}")
+        );
+        assert_eq!(&streamed_journal(&fresh), journal);
+        assert_eq!(fresh.len(), journal.lines().count() + 2, "{fresh:?}");
+
+        let resumed = sse_collect(h.http_addr, &path, "Last-Event-ID: 0\r\n", is_end);
+        assert_eq!(resumed[1].id.as_deref(), Some("1"));
+        let first_line = journal.find('\n').unwrap() + 1;
+        assert_eq!(streamed_journal(&resumed), journal[first_line..]);
+    }
+
+    let report = h.shutdown();
+    let kept: Vec<&str> = report.jobs.iter().map(|j| j.journal.as_str()).collect();
+    assert_eq!(kept, journals);
+    assert_eq!(
+        report
+            .jobs
+            .iter()
+            .map(|j| (j.id, j.attempts, j.failed_attempts))
+            .collect::<Vec<_>>(),
+        [(1, 8, 0), (2, 4, 4), (3, in_flight, 0)]
+    );
 }
 
 #[test]
