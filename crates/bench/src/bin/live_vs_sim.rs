@@ -20,7 +20,7 @@
 
 use sae_core::{MapeConfig, ThreadPolicy};
 use sae_dag::EngineConfig;
-use sae_live::{terasort, ClusterConfig, DriverTransport, LiveCluster, LiveReport};
+use sae_live::{terasort, ClusterConfig, LiveCluster, LiveReport};
 use sae_workloads::WorkloadKind;
 
 const EXECUTORS: usize = 3;
@@ -48,13 +48,11 @@ fn sim_traces() -> Vec<(String, Vec<Vec<usize>>)> {
         .collect()
 }
 
-/// Runs the same-seed loopback Terasort under the given wire transport
-/// (the epoll reactor or the pinned thread-per-connection reference).
-fn live_report(transport: DriverTransport) -> LiveReport {
+/// Runs the same-seed loopback Terasort on the live cluster.
+fn live_report() -> LiveReport {
     let mut cluster = LiveCluster::launch(ClusterConfig {
         executors: EXECUTORS,
         mape: MapeConfig::new(C_MIN, C_MAX),
-        transport,
         ..ClusterConfig::default()
     })
     .expect("launch live cluster");
@@ -147,9 +145,10 @@ fn json_trace_array(traces: &[Vec<usize>]) -> String {
 #[allow(clippy::too_many_arguments)]
 fn render_json(
     sim: &[(String, Vec<Vec<usize>>)],
-    live: &[(&'static str, &LiveReport, &Vec<Vec<usize>>)],
+    live: &LiveReport,
+    live_traces: &[Vec<usize>],
     sim_peak: usize,
-    live_peaks: &[(&'static str, usize)],
+    live_peak: usize,
     climbs_valid: bool,
     in_bounds: bool,
     registry_consistent: bool,
@@ -168,29 +167,18 @@ fn render_json(
         ));
     }
     out.push_str("  ],\n");
-    out.push_str("  \"live\": {\n");
-    for (i, (label, report, traces)) in live.iter().enumerate() {
-        out.push_str(&format!(
-            "    \"{label}\": {{\"runtime_secs\": {:?}, \"decisions\": {}, \"registry\": [{}]}}{}\n",
-            report.runtime_secs,
-            json_trace_array(traces),
-            report
-                .registry
-                .iter()
-                .map(|s| s.slots.to_string())
-                .collect::<Vec<_>>()
-                .join(","),
-            if i + 1 < live.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  },\n");
-    let peaks = live_peaks
-        .iter()
-        .map(|(label, peak)| format!("\"{label}_peak\": {peak}"))
-        .collect::<Vec<_>>()
-        .join(", ");
     out.push_str(&format!(
-        "  \"agreement\": {{\"sim_peak\": {sim_peak}, {peaks}, \
+        "  \"live\": {{\"runtime_secs\": {:?}, \"decisions\": {}, \"registry\": [{}]}},\n",
+        live.runtime_secs,
+        json_trace_array(live_traces),
+        live.registry
+            .iter()
+            .map(|s| s.slots.to_string())
+            .collect::<Vec<_>>()
+            .join(",")
+    ));
+    out.push_str(&format!(
+        "  \"agreement\": {{\"sim_peak\": {sim_peak}, \"live_peak\": {live_peak}, \
          \"climbs_valid\": {climbs_valid}, \"in_bounds\": {in_bounds}, \
          \"registry_consistent\": {registry_consistent}}}\n"
     ));
@@ -219,61 +207,43 @@ fn main() {
         }
     }
 
-    // The live side runs twice over the same-seed job: once under the
-    // epoll reactor (the default wire layer) and once under the pinned
-    // thread-per-connection reference. The transport moves bytes; the
-    // controller climbs. Both traces must carry the same doubling
-    // signature as each other and as the simulator.
-    let mut live_runs: Vec<(&'static str, LiveReport, Vec<Vec<usize>>)> = Vec::new();
-    for (label, transport) in [
-        ("reactor", DriverTransport::Reactor),
-        ("blocking", DriverTransport::Blocking),
-    ] {
-        println!();
-        println!(
-            "== live runtime [{label}]: loopback Terasort (24 tasks x 20k records), {EXECUTORS} executors =="
-        );
-        let live = live_report(transport);
-        let traces = decision_traces(&live);
-        for (e, trace) in traces.iter().enumerate() {
-            println!("  executor {e}: {}", trace_shape(trace));
-        }
-        println!(
-            "  {} PoolSizeChanged round-trips over {:.2}s; final registry: {:?}",
-            live.decisions.len(),
-            live.runtime_secs,
-            live.registry.iter().map(|s| s.slots).collect::<Vec<_>>()
-        );
-        live_runs.push((label, live, traces));
+    println!();
+    println!(
+        "== live runtime: loopback Terasort (24 tasks x 20k records), {EXECUTORS} executors =="
+    );
+    let live = live_report();
+    let live_traces = decision_traces(&live);
+    for (e, trace) in live_traces.iter().enumerate() {
+        println!("  executor {e}: {}", trace_shape(trace));
     }
+    println!(
+        "  {} PoolSizeChanged round-trips over {:.2}s; final registry: {:?}",
+        live.decisions.len(),
+        live.runtime_secs,
+        live.registry.iter().map(|s| s.slots).collect::<Vec<_>>()
+    );
 
     // The faithfulness checks the traces must share.
     let sim_flat: Vec<Vec<usize>> = sim.iter().flat_map(|(_, ts)| ts.iter().cloned()).collect();
     let in_bounds = sim_flat
         .iter()
-        .chain(live_runs.iter().flat_map(|(_, _, ts)| ts.iter()))
+        .chain(live_traces.iter())
         .flatten()
         .all(|&d| (C_MIN..=C_MAX).contains(&d));
-    let live_resets = live_runs
-        .iter()
-        .all(|(_, live, _)| live.decisions.iter().any(|d| d.size == C_MIN));
-    let registry_consistent = live_runs.iter().all(|(_, live, _)| {
-        (0..EXECUTORS).all(|e| {
-            live.decisions
-                .iter()
-                .rev()
-                .find(|d| d.executor == e)
-                .is_none_or(|d| live.registry[e].slots == d.size)
-        })
+    let live_resets = live.decisions.iter().any(|d| d.size == C_MIN);
+    let registry_consistent = (0..EXECUTORS).all(|e| {
+        live.decisions
+            .iter()
+            .rev()
+            .find(|d| d.executor == e)
+            .is_none_or(|d| live.registry[e].slots == d.size)
     });
 
-    // Climb-sequence agreement: decompose every non-empty trace from all
-    // three runtimes into segments and demand each one carries the
-    // controller's doubling signature.
+    // Climb-sequence agreement: decompose every non-empty trace from both
+    // runtimes into segments and demand each one carries the controller's
+    // doubling signature.
     let mut climbs_valid = true;
-    let mut origins: Vec<(&str, &Vec<Vec<usize>>)> = vec![("sim", &sim_flat)];
-    origins.extend(live_runs.iter().map(|(label, _, ts)| (*label, ts)));
-    for (origin, traces) in origins {
+    for (origin, traces) in [("sim", &sim_flat), ("live", &live_traces)] {
         for (e, trace) in traces.iter().enumerate() {
             for segment in climb_segments(trace) {
                 if !is_doubling_climb(&segment) {
@@ -286,33 +256,22 @@ fn main() {
         }
     }
     let sim_peak = peak(&sim_flat);
-    let live_peaks: Vec<(&'static str, usize)> = live_runs
-        .iter()
-        .map(|(label, _, ts)| (*label, peak(ts)))
-        .collect();
+    let live_peak = peak(&live_traces);
 
     println!();
     println!("== agreement ==");
     println!("decisions within [c_min, c_max]:  {in_bounds}");
     println!("every climb segment doubles from c_min (± one rollback): {climbs_valid}");
-    let peaks_line = live_peaks
-        .iter()
-        .map(|(label, p)| format!("{label}={p}"))
-        .collect::<Vec<_>>()
-        .join("  ");
-    println!("peak pool size reached:           sim={sim_peak}  {peaks_line}");
+    println!("peak pool size reached:           sim={sim_peak}  live={live_peak}");
     println!("live registry == last decision per executor: {registry_consistent}");
 
     if let Some(path) = &out_path {
-        let live_refs: Vec<(&'static str, &LiveReport, &Vec<Vec<usize>>)> = live_runs
-            .iter()
-            .map(|(label, live, ts)| (*label, live, ts))
-            .collect();
         let json = render_json(
             &sim,
-            &live_refs,
+            &live,
+            &live_traces,
             sim_peak,
-            &live_peaks,
+            live_peak,
             climbs_valid,
             in_bounds,
             registry_consistent,
@@ -333,11 +292,9 @@ fn main() {
         sim_peak > C_MIN,
         "the simulated runtime never climbed above c_min"
     );
-    for (label, live_peak) in &live_peaks {
-        assert!(
-            *live_peak > C_MIN,
-            "the live runtime [{label}] never climbed above c_min"
-        );
-    }
-    println!("OK: all three runtimes show the same adaptation shape");
+    assert!(
+        live_peak > C_MIN,
+        "the live runtime never climbed above c_min"
+    );
+    println!("OK: both runtimes show the same adaptation shape");
 }

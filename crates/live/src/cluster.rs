@@ -42,9 +42,7 @@ use sae_core::{DecisionJournal, DecisionRecord, MapeConfig};
 use sae_dag::{FaultPlan, TraceEvent};
 use sae_metrics::{render_prometheus, snapshot_jsonl_line, MetricRegistry};
 
-use crate::driver::{
-    Driver, DriverConfig, DriverTransport, LiveError, LiveReport, PoolDecision, SlotInfo,
-};
+use crate::driver::{Driver, DriverConfig, LiveError, LiveReport, PoolDecision, SlotInfo};
 use crate::executor::{LiveExecutor, LiveExecutorConfig, RespawnConfig};
 use crate::job::LiveJob;
 use crate::log::Logger;
@@ -82,10 +80,7 @@ pub struct ClusterConfig {
     /// How long the driver tolerates being below the floor before the job
     /// fails.
     pub degraded_wait: Duration,
-    /// Which wire transport the driver runs (reactor by default;
-    /// `SAE_REFERENCE_DRIVER=1` forces the blocking reference).
-    pub transport: DriverTransport,
-    /// Reactor-only: drain budget for queued frames on exit.
+    /// The driver's drain budget for queued frames on exit.
     pub shutdown_drain: Duration,
     /// Run executors as separate OS processes (`sae-executor` children)
     /// instead of in-process threads. The in-thread mode stays the fast
@@ -144,7 +139,6 @@ impl Default for ClusterConfig {
             task_deadline: None,
             min_live_executors: 1,
             degraded_wait: Duration::from_secs(5),
-            transport: DriverTransport::default(),
             shutdown_drain: Duration::from_millis(500),
             process_executors: false,
             executor_binary: None,
@@ -267,7 +261,6 @@ impl LiveCluster {
             task_deadline: cfg.task_deadline,
             min_live_executors: cfg.min_live_executors,
             degraded_wait: cfg.degraded_wait,
-            transport: cfg.transport,
             shutdown_drain: cfg.shutdown_drain,
             recorder: recorder.clone(),
             metrics: metrics.clone(),

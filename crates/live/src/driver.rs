@@ -25,21 +25,14 @@
 //!   state for up to [`DriverConfig::degraded_wait`] — giving respawning
 //!   executors a window to rejoin — instead of failing fast.
 //!
-//! All of that protocol logic lives in one transport-agnostic state
-//! machine ([`Run`]), fed connection events and writing frames through an
-//! [`Outbound`] sink. Two transports drive it:
-//!
-//! * **reactor** (default): a single non-blocking event loop owns every
-//!   socket — acceptor included — through an epoll-style poller
-//!   (`sae-poll`), with per-connection reassembly buffers, batched frame
-//!   decode per wakeup, coalesced queued writes with backpressure, and a
-//!   timer wheel for heartbeat/deadline checks. One thread, hundreds of
-//!   connections.
-//! * **blocking** (reference): the original thread-per-connection layout —
-//!   a polling acceptor thread, one reader thread per socket feeding a
-//!   channel, synchronous writes. Pinned as the behavioural baseline the
-//!   reactor is benchmarked and equivalence-tested against; select it
-//!   with [`DriverTransport::Blocking`] or `SAE_REFERENCE_DRIVER=1`.
+//! All of that protocol logic lives in one state machine ([`Run`]) that
+//! never touches a socket: the event loop in `driver/reactor.rs` feeds it
+//! connection events ([`Ev`]) and timer callbacks, and it answers by
+//! queueing frames on its per-executor [`Lanes`]. The loop, in turn, owns
+//! no socket mechanics of its own — connection table, write queues,
+//! backpressure and the accept loop are [`crate::shell`]'s, shared with
+//! the job server: one thread, one poller (`sae-poll`), hundreds of
+//! connections.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -53,22 +46,10 @@ use crate::epochs::{Admission, EpochRegistry};
 use crate::job::LiveJob;
 use crate::log::Logger;
 use crate::recorder::{FlightRecorder, LiveEvent};
+use crate::shell::Lanes;
 use crate::wire::Frame;
 
-mod blocking;
 mod reactor;
-
-/// Which wire transport serves the driver side of the protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DriverTransport {
-    /// Single-threaded non-blocking reactor: one event loop owns all
-    /// sockets, with queued coalesced writes and a timer wheel.
-    #[default]
-    Reactor,
-    /// The pinned reference implementation: one reader thread per
-    /// connection, a polling acceptor, synchronous writes.
-    Blocking,
-}
 
 /// Driver tuning knobs.
 #[derive(Debug, Clone)]
@@ -100,10 +81,7 @@ pub struct DriverConfig {
     /// How long the job may stay `Degraded` before giving up with
     /// [`LiveError::NoUsableExecutors`].
     pub degraded_wait: Duration,
-    /// Which wire transport to run. `SAE_REFERENCE_DRIVER=1` in the
-    /// environment overrides this to [`DriverTransport::Blocking`].
-    pub transport: DriverTransport,
-    /// On exit, how long the reactor may keep flushing queued frames
+    /// On exit, how long the event loop may keep flushing queued frames
     /// (the `Shutdown` broadcast above all) before closing connections.
     pub shutdown_drain: Duration,
     /// The cluster's shared flight recorder; event timestamps use its
@@ -127,7 +105,6 @@ impl Default for DriverConfig {
             task_deadline: None,
             min_live_executors: 1,
             degraded_wait: Duration::from_secs(5),
-            transport: DriverTransport::Reactor,
             shutdown_drain: Duration::from_millis(500),
             recorder: FlightRecorder::disabled(),
             metrics: MetricRegistry::new(),
@@ -254,21 +231,21 @@ impl From<io::Error> for LiveError {
     }
 }
 
-/// Connection events a transport feeds the protocol state machine.
+/// Connection events the event loop feeds the protocol state machine.
 ///
-/// Every event carries the transport-minted connection id, so the state
-/// machine can fence traffic from superseded incarnations through the
-/// [`EpochRegistry`]. `Registered` also hands over the transport's write
-/// handle (`W`): a [`crate::wire::FrameWriter`] for the blocking
-/// transport, nothing for the reactor, whose write queues live in its
-/// [`Outbound`] sink.
-enum Ev<W> {
+/// Every event carries the connection id the accept loop minted, so the
+/// state machine can fence traffic from superseded incarnations through
+/// the [`EpochRegistry`]. Executor ids are checked against the cluster
+/// size at the handshake; every id here is in range.
+enum Ev {
     /// An executor completed its Register handshake.
     Registered {
         executor: usize,
         slots: usize,
         conn: u64,
-        writer: W,
+        /// Where the connection sits in the loop's connection table —
+        /// what the executor's lane flushes to.
+        conn_slot: usize,
     },
     /// A frame arrived on an executor's connection.
     Frame {
@@ -280,33 +257,6 @@ enum Ev<W> {
     },
     /// An executor's connection closed or broke.
     Gone { executor: usize, conn: u64 },
-}
-
-/// Where the state machine writes frames. The blocking transport sends
-/// synchronously; the reactor queues bytes for its event loop to flush.
-trait Outbound {
-    /// The per-connection write handle `Ev::Registered` delivers.
-    type Writer;
-
-    /// A new connection for `executor` completed its handshake.
-    fn attach(&mut self, executor: usize, conn: u64, writer: Self::Writer);
-
-    /// Connection `conn` died; forget it if it is still `executor`'s
-    /// current connection.
-    fn detach_if_current(&mut self, executor: usize, conn: u64);
-
-    /// Sends (or queues) `frame`, returning its wire size, or `None` if
-    /// the executor has no usable connection.
-    fn send(&mut self, executor: usize, frame: &Frame) -> Option<usize>;
-
-    /// Executors with an attached connection, ascending.
-    fn attached(&self) -> Vec<usize>;
-
-    /// Backpressure probe: `false` masks the executor from task
-    /// assignment until its write queue drains below the high-water mark.
-    fn accepts_work(&self, _executor: usize) -> bool {
-        true
-    }
 }
 
 /// Driver-side view of one executor.
@@ -388,15 +338,7 @@ impl Driver {
         job: &LiveJob,
         observer: impl FnMut(&PoolDecision, &[SlotInfo]),
     ) -> Result<LiveReport, LiveError> {
-        let transport = if std::env::var_os("SAE_REFERENCE_DRIVER").is_some_and(|v| v != "0") {
-            DriverTransport::Blocking
-        } else {
-            self.cfg.transport
-        };
-        match transport {
-            DriverTransport::Reactor => reactor::run(self.listener, &self.cfg, job, observer),
-            DriverTransport::Blocking => blocking::run(self.listener, &self.cfg, job, observer),
-        }
+        reactor::run(self.listener, &self.cfg, job, observer)
     }
 }
 
@@ -412,8 +354,7 @@ struct DriverMetrics {
     executors_lost: Counter,
     reincarnations: Counter,
     frames_fenced: Counter,
-    /// Event-loop wakeups (readiness batches in the reactor, channel
-    /// receives in the blocking transport) — wakeups-per-frame is the
+    /// Event-loop wakeups (readiness batches) — wakeups-per-frame is the
     /// reactor bench's batching figure of merit.
     wakeups: Counter,
     degraded: Gauge,
@@ -455,13 +396,13 @@ impl DriverMetrics {
     }
 }
 
-/// All mutable state of one job run: the transport-agnostic protocol
-/// state machine. Transports feed it [`Ev`]s and timer callbacks; it
-/// writes frames through its [`Outbound`] sink.
-struct Run<'j, Obs, O: Outbound> {
+/// All mutable state of one job run: the protocol state machine. The
+/// event loop feeds it [`Ev`]s and timer callbacks; it queues frames on
+/// `out`, which the loop flushes.
+struct Run<'j, Obs> {
     cfg: DriverConfig,
     job: &'j LiveJob,
-    out: O,
+    out: Lanes,
     epochs: EpochRegistry,
     execs: Vec<ExecState>,
     queue: PendingQueue,
@@ -479,9 +420,10 @@ struct Run<'j, Obs, O: Outbound> {
     log: Logger,
 }
 
-impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo]), O: Outbound> Run<'j, Obs, O> {
-    fn new(cfg: &DriverConfig, job: &'j LiveJob, observer: Obs, out: O) -> Self {
+impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Run<'j, Obs> {
+    fn new(cfg: &DriverConfig, job: &'j LiveJob, observer: Obs) -> Self {
         let now = Instant::now();
+        let log = Logger::new("driver", cfg.recorder.clone());
         let execs = (0..cfg.executors)
             .map(|_| ExecState {
                 registered: false,
@@ -497,7 +439,7 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo]), O: Outbound> Run<'j, Obs, O> {
         Self {
             cfg: cfg.clone(),
             job,
-            out,
+            out: Lanes::new(cfg.executors, log.clone()),
             epochs: EpochRegistry::new(cfg.executors),
             execs,
             queue: PendingQueue::new(),
@@ -512,7 +454,7 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo]), O: Outbound> Run<'j, Obs, O> {
             observer,
             recorder: cfg.recorder.clone(),
             metrics: DriverMetrics::new(&cfg.metrics, cfg.executors),
-            log: Logger::new("driver", cfg.recorder.clone()),
+            log,
         }
     }
 
@@ -537,24 +479,16 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo]), O: Outbound> Run<'j, Obs, O> {
         });
     }
 
-    fn handle(&mut self, ev: Ev<O::Writer>) -> Result<(), LiveError> {
+    fn handle(&mut self, ev: Ev) -> Result<(), LiveError> {
         match ev {
             Ev::Registered {
                 executor,
                 slots,
                 conn,
-                writer,
+                conn_slot,
             } => {
-                if executor >= self.execs.len() {
-                    self.log.error(|| {
-                        format!(
-                            "executor {executor} registered from outside the configured cluster"
-                        )
-                    });
-                    return Ok(()); // id outside the configured cluster
-                }
                 let reg = self.epochs.register(executor, conn);
-                self.out.attach(executor, conn, writer);
+                self.out.attach(executor, conn, conn_slot);
                 if reg.reincarnation {
                     // Requeue whatever the superseded incarnation was
                     // running; its reports are fenced from here on.
@@ -602,9 +536,6 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo]), O: Outbound> Run<'j, Obs, O> {
                 frame,
                 bytes,
             } => {
-                if executor >= self.execs.len() {
-                    return Ok(());
-                }
                 if self.epochs.admit(executor, conn) == Admission::Stale {
                     // A zombie predecessor is still talking: fence it.
                     self.metrics.frames_fenced.inc();
@@ -635,9 +566,6 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo]), O: Outbound> Run<'j, Obs, O> {
                 self.handle_frame(executor, frame)?;
             }
             Ev::Gone { executor, conn } => {
-                if executor >= self.execs.len() {
-                    return Ok(());
-                }
                 if !self.epochs.disconnect(executor, conn) {
                     return Ok(()); // a fenced predecessor's socket died
                 }
@@ -1164,12 +1092,10 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo]), O: Outbound> Run<'j, Obs, O> {
         self.broadcast_except(usize::MAX, frame);
     }
 
-    /// Best-effort send to every connected executor but `skip`.
+    /// Best-effort send to every connected executor but `skip` (a lane
+    /// with no connection takes nothing).
     fn broadcast_except(&mut self, skip: usize, frame: &Frame) {
-        for executor in self.out.attached() {
-            if executor == skip {
-                continue;
-            }
+        for executor in (0..self.out.len()).filter(|&e| e != skip) {
             self.send(executor, frame);
         }
     }

@@ -1,47 +1,30 @@
-//! The default transport: a single non-blocking reactor event loop.
+//! The driver's event loop: one thread owns every socket.
 //!
-//! One thread owns every socket. The listener and all executor
-//! connections are registered with a level-triggered poller
-//! ([`sae_poll::Poller`]); each wakeup drains whatever is ready — accepts
-//! in a burst, reads until `WouldBlock` with frames decoded in batches
-//! through a per-connection [`FrameCursor`], queued writes flushed with
-//! vectored I/O — then runs due timers off a coalesced [`TimerWheel`] and
-//! assigns tasks once per batch. Compared to the blocking reference this
-//! eliminates the per-connection reader threads, the acceptor's
-//! sleep-poll, and the synchronous mutex-ordered writes.
+//! The listener and all executor connections are registered with a
+//! level-triggered poller ([`sae_poll::Poller`]); each wakeup drains
+//! whatever is ready — accepts in a burst, reads until `WouldBlock` with
+//! frames decoded in batches through a per-connection [`FrameCursor`],
+//! queued writes flushed once per dirty lane — then runs due timers off a
+//! coalesced [`TimerWheel`] and assigns tasks once per batch.
 //!
-//! Outbound frames are queued per executor ([`QueuedOutbound`]) and
-//! flushed opportunistically at the end of each wakeup; a socket that
-//! cannot take more bytes gets `EPOLLOUT` interest until its queue
-//! drains. Backpressure is a queue-depth high-water mark: an executor
-//! whose queue is above [`HIGH_WATER`] is masked from task assignment
-//! (instead of the driver blocking on its socket), and a queue that grows
-//! past [`HARD_CAP`] gets its connection closed — the executor is treated
-//! as lost, exactly like a broken synchronous write in the reference
-//! transport. On exit, queued frames — the `Shutdown` broadcast above
-//! all — are drained for up to [`DriverConfig::shutdown_drain`] before
-//! connections close, fixing the race where best-effort shutdown frames
-//! were dropped.
+//! The socket mechanics (connection table, write queues, backpressure,
+//! accept loop) are [`crate::shell`]'s, shared with the job server; what
+//! lives here is the loop itself and the `Register` handshake. A lane the
+//! shell reports broken is closed and handed to the state machine as
+//! [`Ev::Gone`], exactly like an EOF. On exit, queued frames — the
+//! `Shutdown` broadcast above all — are drained for up to
+//! [`DriverConfig::shutdown_drain`] before connections close.
 
-use std::collections::VecDeque;
-use std::io::{self, IoSlice, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::time::{Duration, Instant};
+use std::io::{self, Read};
+use std::net::TcpListener;
+use std::time::Instant;
 
-use sae_poll::{Event, Interest, Poller, TimerWheel};
+use sae_poll::{Event, Poller, TimerWheel};
 
-use super::{DriverConfig, Ev, LiveError, LiveReport, Outbound, PoolDecision, Run, SlotInfo};
+use super::{DriverConfig, Ev, LiveError, LiveReport, PoolDecision, Run, SlotInfo};
 use crate::job::LiveJob;
-use crate::log::Logger;
+use crate::shell::{Conns, Listener, READ_CHUNK};
 use crate::wire::{Frame, FrameCursor};
-
-/// Write-queue depth above which an executor stops receiving new task
-/// assignments until its socket drains.
-const HIGH_WATER: usize = 64 * 1024;
-
-/// Write-queue depth at which the connection is declared broken and
-/// closed: the peer has stopped reading.
-const HARD_CAP: usize = 4 * 1024 * 1024;
 
 /// Poller token of the listening socket; connections use `slot + 1`.
 const LISTENER_TOKEN: u64 = 0;
@@ -50,97 +33,14 @@ const LISTENER_TOKEN: u64 = 0;
 /// sweep (every [`DriverConfig::check_interval`]).
 const TIMER_TICK: u64 = 0;
 
-/// Bytes one socket read may pull in per call.
-const READ_CHUNK: usize = 16 * 1024;
-
-/// Per-executor outbound write queues, flushed by the event loop.
-struct Lane {
-    /// The connection the queue currently targets.
-    conn: Option<u64>,
-    queue: VecDeque<u8>,
-}
-
-/// The reactor's [`Outbound`] sink: `send` encodes into the executor's
-/// queue; the event loop moves queue bytes onto sockets.
-struct QueuedOutbound {
-    lanes: Vec<Lane>,
-    /// Executors whose queues grew since the last flush pass.
-    dirty: Vec<usize>,
-    scratch: Vec<u8>,
-}
-
-impl QueuedOutbound {
-    fn new(executors: usize) -> Self {
-        Self {
-            lanes: (0..executors)
-                .map(|_| Lane {
-                    conn: None,
-                    queue: VecDeque::new(),
-                })
-                .collect(),
-            dirty: Vec::new(),
-            scratch: Vec::new(),
-        }
-    }
-}
-
-impl Outbound for QueuedOutbound {
-    type Writer = ();
-
-    fn attach(&mut self, executor: usize, conn: u64, _writer: ()) {
-        let lane = &mut self.lanes[executor];
-        // Bytes queued for a superseded incarnation would go to a socket
-        // the protocol no longer trusts; drop them with it.
-        lane.conn = Some(conn);
-        lane.queue.clear();
-    }
-
-    fn detach_if_current(&mut self, executor: usize, conn: u64) {
-        let lane = &mut self.lanes[executor];
-        if lane.conn == Some(conn) {
-            lane.conn = None;
-            lane.queue.clear();
-        }
-    }
-
-    fn send(&mut self, executor: usize, frame: &Frame) -> Option<usize> {
-        let lane = &mut self.lanes[executor];
-        lane.conn?;
-        self.scratch.clear();
-        frame.encode(&mut self.scratch);
-        if lane.queue.is_empty() {
-            self.dirty.push(executor);
-        }
-        lane.queue.extend(self.scratch.iter().copied());
-        Some(self.scratch.len())
-    }
-
-    fn attached(&self) -> Vec<usize> {
-        self.lanes
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.conn.is_some())
-            .map(|(e, _)| e)
-            .collect()
-    }
-
-    fn accepts_work(&self, executor: usize) -> bool {
-        self.lanes[executor].queue.len() < HIGH_WATER
-    }
-}
-
-/// One accepted connection's loop-side state.
-struct Conn {
-    stream: TcpStream,
-    conn_id: u64,
+/// One accepted connection's protocol-side state.
+struct WireConn {
     cursor: FrameCursor,
     /// Set once the handshake [`Frame::Register`] arrives.
     executor: Option<usize>,
-    /// Whether `EPOLLOUT` interest is currently armed.
-    want_write: bool,
 }
 
-/// Runs one job over the reactor transport.
+/// Runs one job to completion (or failure) on `listener`.
 pub(super) fn run(
     listener: TcpListener,
     cfg: &DriverConfig,
@@ -153,27 +53,22 @@ pub(super) fn run(
     // are empty or the drain budget runs out — the frames are queued, not
     // yet on the wire.
     reactor.run.broadcast(&Frame::Shutdown);
-    reactor.drain_writes();
+    let deadline = Instant::now() + cfg.shutdown_drain;
+    reactor
+        .run
+        .out
+        .drain(&mut reactor.conns, &reactor.poller, deadline);
     result.map(|()| reactor.run.into_report())
 }
 
 struct Reactor<'j, Obs> {
     poller: Poller,
-    listener: TcpListener,
-    conns: Vec<Option<Conn>>,
-    /// Reusable slots of closed connections. Slots freed during a wakeup
-    /// park in `freed_now` until the batch ends, so stale events in the
-    /// same batch can never alias a recycled token.
-    free: Vec<usize>,
-    freed_now: Vec<usize>,
-    /// Executor id → connection slot currently serving it.
-    exec_conn: Vec<Option<usize>>,
-    next_conn: u64,
+    listener: Listener,
+    conns: Conns<WireConn>,
     events: Vec<Event>,
     wheel: TimerWheel,
     read_buf: Vec<u8>,
-    run: Run<'j, Obs, QueuedOutbound>,
-    log: Logger,
+    run: Run<'j, Obs>,
 }
 
 impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Reactor<'j, Obs> {
@@ -183,23 +78,17 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Reactor<'j, Obs> {
         job: &'j LiveJob,
         observer: Obs,
     ) -> Result<Self, LiveError> {
-        listener.set_nonblocking(true)?;
         let poller = Poller::new()?;
-        poller.register(&listener, LISTENER_TOKEN, Interest::READABLE)?;
-        let run = Run::new(cfg, job, observer, QueuedOutbound::new(cfg.executors));
+        let listener = Listener::new(listener, LISTENER_TOKEN, &poller)?;
+        let run = Run::new(cfg, job, observer);
         Ok(Self {
             poller,
             listener,
-            conns: Vec::new(),
-            free: Vec::new(),
-            freed_now: Vec::new(),
-            exec_conn: vec![None; cfg.executors],
-            next_conn: 1,
+            conns: Conns::new(LISTENER_TOKEN + 1, run.log.clone()),
             events: Vec::new(),
             wheel: TimerWheel::new(),
             read_buf: vec![0u8; READ_CHUNK],
             run,
-            log: Logger::new("driver", cfg.recorder.clone()),
         })
     }
 
@@ -212,33 +101,39 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Reactor<'j, Obs> {
         self.wheel
             .schedule_at(Instant::now() + self.run.cfg.check_interval, TIMER_TICK);
         loop {
-            self.flush_dirty()?;
+            while let Some(e) = self.run.out.pop_dirty() {
+                self.flush_lane(e)?;
+            }
             let timeout = self.wheel.next_timeout(Instant::now());
             let mut events = std::mem::take(&mut self.events);
             self.poller.wait(&mut events, timeout)?;
             self.run.metrics.wakeups.inc();
             for ev in &events {
                 if ev.token == LISTENER_TOKEN {
-                    self.accept_burst();
+                    self.conns
+                        .accept_burst(&mut self.listener, &self.poller, || WireConn {
+                            cursor: FrameCursor::new(),
+                            executor: None,
+                        });
                     continue;
                 }
-                let idx = (ev.token - 1) as usize;
-                if idx >= self.conns.len() || self.conns[idx].is_none() {
+                let Some(idx) = self.conns.slot_of(ev.token) else {
                     continue; // closed earlier in this batch
-                }
+                };
                 if ev.readable || ev.error {
                     self.read_drain(idx)?;
                 }
                 if ev.writable {
-                    let executor = self.conns[idx].as_ref().and_then(|c| c.executor);
+                    let executor = self.conns.get(idx).and_then(|c| c.kind.executor);
                     if let Some(e) = executor {
-                        self.flush_executor(e)?;
+                        self.flush_lane(e)?;
                     }
                 }
             }
             self.events = events;
             for (_, what) in self.wheel.expire(Instant::now()) {
                 if what == TIMER_TICK {
+                    self.listener.rearm(&self.poller);
                     self.run.check_heartbeats()?;
                     self.run.check_task_deadlines()?;
                     self.run.check_probation();
@@ -248,7 +143,7 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Reactor<'j, Obs> {
                 }
             }
             self.run.try_assign()?;
-            self.free.append(&mut self.freed_now);
+            self.conns.end_batch();
             if self.run.finished {
                 return Ok(());
             }
@@ -258,77 +153,30 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Reactor<'j, Obs> {
         }
     }
 
-    /// Accepts every pending connection.
-    fn accept_burst(&mut self) {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    let conn_id = self.next_conn;
-                    self.next_conn += 1;
-                    let idx = match self.free.pop() {
-                        Some(idx) => idx,
-                        None => {
-                            self.conns.push(None);
-                            self.conns.len() - 1
-                        }
-                    };
-                    if self
-                        .poller
-                        .register(&stream, idx as u64 + 1, Interest::READABLE)
-                        .is_err()
-                    {
-                        self.free.push(idx);
-                        continue;
-                    }
-                    self.conns[idx] = Some(Conn {
-                        stream,
-                        conn_id,
-                        cursor: FrameCursor::new(),
-                        executor: None,
-                        want_write: false,
-                    });
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    self.log.error(|| format!("acceptor died: {e}"));
-                    let _ = self.poller.deregister(&self.listener);
-                    return;
-                }
-            }
-        }
-    }
-
     /// Reads a connection until `WouldBlock`, decoding every complete
     /// frame in the batch through the protocol state machine.
     fn read_drain(&mut self, idx: usize) -> Result<(), LiveError> {
         loop {
-            let conn = match self.conns[idx].as_mut() {
-                Some(c) => c,
-                None => return Ok(()),
+            let Some(conn) = self.conns.get_mut(idx) else {
+                return Ok(());
             };
             match conn.stream.read(&mut self.read_buf) {
                 Ok(0) => return self.close_and_report(idx),
                 Ok(n) => {
-                    conn.cursor.extend(&self.read_buf[..n]);
+                    conn.kind.cursor.extend(&self.read_buf[..n]);
                     loop {
-                        let conn = match self.conns[idx].as_mut() {
-                            Some(c) => c,
-                            None => return Ok(()),
+                        let Some(conn) = self.conns.get_mut(idx) else {
+                            return Ok(());
                         };
-                        let frame = match conn.cursor.next() {
+                        let frame = match conn.kind.cursor.next() {
                             Ok(Some(frame)) => frame,
                             Ok(None) => break,
                             // Framing is lost; the connection is unusable.
                             Err(_) => return self.close_and_report(idx),
                         };
-                        let bytes = conn.cursor.last_frame_len();
-                        let conn_id = conn.conn_id;
-                        match conn.executor {
+                        let bytes = conn.kind.cursor.last_frame_len();
+                        let conn_id = conn.id;
+                        match conn.kind.executor {
                             Some(executor) => self.run.handle(Ev::Frame {
                                 executor,
                                 conn: conn_id,
@@ -336,98 +184,46 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Reactor<'j, Obs> {
                                 bytes,
                             })?,
                             None => {
-                                // The handshake: first frame must register.
+                                // The handshake: the first frame must
+                                // register an executor of this cluster.
                                 let Frame::Register { executor, slots } = frame else {
                                     self.close_silent(idx);
                                     return Ok(());
                                 };
-                                conn.executor = Some(executor);
+                                if executor >= self.run.cfg.executors {
+                                    self.run.log.error(|| {
+                                        format!(
+                                            "executor {executor} registered from outside \
+                                             the configured cluster"
+                                        )
+                                    });
+                                    self.close_silent(idx);
+                                    return Ok(());
+                                }
+                                conn.kind.executor = Some(executor);
                                 self.run.handle(Ev::Registered {
                                     executor,
                                     slots,
                                     conn: conn_id,
-                                    writer: (),
+                                    conn_slot: idx,
                                 })?;
-                                if executor < self.exec_conn.len() {
-                                    self.exec_conn[executor] = Some(idx);
-                                }
                             }
                         }
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
-                Err(e)
-                    if e.kind() == io::ErrorKind::ConnectionReset
-                        || e.kind() == io::ErrorKind::ConnectionAborted =>
-                {
-                    return self.close_and_report(idx);
-                }
                 Err(_) => return self.close_and_report(idx),
             }
         }
     }
 
-    /// Flushes every executor queue that grew since the last pass.
-    fn flush_dirty(&mut self) -> Result<(), LiveError> {
-        while let Some(e) = self.run.out.dirty.pop() {
-            self.flush_executor(e)?;
-        }
-        Ok(())
-    }
-
-    /// Moves one executor's queued bytes onto its socket with vectored
-    /// writes; arms `EPOLLOUT` on a partial flush, closes the connection
-    /// on a hard error or a queue past [`HARD_CAP`].
-    fn flush_executor(&mut self, e: usize) -> Result<(), LiveError> {
-        let Some(idx) = self.exec_conn[e] else {
-            return Ok(());
-        };
-        loop {
-            let lane = &mut self.run.out.lanes[e];
-            let conn = match self.conns[idx].as_mut() {
-                Some(c) => c,
-                None => return Ok(()),
-            };
-            if lane.conn != Some(conn.conn_id) {
-                return Ok(()); // queue retargeted mid-flight
-            }
-            if lane.queue.is_empty() {
-                if conn.want_write {
-                    conn.want_write = false;
-                    let _ = self
-                        .poller
-                        .modify(&conn.stream, idx as u64 + 1, Interest::READABLE);
-                }
-                return Ok(());
-            }
-            let (a, b) = lane.queue.as_slices();
-            let bufs = [IoSlice::new(a), IoSlice::new(b)];
-            match conn.stream.write_vectored(&bufs) {
-                Ok(0) => return self.close_and_report(idx),
-                Ok(n) => {
-                    lane.queue.drain(..n);
-                }
-                Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
-                Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
-                    if lane.queue.len() > HARD_CAP {
-                        // The peer stopped reading; a blocking write would
-                        // have wedged the driver here. Cut it loose.
-                        self.log.error(|| {
-                            format!("executor {e} write queue overflowed; closing its connection")
-                        });
-                        return self.close_and_report(idx);
-                    }
-                    if !conn.want_write {
-                        conn.want_write = true;
-                        let _ = self
-                            .poller
-                            .modify(&conn.stream, idx as u64 + 1, Interest::BOTH);
-                    }
-                    return Ok(());
-                }
-                Err(_) => return self.close_and_report(idx),
-            }
+    /// Flushes one executor's lane; a lane the shell reports broken (write
+    /// error, or a peer that stopped reading) loses its connection.
+    fn flush_lane(&mut self, e: usize) -> Result<(), LiveError> {
+        match self.run.out.flush(e, &mut self.conns, &self.poller) {
+            Some(slot) => self.close_and_report(slot),
+            None => Ok(()),
         }
     }
 
@@ -440,75 +236,10 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Reactor<'j, Obs> {
         Ok(())
     }
 
-    /// Tears down a connection's loop state without informing the state
-    /// machine (unregistered handshake failures, drain-phase closes).
+    /// Tears down a connection without informing the state machine
+    /// (handshake failures); returns who it was, if it had registered.
     fn close_silent(&mut self, idx: usize) -> Option<(usize, u64)> {
-        let conn = self.conns[idx].take()?;
-        let _ = self.poller.deregister(&conn.stream);
-        self.freed_now.push(idx);
-        if let Some(e) = conn.executor {
-            if self.exec_conn.get(e).copied().flatten() == Some(idx) {
-                self.exec_conn[e] = None;
-            }
-            return Some((e, conn.conn_id));
-        }
-        None
-    }
-
-    /// Flushes all queued frames, bounded by
-    /// [`DriverConfig::shutdown_drain`]. Runs after the job is decided, so
-    /// write failures just close the connection — nothing is reported.
-    fn drain_writes(&mut self) {
-        let deadline = Instant::now() + self.run.cfg.shutdown_drain;
-        loop {
-            let mut blocked = false;
-            for e in 0..self.run.out.lanes.len() {
-                loop {
-                    let lane = &mut self.run.out.lanes[e];
-                    if lane.queue.is_empty() {
-                        break;
-                    }
-                    let Some(idx) = self.exec_conn[e] else {
-                        lane.queue.clear();
-                        break;
-                    };
-                    let conn = match self.conns[idx].as_mut() {
-                        Some(c) if lane.conn == Some(c.conn_id) => c,
-                        _ => {
-                            lane.queue.clear();
-                            break;
-                        }
-                    };
-                    let (a, b) = lane.queue.as_slices();
-                    let bufs = [IoSlice::new(a), IoSlice::new(b)];
-                    match conn.stream.write_vectored(&bufs) {
-                        Ok(0) => {
-                            self.close_silent(idx);
-                            break;
-                        }
-                        Ok(n) => {
-                            lane.queue.drain(..n);
-                        }
-                        Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
-                        Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
-                            blocked = true;
-                            break;
-                        }
-                        Err(_) => {
-                            self.close_silent(idx);
-                            break;
-                        }
-                    }
-                }
-            }
-            let now = Instant::now();
-            if !blocked || now >= deadline {
-                return;
-            }
-            let mut events = std::mem::take(&mut self.events);
-            let nap = (deadline - now).min(Duration::from_millis(5));
-            let _ = self.poller.wait(&mut events, Some(nap));
-            self.events = events;
-        }
+        let conn = self.conns.close(idx, &self.poller)?;
+        Some((conn.kind.executor?, conn.id))
     }
 }

@@ -48,13 +48,13 @@ pub mod log;
 pub mod nemesis;
 pub mod recorder;
 pub mod server;
+mod shell;
 pub mod task;
 pub mod wire;
 
 pub use cluster::{ClusterConfig, LiveCluster, TempDir};
 pub use driver::{
-    Driver, DriverConfig, DriverTransport, LiveError, LiveReport, LiveStageReport, PoolDecision,
-    SlotInfo,
+    Driver, DriverConfig, LiveError, LiveReport, LiveStageReport, PoolDecision, SlotInfo,
 };
 pub use epochs::{Admission, EpochRegistry, Registration};
 pub use executor::{LiveExecutor, LiveExecutorConfig, RespawnConfig};

@@ -8,10 +8,11 @@
 //! splits the fleet's slots across tenants by weight.
 //!
 //! One reactor thread owns every socket — the executor wire listener, the
-//! HTTP listener, and all accepted connections — on the same
-//! [`sae_poll::Poller`] event loop the single-job reactor uses. Per
-//! wakeup it drains readiness, decodes frames / HTTP requests, runs due
-//! timers, and dispatches tasks to free slots.
+//! HTTP listener, and all accepted connections — on a
+//! [`sae_poll::Poller`] event loop over the same socket shell
+//! (`shell.rs`: connection table, write queues, accept loop) as the
+//! single-job driver. Per wakeup it drains readiness, decodes frames /
+//! HTTP requests, runs due timers, and dispatches tasks to free slots.
 //!
 //! # Control API
 //!
@@ -39,7 +40,7 @@
 //! line by line — the line number is the SSE event id, so a client that
 //! reconnects with `Last-Event-ID` resumes exactly where it left off.
 //! Stream output rides the same reactor write buffers as everything else
-//! and stops being refilled past [`HIGH_WATER`], so a stalled consumer
+//! and stops being refilled past `HIGH_WATER` (64 KiB), so a stalled consumer
 //! loses events (counted per subscriber) but can never stall the serve
 //! loop or change a journal byte.
 //!
@@ -79,8 +80,8 @@ pub mod json;
 pub mod sched;
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::{self, IoSlice, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, Read};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -91,12 +92,13 @@ use sae_metrics::{
 };
 use sae_net::http::{self, Limits, Method, Request, RequestParser, Response};
 use sae_net::sse::{SseFrame, StreamEncoder};
-use sae_poll::{Event, Interest, Poller, TimerWheel};
+use sae_poll::{Event, Poller, TimerWheel};
 
 use crate::epochs::{Admission, EpochRegistry};
 use crate::job::{LiveJob, LiveStageKind, LiveStageSpec};
 use crate::log::Logger;
 use crate::recorder::{FlightRecorder, LiveEvent, Subscription};
+use crate::shell::{self, Conns, Flush, Lanes, Listener, OutQueue, HIGH_WATER, READ_CHUNK};
 use crate::wire::{Frame, FrameCursor};
 
 use jobs::{JobState, JobTable, StageRun};
@@ -111,18 +113,12 @@ const HTTP_LISTENER: u64 = 1;
 const CONN_BASE: u64 = 2;
 /// Timer-wheel payload of the periodic sweep.
 const TIMER_TICK: u64 = 0;
-/// Bytes one socket read may pull in per call.
-const READ_CHUNK: usize = 16 * 1024;
-/// Executor write-queue depth that masks it from new assignments.
-const HIGH_WATER: usize = 64 * 1024;
 /// Streaming connections coalesce writes: buffered SSE frames are pushed
 /// to the socket on the periodic tick, or as soon as this many bytes are
 /// queued — one wakeup per batch for every subscriber instead of one per
 /// event, which is what keeps 8 idle dashboards off the data plane's
 /// critical path.
 const STREAM_FLUSH: usize = 8 * 1024;
-/// Executor write-queue depth that declares the connection broken.
-const HARD_CAP: usize = 4 * 1024 * 1024;
 /// Bound on flushing queued frames (the `Shutdown` broadcast above all)
 /// after the serve loop exits.
 const FINAL_FLUSH: Duration = Duration::from_millis(500);
@@ -261,13 +257,6 @@ impl ExecState {
     }
 }
 
-/// Per-executor outbound frame queue (same shape as the single-job
-/// reactor's lanes).
-struct Lane {
-    conn: Option<u64>,
-    queue: VecDeque<u8>,
-}
-
 /// What an accepted connection is.
 enum ConnKind {
     /// An executor speaking the length-prefixed frame protocol.
@@ -278,7 +267,7 @@ enum ConnKind {
     /// An HTTP control client.
     Http {
         parser: RequestParser,
-        out: VecDeque<u8>,
+        out: OutQueue,
         /// Close once `out` drains (parse error or `Connection: close`).
         close: bool,
         /// A live `/events` SSE stream, once one is established. The
@@ -306,13 +295,6 @@ struct StreamState {
     last_status: Option<&'static str>,
     /// The terminal chunk is queued; close once it flushes.
     done: bool,
-}
-
-struct Conn {
-    stream: TcpStream,
-    conn_id: u64,
-    want_write: bool,
-    kind: ConnKind,
 }
 
 /// Cached metric handles; names follow the `server.*{tenant="x"}` label
@@ -431,21 +413,17 @@ impl JobServer {
 
 struct ServerLoop {
     poller: Poller,
-    wire: TcpListener,
-    http: TcpListener,
-    conns: Vec<Option<Conn>>,
-    free: Vec<usize>,
-    freed_now: Vec<usize>,
-    exec_conn: Vec<Option<usize>>,
-    next_conn: u64,
+    wire: Listener,
+    http: Listener,
+    conns: Conns<ConnKind>,
     events: Vec<Event>,
     wheel: TimerWheel,
     read_buf: Vec<u8>,
     cfg: ServerConfig,
     epochs: EpochRegistry,
     execs: Vec<ExecState>,
-    lanes: Vec<Lane>,
-    dirty: Vec<usize>,
+    lanes: Lanes,
+    /// Encode buffer for HTTP responses.
     scratch: Vec<u8>,
     fair: FairShare,
     jobs: JobTable,
@@ -467,21 +445,16 @@ struct ServerLoop {
 
 impl ServerLoop {
     fn new(wire: TcpListener, http: TcpListener, cfg: ServerConfig) -> io::Result<Self> {
-        wire.set_nonblocking(true)?;
-        http.set_nonblocking(true)?;
         let poller = Poller::new()?;
-        poller.register(&wire, WIRE_LISTENER, Interest::READABLE)?;
-        poller.register(&http, HTTP_LISTENER, Interest::READABLE)?;
+        let wire = Listener::new(wire, WIRE_LISTENER, &poller)?;
+        let http = Listener::new(http, HTTP_LISTENER, &poller)?;
+        let log = Logger::new("server", cfg.recorder.clone());
         let now = Instant::now();
         Ok(Self {
             poller,
             wire,
             http,
-            conns: Vec::new(),
-            free: Vec::new(),
-            freed_now: Vec::new(),
-            exec_conn: vec![None; cfg.executors],
-            next_conn: 1,
+            conns: Conns::new(CONN_BASE, log.clone()),
             events: Vec::new(),
             wheel: TimerWheel::new(),
             read_buf: vec![0u8; READ_CHUNK],
@@ -495,13 +468,7 @@ impl ServerLoop {
                     last_heartbeat: now,
                 })
                 .collect(),
-            lanes: (0..cfg.executors)
-                .map(|_| Lane {
-                    conn: None,
-                    queue: VecDeque::new(),
-                })
-                .collect(),
-            dirty: Vec::new(),
+            lanes: Lanes::new(cfg.executors, log.clone()),
             scratch: Vec::new(),
             fair: FairShare::new(),
             jobs: JobTable::default(),
@@ -512,7 +479,7 @@ impl ServerLoop {
             last_metrics: BTreeMap::new(),
             published_ring_drops: 0,
             published_sub_drops: 0,
-            log: Logger::new("server", cfg.recorder.clone()),
+            log,
             cfg,
         })
     }
@@ -527,7 +494,9 @@ impl ServerLoop {
         self.wheel
             .schedule_at(Instant::now() + self.cfg.check_interval, TIMER_TICK);
         loop {
-            self.flush_dirty();
+            while let Some(e) = self.lanes.pop_dirty() {
+                self.flush_lane(e);
+            }
             let timeout = self
                 .wheel
                 .next_timeout(Instant::now())
@@ -537,18 +506,38 @@ impl ServerLoop {
             self.metrics.wakeups.inc();
             for ev in &events {
                 match ev.token {
-                    WIRE_LISTENER => self.accept_burst(true),
-                    HTTP_LISTENER => self.accept_burst(false),
+                    WIRE_LISTENER => {
+                        self.conns
+                            .accept_burst(&mut self.wire, &self.poller, || ConnKind::Wire {
+                                cursor: FrameCursor::new(),
+                                executor: None,
+                            })
+                    }
+                    HTTP_LISTENER => {
+                        let limits = self.cfg.limits;
+                        self.conns
+                            .accept_burst(&mut self.http, &self.poller, || ConnKind::Http {
+                                parser: RequestParser::with_limits(limits),
+                                out: OutQueue::default(),
+                                close: false,
+                                stream: None,
+                            })
+                    }
                     token => {
-                        let idx = (token - CONN_BASE) as usize;
-                        if idx >= self.conns.len() || self.conns[idx].is_none() {
+                        let Some(idx) = self.conns.slot_of(token) else {
                             continue; // closed earlier in this batch
-                        }
+                        };
                         if ev.readable || ev.error {
                             self.read_drain(idx);
                         }
                         if ev.writable {
-                            self.flush_conn(idx);
+                            match self.conns.get(idx).map(|c| &c.kind) {
+                                Some(ConnKind::Wire {
+                                    executor: Some(e), ..
+                                }) => self.flush_lane(*e),
+                                Some(ConnKind::Http { .. }) => self.flush_http(idx),
+                                _ => {}
+                            }
                         }
                     }
                 }
@@ -563,7 +552,7 @@ impl ServerLoop {
             }
             self.try_assign();
             self.pump_streams();
-            self.free.append(&mut self.freed_now);
+            self.conns.end_batch();
             if let Some(since) = self.draining {
                 let idle = self.jobs.live_ids().next().is_none();
                 if idle || since.elapsed() > self.cfg.shutdown_drain {
@@ -577,6 +566,8 @@ impl ServerLoop {
     /// The periodic sweep: heartbeat timeouts, the shutdown latch, and
     /// admission-gauge refresh.
     fn tick(&mut self) {
+        self.wire.rearm(&self.poller);
+        self.http.rearm(&self.poller);
         let now = Instant::now();
         for e in 0..self.execs.len() {
             let ex = &self.execs[e];
@@ -621,7 +612,7 @@ impl ServerLoop {
     /// Appends a `metrics` SSE frame with every changed counter/gauge to
     /// each cluster `/events` stream whose write buffer has room.
     fn stream_metric_deltas(&mut self) {
-        let any_cluster_stream = self.conns.iter().flatten().any(|c| {
+        let any_cluster_stream = self.conns.iter().any(|c| {
             matches!(&c.kind, ConnKind::Http { stream: Some(st), .. }
                 if st.job.is_none() && !st.done)
         });
@@ -653,8 +644,7 @@ impl ServerLoop {
         push_sse(&mut chunk, &frame);
         // Queued only: the tick's stream flush that follows pushes these
         // to the sockets together with any coalesced event frames.
-        for slot in self.conns.iter_mut() {
-            let Some(conn) = slot else { continue };
+        for conn in self.conns.iter_mut() {
             let ConnKind::Http {
                 out,
                 stream: Some(st),
@@ -666,7 +656,7 @@ impl ServerLoop {
             if st.job.is_some() || st.done || out.len() >= HIGH_WATER {
                 continue;
             }
-            out.extend(chunk.iter().copied());
+            out.extend(&chunk);
         }
     }
 
@@ -695,10 +685,7 @@ impl ServerLoop {
         // Let event streams carry the terminal journal lines, then close
         // each with an `end` frame and the terminal chunk.
         self.pump_streams();
-        for idx in 0..self.conns.len() {
-            let Some(conn) = self.conns[idx].as_mut() else {
-                continue;
-            };
+        for conn in self.conns.iter_mut() {
             let ConnKind::Http {
                 out,
                 close,
@@ -715,14 +702,28 @@ impl ServerLoop {
                     &SseFrame::new("{\"reason\":\"server-drain\"}").with_event("end"),
                 );
                 StreamEncoder::sse(200).finish(&mut buf);
-                out.extend(buf);
+                out.extend(&buf);
                 st.done = true;
             }
             *close = true;
         }
         self.broadcast(&Frame::Shutdown);
-        self.drain_writes();
-        self.drain_http_writes();
+        // Queued executor frames (the `Shutdown` broadcast), then buffered
+        // HTTP bytes (stream terminators above all): each gets a bounded
+        // final flush.
+        let deadline = Instant::now() + FINAL_FLUSH;
+        self.lanes.drain(&mut self.conns, &self.poller, deadline);
+        let deadline = Instant::now() + FINAL_FLUSH;
+        loop {
+            self.flush_streams();
+            let blocked = self
+                .conns
+                .iter()
+                .any(|c| matches!(&c.kind, ConnKind::Http { out, .. } if !out.is_empty()));
+            if !blocked || !shell::drain_nap(&self.poller, deadline) {
+                break;
+            }
+        }
         Ok(ServerReport {
             jobs: std::mem::take(&mut self.jobs).into_summaries(),
             metrics: self.cfg.metrics.snapshot(),
@@ -730,66 +731,6 @@ impl ServerLoop {
     }
 
     // ---- connection plumbing ------------------------------------------
-
-    fn accept_burst(&mut self, is_wire: bool) {
-        loop {
-            let accepted = if is_wire {
-                self.wire.accept()
-            } else {
-                self.http.accept()
-            };
-            match accepted {
-                Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    let conn_id = self.next_conn;
-                    self.next_conn += 1;
-                    let idx = match self.free.pop() {
-                        Some(idx) => idx,
-                        None => {
-                            self.conns.push(None);
-                            self.conns.len() - 1
-                        }
-                    };
-                    if self
-                        .poller
-                        .register(&stream, idx as u64 + CONN_BASE, Interest::READABLE)
-                        .is_err()
-                    {
-                        self.free.push(idx);
-                        continue;
-                    }
-                    let kind = if is_wire {
-                        ConnKind::Wire {
-                            cursor: FrameCursor::new(),
-                            executor: None,
-                        }
-                    } else {
-                        ConnKind::Http {
-                            parser: RequestParser::with_limits(self.cfg.limits),
-                            out: VecDeque::new(),
-                            close: false,
-                            stream: None,
-                        }
-                    };
-                    self.conns[idx] = Some(Conn {
-                        stream,
-                        conn_id,
-                        want_write: false,
-                        kind,
-                    });
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    self.log.error(|| format!("acceptor died: {e}"));
-                    return;
-                }
-            }
-        }
-    }
 
     fn read_drain(&mut self, idx: usize) {
         // The read buffer leaves `self` for the duration so the pumps,
@@ -801,9 +742,8 @@ impl ServerLoop {
 
     fn read_drain_with(&mut self, idx: usize, buf: &mut [u8]) {
         loop {
-            let conn = match self.conns[idx].as_mut() {
-                Some(c) => c,
-                None => return,
+            let Some(conn) = self.conns.get_mut(idx) else {
+                return;
             };
             match conn.stream.read(buf) {
                 Ok(0) => return self.close_conn(idx),
@@ -833,9 +773,8 @@ impl ServerLoop {
     /// connection. Returns `false` once the connection is gone.
     fn pump_wire(&mut self, idx: usize) -> bool {
         loop {
-            let conn = match self.conns[idx].as_mut() {
-                Some(c) => c,
-                None => return false,
+            let Some(conn) = self.conns.get_mut(idx) else {
+                return false;
             };
             let ConnKind::Wire { cursor, executor } = &mut conn.kind else {
                 return true;
@@ -849,7 +788,7 @@ impl ServerLoop {
                     return false;
                 }
             };
-            let conn_id = conn.conn_id;
+            let conn_id = conn.id;
             match *executor {
                 Some(e) => self.handle_wire_frame(e, conn_id, frame),
                 None => {
@@ -865,8 +804,7 @@ impl ServerLoop {
                         return false;
                     }
                     *executor = Some(e);
-                    self.exec_conn[e] = Some(idx);
-                    self.handle_register(e, slots, conn_id);
+                    self.handle_register(e, slots, conn_id, idx);
                 }
             }
         }
@@ -876,9 +814,8 @@ impl ServerLoop {
     /// control connection. Returns `false` once the connection is gone.
     fn pump_http(&mut self, idx: usize) -> bool {
         loop {
-            let conn = match self.conns[idx].as_mut() {
-                Some(c) => c,
-                None => return false,
+            let Some(conn) = self.conns.get_mut(idx) else {
+                return false;
             };
             let ConnKind::Http { parser, stream, .. } = &mut conn.kind else {
                 return true;
@@ -894,59 +831,31 @@ impl ServerLoop {
                     let close_requested = req
                         .header("connection")
                         .is_some_and(|v| v.eq_ignore_ascii_case("close"));
-                    if let Some(routed) = self.route_events(&req) {
-                        match routed {
-                            Ok((head, state)) => {
-                                let Some(conn) = self.conns[idx].as_mut() else {
-                                    return false;
-                                };
-                                // Bound the kernel's queue in front of
-                                // this long-lived stream: once a stalled
-                                // consumer fills it, writes block and the
-                                // HIGH_WATER/drop discipline takes over.
-                                let _ = sae_poll::set_send_buffer(&conn.stream, HIGH_WATER);
-                                if let ConnKind::Http { out, stream, .. } = &mut conn.kind {
-                                    out.extend(head);
-                                    *stream = Some(state);
-                                }
-                                // Replay anything already available (a
-                                // per-job stream's existing journal) and
-                                // push the head out without waiting for
-                                // the coalescing tick.
-                                self.pump_stream(idx);
-                                self.flush_conn(idx);
-                                return self.conns[idx].is_some();
+                    let resp = match self.route_events(&req) {
+                        Some(Ok((head, state))) => {
+                            let Some(conn) = self.conns.get_mut(idx) else {
+                                return false;
+                            };
+                            // Bound the kernel's queue in front of this
+                            // long-lived stream: once a stalled consumer
+                            // fills it, writes block and the
+                            // HIGH_WATER/drop discipline takes over.
+                            let _ = sae_poll::set_send_buffer(&conn.stream, HIGH_WATER);
+                            if let ConnKind::Http { out, stream, .. } = &mut conn.kind {
+                                out.extend(&head);
+                                *stream = Some(state);
                             }
-                            Err(resp) => {
-                                self.scratch.clear();
-                                resp.encode(&mut self.scratch);
-                                let Some(conn) = self.conns[idx].as_mut() else {
-                                    return false;
-                                };
-                                if let ConnKind::Http { out, close, .. } = &mut conn.kind {
-                                    out.extend(self.scratch.iter().copied());
-                                    *close |= close_requested;
-                                }
-                                self.flush_conn(idx);
-                                if self.conns[idx].is_none() {
-                                    return false;
-                                }
-                                continue;
-                            }
+                            // Replay anything already available (a per-job
+                            // stream's existing journal) and push the head
+                            // out without waiting for the coalescing tick.
+                            self.pump_stream(idx);
+                            self.flush_http(idx);
+                            return self.conns.get(idx).is_some();
                         }
-                    }
-                    let resp = self.route(&req);
-                    self.scratch.clear();
-                    resp.encode(&mut self.scratch);
-                    let Some(conn) = self.conns[idx].as_mut() else {
-                        return false;
+                        Some(Err(resp)) => resp,
+                        None => self.route(&req),
                     };
-                    if let ConnKind::Http { out, close, .. } = &mut conn.kind {
-                        out.extend(self.scratch.iter().copied());
-                        *close |= close_requested;
-                    }
-                    self.flush_conn(idx);
-                    if self.conns[idx].is_none() {
+                    if !self.respond(idx, &resp, close_requested) {
                         return false;
                     }
                 }
@@ -954,163 +863,66 @@ impl ServerLoop {
                 Err(e) => {
                     // Malformed request: answer with the mapped status and
                     // close — framing can no longer be trusted.
-                    let resp = Response::error(e.status(), &format!("{e:?}"));
-                    self.scratch.clear();
-                    resp.encode(&mut self.scratch);
-                    if let ConnKind::Http { out, close, .. } = &mut conn.kind {
-                        out.extend(self.scratch.iter().copied());
-                        *close = true;
-                    }
-                    self.flush_conn(idx);
+                    self.respond(idx, &Response::error(e.status(), &format!("{e:?}")), true);
                     return false;
                 }
             }
         }
     }
 
-    /// Flushes whatever the connection has queued: the executor lane for
-    /// wire connections, the response buffer for HTTP ones.
-    fn flush_conn(&mut self, idx: usize) {
-        let Some(conn) = self.conns[idx].as_ref() else {
-            return;
-        };
-        match &conn.kind {
-            ConnKind::Wire { executor, .. } => {
-                if let Some(e) = *executor {
-                    self.flush_executor(e);
-                }
-            }
-            ConnKind::Http { .. } => self.flush_http(idx),
+    /// Queues `resp` on an HTTP connection (closing it once flushed if
+    /// `close_after`) and pushes it out. `false` once the connection is
+    /// gone.
+    fn respond(&mut self, idx: usize, resp: &Response, close_after: bool) -> bool {
+        self.scratch.clear();
+        resp.encode(&mut self.scratch);
+        if let Some(ConnKind::Http { out, close, .. }) =
+            self.conns.get_mut(idx).map(|c| &mut c.kind)
+        {
+            out.extend(&self.scratch);
+            *close |= close_after;
+        }
+        self.flush_http(idx);
+        self.conns.get(idx).is_some()
+    }
+
+    /// Flushes one executor's lane; a lane the shell reports broken (write
+    /// error, or a peer that stopped reading) loses its connection.
+    fn flush_lane(&mut self, e: usize) {
+        if let Some(slot) = self.lanes.flush(e, &mut self.conns, &self.poller) {
+            self.close_conn(slot);
         }
     }
 
-    fn flush_dirty(&mut self) {
-        while let Some(e) = self.dirty.pop() {
-            self.flush_executor(e);
-        }
-    }
-
-    fn flush_executor(&mut self, e: usize) {
-        let Some(idx) = self.exec_conn[e] else {
-            return;
-        };
-        loop {
-            let lane = &mut self.lanes[e];
-            let conn = match self.conns[idx].as_mut() {
-                Some(c) => c,
-                None => return,
-            };
-            if lane.conn != Some(conn.conn_id) {
-                return; // lane retargeted to a newer incarnation
-            }
-            if lane.queue.is_empty() {
-                if conn.want_write {
-                    conn.want_write = false;
-                    let _ = self.poller.modify(
-                        &conn.stream,
-                        idx as u64 + CONN_BASE,
-                        Interest::READABLE,
-                    );
-                }
-                return;
-            }
-            let (a, b) = lane.queue.as_slices();
-            let bufs = [IoSlice::new(a), IoSlice::new(b)];
-            match conn.stream.write_vectored(&bufs) {
-                Ok(0) => return self.close_conn(idx),
-                Ok(n) => {
-                    lane.queue.drain(..n);
-                }
-                Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
-                Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
-                    if lane.queue.len() > HARD_CAP {
-                        self.log.error(|| {
-                            format!("executor {e} write queue overflowed; closing its connection")
-                        });
-                        return self.close_conn(idx);
-                    }
-                    if !conn.want_write {
-                        conn.want_write = true;
-                        let _ = self.poller.modify(
-                            &conn.stream,
-                            idx as u64 + CONN_BASE,
-                            Interest::BOTH,
-                        );
-                    }
-                    return;
-                }
-                Err(_) => return self.close_conn(idx),
-            }
-        }
-    }
-
+    /// Flushes an HTTP connection's response buffer, closing it on a
+    /// write error or once a connection marked `close` has drained.
     fn flush_http(&mut self, idx: usize) {
-        loop {
-            let conn = match self.conns[idx].as_mut() {
-                Some(c) => c,
-                None => return,
-            };
-            let ConnKind::Http { out, close, .. } = &mut conn.kind else {
-                return;
-            };
-            if out.is_empty() {
-                if *close {
-                    return self.close_conn(idx);
-                }
-                if conn.want_write {
-                    conn.want_write = false;
-                    let _ = self.poller.modify(
-                        &conn.stream,
-                        idx as u64 + CONN_BASE,
-                        Interest::READABLE,
-                    );
-                }
-                return;
-            }
-            let (a, b) = out.as_slices();
-            let bufs = [IoSlice::new(a), IoSlice::new(b)];
-            match conn.stream.write_vectored(&bufs) {
-                Ok(0) => return self.close_conn(idx),
-                Ok(n) => {
-                    out.drain(..n);
-                }
-                Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
-                Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
-                    if !conn.want_write {
-                        conn.want_write = true;
-                        let _ = self.poller.modify(
-                            &conn.stream,
-                            idx as u64 + CONN_BASE,
-                            Interest::BOTH,
-                        );
-                    }
-                    return;
-                }
-                Err(_) => return self.close_conn(idx),
-            }
+        let token = self.conns.token(idx);
+        let Some(conn) = self.conns.get_mut(idx) else {
+            return;
+        };
+        let ConnKind::Http { out, close, .. } = &mut conn.kind else {
+            return;
+        };
+        match out.flush(&conn.stream, &self.poller, token) {
+            Flush::Drained if !*close => {}
+            Flush::Blocked => {}
+            Flush::Drained | Flush::Broken => self.close_conn(idx),
         }
     }
 
     /// Tears a connection down. Wire connections report through the epoch
     /// registry so current incarnations are declared lost.
     fn close_conn(&mut self, idx: usize) {
-        let Some(conn) = self.conns[idx].take() else {
+        let Some(conn) = self.conns.close(idx, &self.poller) else {
             return;
         };
-        let _ = self.poller.deregister(&conn.stream);
-        self.freed_now.push(idx);
         if let ConnKind::Wire {
             executor: Some(e), ..
         } = conn.kind
         {
-            if self.exec_conn.get(e).copied().flatten() == Some(idx) {
-                self.exec_conn[e] = None;
-            }
-            if self.epochs.disconnect(e, conn.conn_id) {
-                if self.lanes[e].conn == Some(conn.conn_id) {
-                    self.lanes[e].conn = None;
-                    self.lanes[e].queue.clear();
-                }
+            if self.epochs.disconnect(e, conn.id) {
+                self.lanes.detach_if_current(e, conn.id);
                 if self.execs[e].alive {
                     self.declare_lost(e);
                 }
@@ -1118,62 +930,11 @@ impl ServerLoop {
         }
     }
 
-    /// Final flush of queued executor frames (the `Shutdown` broadcast),
-    /// bounded by [`FINAL_FLUSH`].
-    fn drain_writes(&mut self) {
-        let deadline = Instant::now() + FINAL_FLUSH;
-        loop {
-            let mut blocked = false;
-            for e in 0..self.lanes.len() {
-                self.flush_executor(e);
-                if !self.lanes[e].queue.is_empty() && self.exec_conn[e].is_some() {
-                    blocked = true;
-                }
-            }
-            let now = Instant::now();
-            if !blocked || now >= deadline {
-                return;
-            }
-            let mut events = std::mem::take(&mut self.events);
-            let nap = (deadline - now).min(Duration::from_millis(5));
-            let _ = self.poller.wait(&mut events, Some(nap));
-            self.events = events;
-        }
-    }
-
-    /// Final flush of buffered HTTP bytes (stream terminators above all),
-    /// bounded by [`FINAL_FLUSH`].
-    fn drain_http_writes(&mut self) {
-        let deadline = Instant::now() + FINAL_FLUSH;
-        loop {
-            for idx in 0..self.conns.len() {
-                if self.conns[idx].is_some() {
-                    self.flush_conn(idx);
-                }
-            }
-            let blocked = self
-                .conns
-                .iter()
-                .flatten()
-                .any(|c| matches!(&c.kind, ConnKind::Http { out, .. } if !out.is_empty()));
-            let now = Instant::now();
-            if !blocked || now >= deadline {
-                return;
-            }
-            let mut events = std::mem::take(&mut self.events);
-            let nap = (deadline - now).min(Duration::from_millis(5));
-            let _ = self.poller.wait(&mut events, Some(nap));
-            self.events = events;
-        }
-    }
-
     // ---- executor fleet -----------------------------------------------
 
-    fn handle_register(&mut self, e: usize, slots: usize, conn: u64) {
+    fn handle_register(&mut self, e: usize, slots: usize, conn: u64, conn_slot: usize) {
         let reg = self.epochs.register(e, conn);
-        let lane = &mut self.lanes[e];
-        lane.conn = Some(conn);
-        lane.queue.clear();
+        self.lanes.attach(e, conn, conn_slot);
         if reg.reincarnation {
             self.metrics.reincarnations.inc();
             self.requeue_inflight_on(e);
@@ -1287,7 +1048,7 @@ impl ServerLoop {
             .map(stage_frame)
             .collect();
         for frame in frames {
-            self.send_frame(e, &frame);
+            self.lanes.send(e, &frame);
         }
     }
 
@@ -1300,11 +1061,8 @@ impl ServerLoop {
         self.requeue_inflight_on(e);
         // Survivors poison their monitoring interval: requeued work is not
         // the workload they were probing.
-        let attached: Vec<usize> = (0..self.lanes.len())
-            .filter(|&x| x != e && self.lanes[x].conn.is_some())
-            .collect();
-        for x in attached {
-            self.send_frame(x, &Frame::FaultNotice { executor: e });
+        for x in (0..self.lanes.len()).filter(|&x| x != e) {
+            self.lanes.send(x, &Frame::FaultNotice { executor: e });
         }
     }
 
@@ -1533,7 +1291,7 @@ impl ServerLoop {
             loop {
                 if !self.execs[e].usable()
                     || self.execs[e].running >= self.execs[e].slots
-                    || self.lanes[e].queue.len() >= HIGH_WATER
+                    || !self.lanes.accepts_work(e)
                 {
                     break;
                 }
@@ -1570,7 +1328,8 @@ impl ServerLoop {
                 self.inflight.insert((job, task), e);
                 self.execs[e].running += 1;
                 self.metrics.tasks_dispatched.inc();
-                if !self.send_frame(e, &Frame::AssignJobTask { job, task }) {
+                let frame = Frame::AssignJobTask { job, task };
+                if self.lanes.send(e, &frame).is_none() {
                     // No usable lane: treat like a broken socket.
                     self.declare_lost(e);
                     break;
@@ -1579,28 +1338,10 @@ impl ServerLoop {
         }
     }
 
-    // ---- outbound frames ----------------------------------------------
-
-    /// Queues `frame` for `e`; `false` means no attached connection.
-    fn send_frame(&mut self, e: usize, frame: &Frame) -> bool {
-        let lane = &mut self.lanes[e];
-        if lane.conn.is_none() {
-            return false;
-        }
-        self.scratch.clear();
-        frame.encode(&mut self.scratch);
-        if lane.queue.is_empty() {
-            self.dirty.push(e);
-        }
-        lane.queue.extend(self.scratch.iter().copied());
-        true
-    }
-
+    /// Queues `frame` for every executor with an attached connection.
     fn broadcast(&mut self, frame: &Frame) {
         for e in 0..self.lanes.len() {
-            if self.lanes[e].conn.is_some() {
-                self.send_frame(e, frame);
-            }
+            self.lanes.send(e, frame);
         }
     }
 
@@ -1737,9 +1478,8 @@ impl ServerLoop {
     }
 
     fn pump_stream(&mut self, idx: usize) {
-        let mut wrote = false;
-        {
-            let Some(conn) = self.conns[idx].as_mut() else {
+        let flush_due = {
+            let Some(conn) = self.conns.get_mut(idx) else {
                 return;
             };
             let ConnKind::Http {
@@ -1808,46 +1548,22 @@ impl ServerLoop {
                     }
                 }
             }
-            if !buf.is_empty() {
-                out.extend(buf);
-                wrote = true;
-            }
-        }
-        // Coalesce: small batches wait for the tick flush; only a closing
-        // stream or a high backlog goes to the socket immediately.
-        if wrote && self.stream_flush_due(idx) {
-            self.flush_conn(idx);
+            out.extend(&buf);
+            // Coalesce: small batches wait for the tick flush; only a
+            // closing stream or a high backlog goes to the socket now.
+            !buf.is_empty() && (st.done || out.len() >= STREAM_FLUSH)
+        };
+        if flush_due {
+            self.flush_http(idx);
         }
     }
 
-    /// Whether a streaming connection's buffered output should be pushed
-    /// to the socket now rather than waiting for the periodic tick.
-    fn stream_flush_due(&self, idx: usize) -> bool {
-        match self.conns[idx].as_ref().map(|c| &c.kind) {
-            Some(ConnKind::Http {
-                out,
-                stream: Some(st),
-                ..
-            }) => st.done || out.len() >= STREAM_FLUSH,
-            _ => false,
-        }
-    }
-
-    /// Tick-time flush of every streaming connection with buffered
-    /// output — the slow path that bounds coalescing latency.
+    /// Tick-time flush of every HTTP connection with buffered output —
+    /// the slow path that bounds a stream's coalescing latency (an empty
+    /// buffer costs no syscall).
     fn flush_streams(&mut self) {
         for idx in 0..self.conns.len() {
-            let pending = matches!(
-                self.conns[idx].as_ref().map(|c| &c.kind),
-                Some(ConnKind::Http {
-                    out,
-                    stream: Some(_),
-                    ..
-                }) if !out.is_empty()
-            );
-            if pending {
-                self.flush_conn(idx);
-            }
+            self.flush_http(idx);
         }
     }
 
@@ -2264,7 +1980,7 @@ mod tests {
         let http = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut sl = ServerLoop::new(wire, http, cfg).unwrap();
         for e in 0..sl.execs.len() {
-            sl.lanes[e].conn = Some(e as u64 + 1);
+            sl.lanes.attach(e, e as u64 + 1, e);
             sl.execs[e].registered = true;
             sl.execs[e].alive = true;
             sl.execs[e].slots = slots;

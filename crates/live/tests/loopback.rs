@@ -5,16 +5,22 @@
 //!   `PoolSizeChanged` round-trip reflected in the driver's slot registry.
 //! * A run with one executor killed mid-stage still completes, via
 //!   heartbeat-silence detection and task retry.
+//! * A connection registering an executor id outside the fleet is hung up
+//!   on, and the job is none the worse.
 //!
 //! Timers are tightened well below the library defaults so the failure
 //! test stays fast; every run is additionally bounded by the driver's
 //! internal deadline, so a wedged protocol fails the test instead of
 //! hanging the suite.
 
+use std::io::Read;
+use std::net::TcpStream;
 use std::time::Duration;
 
 use sae_core::MapeConfig;
-use sae_live::{terasort, ClusterConfig, LiveCluster};
+use sae_live::executor::LiveExecutorConfig;
+use sae_live::wire::{Frame, FrameWriter};
+use sae_live::{terasort, ClusterConfig, Driver, DriverConfig, LiveCluster, LiveExecutor, TempDir};
 
 fn test_cfg(executors: usize) -> ClusterConfig {
     ClusterConfig {
@@ -168,24 +174,53 @@ fn observer_sees_registry_updates_as_decisions_arrive() {
 }
 
 #[test]
-fn blocking_reference_transport_still_runs_the_job() {
-    // The pinned thread-per-connection baseline must stay a working,
-    // explicitly selectable transport — it is what the reactor is
-    // benchmarked and equivalence-tested against.
-    let mut cfg = test_cfg(3);
-    cfg.transport = sae_live::DriverTransport::Blocking;
-    let mut cluster = LiveCluster::launch(cfg).unwrap();
-    let report = cluster.run(&terasort(24, 20_000, 2026)).unwrap();
-    cluster.shutdown().unwrap();
+fn a_register_from_outside_the_fleet_is_hung_up_on() {
+    let driver = Driver::bind(DriverConfig {
+        executors: 2,
+        check_interval: Duration::from_millis(25),
+        deadline: Duration::from_secs(90),
+        ..DriverConfig::default()
+    })
+    .unwrap();
+    let addr = driver.addr().unwrap();
+    let job = terasort(8, 2_000, 5);
+    let run = std::thread::spawn(move || driver.run(&job));
 
+    // The outsider registers while the fleet is still absent, so the job
+    // is certainly running when the driver judges it: EOF here means the
+    // handshake closed the socket, not the end of the run.
+    let mut outsider = TcpStream::connect(addr).unwrap();
+    outsider
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    FrameWriter::new(outsider.try_clone().unwrap())
+        .send(&Frame::Register {
+            executor: 99,
+            slots: 4,
+        })
+        .unwrap();
+    let mut buf = [0u8; 64];
+    assert_eq!(
+        outsider.read(&mut buf).expect("EOF, not a read timeout"),
+        0,
+        "the driver answered an out-of-fleet Register"
+    );
+
+    let spill = TempDir::new("loopback-outsider").unwrap();
+    let fleet: Vec<LiveExecutor> = (0..2)
+        .map(|id| {
+            LiveExecutor::launch(
+                addr,
+                LiveExecutorConfig::new(id, spill.path().to_path_buf()),
+            )
+        })
+        .collect();
+    let report = run.join().unwrap().unwrap();
+    for executor in fleet {
+        let _ = executor.join();
+    }
     assert_eq!(report.stages.len(), 2);
     assert!(report.lost_executors.is_empty());
-    assert!(
-        report.decisions.iter().any(|d| d.size == 2),
-        "the stage-start reset to c_min never arrived: {:?}",
-        report.decisions
-    );
-    for (e, slot) in report.registry.iter().enumerate() {
-        assert!(slot.registered && slot.alive, "executor {e}: {slot:?}");
-    }
+    assert_eq!(report.registry.len(), 2);
+    assert!(report.registry.iter().all(|s| s.registered && s.alive));
 }

@@ -3,8 +3,8 @@
 //! The reactor decodes frames through [`FrameCursor`]: bytes arrive in
 //! whatever chunks a non-blocking socket hands each readiness event —
 //! split mid-header, split mid-body, several frames merged into one
-//! read — and the cursor must reassemble the exact frame sequence. The
-//! blocking reference transport decodes the same wire bytes through
+//! read — and the cursor must reassemble the exact frame sequence.
+//! Executors decode the same wire bytes through the blocking
 //! [`FrameReader`]. These properties push identical byte streams, cut
 //! at arbitrary boundaries, through both paths and require byte-level
 //! agreement with each other and with the frames that were encoded.
