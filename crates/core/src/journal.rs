@@ -17,6 +17,8 @@
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
+use sae_metrics::escape_json;
+
 /// What the Planner did with the interval's analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecisionAction {
@@ -119,23 +121,6 @@ fn fmt_f64(v: f64) -> String {
     } else {
         "0".to_string()
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl DecisionRecord {

@@ -3,33 +3,35 @@
 //! Responsibilities mirror the simulated engine's driver exactly, but over
 //! real sockets and wall-clock time:
 //!
-//! * accept executor connections and their [`Frame::Register`] handshakes;
 //! * schedule pending tasks through the *same* locality-aware
 //!   [`PendingQueue`] the simulator uses, respecting per-executor free
-//!   slots;
-//! * apply `PoolSizeChanged` messages to the slot registry (§5.4) so
-//!   scheduling always reflects each executor's current pool size;
-//! * track heartbeats, declare executors lost after
-//!   [`DriverConfig::heartbeat_timeout`] of silence, requeue their running
-//!   tasks with the failure recorded against the lost executor, and give
+//!   slots (each executor's last announced pool size, §5.4);
+//! * requeue the running tasks of an executor declared lost — silent for
+//!   [`DriverConfig::heartbeat_timeout`], its socket broken, or superseded
+//!   by a reincarnation — with the failure recorded against it, and give
 //!   up with [`LiveError::MaxAttemptsExceeded`] when a task keeps dying;
+//! * requeue attempts that overrun [`DriverConfig::task_deadline`];
 //! * blacklist executors that fail too many tasks in one stage (while at
 //!   least one other usable executor remains), un-blacklisting them after
 //!   a probation interval;
-//! * admit executor **reincarnations**: a dead or partitioned executor
-//!   that re-registers (or shows evidence of life on its old connection)
-//!   rejoins the fleet under a new registration epoch, with frames from
-//!   its superseded incarnations fenced off by the [`EpochRegistry`];
 //! * degrade gracefully: when the usable-executor count falls below
 //!   [`DriverConfig::min_live_executors`], the job parks in a `Degraded`
 //!   state for up to [`DriverConfig::degraded_wait`] — giving respawning
 //!   executors a window to rejoin — instead of failing fast.
 //!
-//! All of that protocol logic lives in one state machine ([`Run`]) that
-//! never touches a socket: the event loop in `driver/reactor.rs` feeds it
+//! Executor membership — the `Register` handshake, registration epochs
+//! that fence stale incarnations and resurrect lost executors showing
+//! live traffic, heartbeats, the `PoolSizeChanged` fold into the slot
+//! registry and the `FaultNotice` broadcast on loss — is the fleet
+//! ledger's (`fleet.rs`), which the job server shares. Blacklisting,
+//! probation, task deadlines and the degraded floor are policies only
+//! the driver applies.
+//!
+//! The protocol logic lives in one state machine ([`Run`]) that never
+//! touches a socket: the event loop in `driver/reactor.rs` feeds it
 //! connection events ([`Ev`]) and timer callbacks, and it answers by
-//! queueing frames on its per-executor [`Lanes`]. The loop, in turn, owns
-//! no socket mechanics of its own — connection table, write queues,
+//! queueing frames on the fleet's per-executor lanes. The loop, in turn,
+//! owns no socket mechanics of its own — connection table, write queues,
 //! backpressure and the accept loop are [`crate::shell`]'s, shared with
 //! the job server: one thread, one poller (`sae-poll`), hundreds of
 //! connections.
@@ -40,13 +42,13 @@ use std::time::{Duration, Instant};
 
 use sae_dag::sched::PendingQueue;
 use sae_dag::{Message, TraceEvent};
-use sae_metrics::{Counter, Gauge, Histogram, MetricRegistry, RegistrySnapshot};
+use sae_metrics::{Counter, Gauge, MetricRegistry, RegistrySnapshot};
 
-use crate::epochs::{Admission, EpochRegistry};
+pub use crate::fleet::SlotInfo;
+use crate::fleet::{Admit, Fleet, Joined};
 use crate::job::LiveJob;
 use crate::log::Logger;
 use crate::recorder::{FlightRecorder, LiveEvent};
-use crate::shell::Lanes;
 use crate::wire::Frame;
 
 mod reactor;
@@ -121,21 +123,6 @@ pub struct PoolDecision {
     pub executor: usize,
     /// The new pool size, now also the executor's slot count.
     pub size: usize,
-}
-
-/// Snapshot of one executor's slot-registry entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SlotInfo {
-    /// Whether the executor ever registered.
-    pub registered: bool,
-    /// Whether the driver currently believes it alive.
-    pub alive: bool,
-    /// Whether it was blacklisted for repeated failures.
-    pub blacklisted: bool,
-    /// Total slots (the executor's last announced pool size).
-    pub slots: usize,
-    /// Slots not currently running a task.
-    pub free: usize,
 }
 
 /// Per-stage outcome.
@@ -234,19 +221,12 @@ impl From<io::Error> for LiveError {
 /// Connection events the event loop feeds the protocol state machine.
 ///
 /// Every event carries the connection id the accept loop minted, so the
-/// state machine can fence traffic from superseded incarnations through
-/// the [`EpochRegistry`]. Executor ids are checked against the cluster
-/// size at the handshake; every id here is in range.
+/// fleet can fence traffic from superseded incarnations. Executor ids are
+/// checked against the cluster size at the handshake; every id here is in
+/// range.
 enum Ev {
-    /// An executor completed its Register handshake.
-    Registered {
-        executor: usize,
-        slots: usize,
-        conn: u64,
-        /// Where the connection sits in the loop's connection table —
-        /// what the executor's lane flushes to.
-        conn_slot: usize,
-    },
+    /// An executor passed the fleet's Register handshake.
+    Joined(Joined),
     /// A frame arrived on an executor's connection.
     Frame {
         executor: usize,
@@ -257,24 +237,6 @@ enum Ev {
     },
     /// An executor's connection closed or broke.
     Gone { executor: usize, conn: u64 },
-}
-
-/// Driver-side view of one executor.
-struct ExecState {
-    registered: bool,
-    alive: bool,
-    blacklisted: bool,
-    blacklisted_at: Option<Instant>,
-    slots: usize,
-    running: usize,
-    failures_in_stage: usize,
-    last_heartbeat: Instant,
-}
-
-impl ExecState {
-    fn usable(&self) -> bool {
-        self.registered && self.alive && !self.blacklisted
-    }
 }
 
 /// Mutable state of the stage currently running.
@@ -346,24 +308,17 @@ impl Driver {
 /// `live.driver.*{executor="N"}` label convention the Prometheus renderer
 /// parses back into label sets.
 struct DriverMetrics {
-    frames_sent: Counter,
-    bytes_sent: Counter,
     frames_received: Counter,
     bytes_received: Counter,
     retries: Counter,
-    executors_lost: Counter,
-    reincarnations: Counter,
-    frames_fenced: Counter,
     /// Event-loop wakeups (readiness batches) — wakeups-per-frame is the
     /// reactor bench's batching figure of merit.
     wakeups: Counter,
     degraded: Gauge,
-    heartbeat_gap_s: Histogram,
     queue_depth: Gauge,
     tasks_started: Vec<Counter>,
     tasks_finished: Vec<Counter>,
     tasks_failed: Vec<Counter>,
-    pool_size: Vec<Gauge>,
 }
 
 impl DriverMetrics {
@@ -374,37 +329,46 @@ impl DriverMetrics {
                 .collect()
         };
         Self {
-            frames_sent: registry.counter("live.driver.frames_sent"),
-            bytes_sent: registry.counter("live.driver.bytes_sent"),
             frames_received: registry.counter("live.driver.frames_received"),
             bytes_received: registry.counter("live.driver.bytes_received"),
             retries: registry.counter("live.driver.retries"),
-            executors_lost: registry.counter("live.driver.executors_lost"),
-            reincarnations: registry.counter("live.driver.reincarnations"),
-            frames_fenced: registry.counter("live.driver.frames_fenced"),
             wakeups: registry.counter("live.driver.wakeups"),
             degraded: registry.gauge("live.driver.degraded"),
-            heartbeat_gap_s: registry.histogram("live.driver.heartbeat_gap_s"),
             queue_depth: registry.gauge("live.driver.queue_depth"),
             tasks_started: per_counter("tasks_started"),
             tasks_finished: per_counter("tasks_finished"),
             tasks_failed: per_counter("tasks_failed"),
-            pool_size: (0..executors)
-                .map(|e| registry.gauge(&format!("live.driver.pool_size{{executor=\"{e}\"}}")))
-                .collect(),
         }
+    }
+}
+
+/// The driver's per-frame wire telemetry for frames it queues: the
+/// fleet's tap.
+fn frame_sent_tap(
+    registry: &MetricRegistry,
+    recorder: FlightRecorder,
+) -> impl FnMut(usize, &Frame, usize) {
+    let frames = registry.counter("live.driver.frames_sent");
+    let bytes_sent = registry.counter("live.driver.bytes_sent");
+    move |executor, frame, bytes| {
+        frames.inc();
+        bytes_sent.add(bytes as u64);
+        recorder.push(LiveEvent::FrameSent {
+            executor,
+            kind: frame.kind_str(),
+            bytes,
+            at: recorder.now(),
+        });
     }
 }
 
 /// All mutable state of one job run: the protocol state machine. The
 /// event loop feeds it [`Ev`]s and timer callbacks; it queues frames on
-/// `out`, which the loop flushes.
+/// the fleet's lanes, which the loop flushes.
 struct Run<'j, Obs> {
     cfg: DriverConfig,
     job: &'j LiveJob,
-    out: Lanes,
-    epochs: EpochRegistry,
-    execs: Vec<ExecState>,
+    execs: Fleet,
     queue: PendingQueue,
     st: StageState,
     stage_idx: usize,
@@ -424,23 +388,18 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Run<'j, Obs> {
     fn new(cfg: &DriverConfig, job: &'j LiveJob, observer: Obs) -> Self {
         let now = Instant::now();
         let log = Logger::new("driver", cfg.recorder.clone());
-        let execs = (0..cfg.executors)
-            .map(|_| ExecState {
-                registered: false,
-                alive: false,
-                blacklisted: false,
-                blacklisted_at: None,
-                slots: 0,
-                running: 0,
-                failures_in_stage: 0,
-                last_heartbeat: now,
-            })
-            .collect();
+        let execs = Fleet::new(
+            cfg.executors,
+            cfg.heartbeat_timeout,
+            "live.driver",
+            &cfg.metrics,
+            log.clone(),
+            cfg.recorder.clone(),
+        )
+        .with_tap(frame_sent_tap(&cfg.metrics, cfg.recorder.clone()));
         Self {
             cfg: cfg.clone(),
             job,
-            out: Lanes::new(cfg.executors, log.clone()),
-            epochs: EpochRegistry::new(cfg.executors),
             execs,
             queue: PendingQueue::new(),
             st: StageState::new(0),
@@ -468,92 +427,30 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Run<'j, Obs> {
         true
     }
 
-    /// Records the driver's view of one executor's slot-registry entry.
-    fn record_slots(&self, executor: usize) {
-        let ex = &self.execs[executor];
-        self.recorder.push(LiveEvent::SlotRegistryChanged {
-            executor,
-            slots: ex.slots,
-            free: ex.slots.saturating_sub(ex.running),
-            at: self.recorder.now(),
-        });
-    }
-
     fn handle(&mut self, ev: Ev) -> Result<(), LiveError> {
         match ev {
-            Ev::Registered {
-                executor,
-                slots,
-                conn,
-                conn_slot,
-            } => {
-                let reg = self.epochs.register(executor, conn);
-                self.out.attach(executor, conn, conn_slot);
-                if reg.reincarnation {
-                    // Requeue whatever the superseded incarnation was
-                    // running; its reports are fenced from here on.
-                    for task in 0..self.st.done.len() {
-                        if self.st.assigned_to[task] == Some(executor) && !self.st.done[task] {
-                            self.st.assigned_to[task] = None;
-                            self.st.assigned_at[task] = None;
-                            self.record_failure(task, executor)?;
-                        }
-                    }
+            Ev::Joined(joined) => {
+                if joined.reincarnated {
+                    // The superseded incarnation's reports are fenced from
+                    // here on: requeue whatever it was running.
+                    self.requeue_from(joined.executor)?;
                 }
-                let ex = &mut self.execs[executor];
-                ex.registered = true;
-                ex.alive = true;
-                ex.blacklisted = false;
-                ex.blacklisted_at = None;
-                ex.failures_in_stage = 0;
-                ex.slots = slots;
-                ex.running = 0;
-                ex.last_heartbeat = Instant::now();
-                if reg.reincarnation {
-                    self.metrics.reincarnations.inc();
-                    self.recorder.push(LiveEvent::ExecutorReincarnated {
-                        executor,
-                        epoch: reg.epoch,
-                        at: self.recorder.now(),
-                    });
-                    self.log.info(|| {
-                        format!(
-                            "executor {executor} reincarnated (epoch {}) with {slots} slots",
-                            reg.epoch
-                        )
-                    });
-                } else {
-                    self.log
-                        .info(|| format!("executor {executor} registered with {slots} slots"));
-                }
-                self.record_slots(executor);
                 // Late joiners still need the current stage announcement.
-                self.announce_stage_to(executor);
+                self.announce_stage_to(joined.executor);
             }
+            // The job is over and the loop exits after this batch.
+            Ev::Frame { .. } if self.finished => {}
             Ev::Frame {
                 executor,
                 conn,
                 frame,
                 bytes,
             } => {
-                if self.epochs.admit(executor, conn) == Admission::Stale {
-                    // A zombie predecessor is still talking: fence it.
-                    self.metrics.frames_fenced.inc();
-                    self.recorder.push(LiveEvent::EpochFenced {
-                        executor,
-                        kind: frame.kind_str(),
-                        at: self.recorder.now(),
-                    });
-                    self.log.debug(|| {
-                        format!(
-                            "fenced a {} frame from a stale incarnation of executor {executor}",
-                            frame.kind_str()
-                        )
-                    });
-                    return Ok(());
-                }
-                if !self.execs[executor].alive && !self.finished {
-                    self.resurrect(executor)?;
+                let now = Instant::now();
+                match self.execs.admit(executor, conn, frame, now) {
+                    Admit::Fenced => return Ok(()),
+                    Admit::Resurrected => self.announce_stage_to(executor),
+                    Admit::Current => {}
                 }
                 self.metrics.frames_received.inc();
                 self.metrics.bytes_received.add(bytes as u64);
@@ -563,157 +460,42 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Run<'j, Obs> {
                     bytes,
                     at: self.recorder.now(),
                 });
-                self.handle_frame(executor, frame)?;
+                if let Some(size) = self.execs.observe(executor, frame, now) {
+                    let decision = PoolDecision {
+                        at: self.started.elapsed().as_secs_f64(),
+                        executor,
+                        size,
+                    };
+                    self.decisions.push(decision);
+                    (self.observer)(&decision, &self.execs.registry());
+                }
+                match frame {
+                    Frame::Core(Message::TaskFailed { task, .. }) => {
+                        self.task_failed(executor, task, now)?
+                    }
+                    Frame::TaskFinished { task, .. } => self.task_finished(executor, task),
+                    // Liveness and telemetry were the fleet's. A
+                    // mis-addressed core message, a duplicate Register, or
+                    // a driver-only frame echoed back is ignored: the
+                    // protocol is defensive against confused peers.
+                    _ => {}
+                }
             }
             Ev::Gone { executor, conn } => {
-                if !self.epochs.disconnect(executor, conn) {
-                    return Ok(()); // a fenced predecessor's socket died
-                }
-                self.out.detach_if_current(executor, conn);
-                // A broken/closed socket is immediate evidence of loss —
-                // faster than waiting out the heartbeat timeout.
-                if self.execs[executor].alive && !self.finished {
-                    self.declare_lost(executor)?;
+                if self.execs.disconnect(executor, conn) && !self.finished {
+                    self.lose(executor)?;
                 }
             }
         }
-        Ok(())
-    }
-
-    /// Frames are flowing on the current connection of an executor we
-    /// declared lost: the partition healed without the socket dying. Open
-    /// a new epoch, put the executor back in the fleet, and re-announce
-    /// the stage — it may have changed while the executor was unreachable.
-    fn resurrect(&mut self, executor: usize) -> Result<(), LiveError> {
-        let epoch = self.epochs.resurrect(executor);
-        let ex = &mut self.execs[executor];
-        ex.alive = true;
-        ex.running = 0;
-        ex.last_heartbeat = Instant::now();
-        self.metrics.reincarnations.inc();
-        self.recorder.push(LiveEvent::ExecutorReincarnated {
-            executor,
-            epoch,
-            at: self.recorder.now(),
-        });
-        self.log
-            .info(|| format!("executor {executor} resurrected on live traffic (epoch {epoch})"));
-        self.record_slots(executor);
-        self.announce_stage_to(executor);
         Ok(())
     }
 
     /// Sends the current stage announcement to one executor.
     fn announce_stage_to(&mut self, executor: usize) {
-        if self.finished || self.stage_idx >= self.job.stages.len() {
-            return;
+        if !self.finished && self.stage_idx < self.job.stages.len() {
+            let frame = self.stage_frame();
+            self.execs.send(executor, &frame);
         }
-        let spec = &self.job.stages[self.stage_idx];
-        let frame = Frame::StageStart {
-            stage: self.stage_idx,
-            kind: spec.kind,
-            tasks: spec.tasks,
-            records_per_task: spec.records_per_task,
-            seed: spec.seed,
-            hint: self.stage_hint(),
-        };
-        self.send(executor, &frame);
-    }
-
-    fn handle_frame(&mut self, from: usize, frame: Frame) -> Result<(), LiveError> {
-        match frame {
-            Frame::Core(Message::Heartbeat { executor }) if executor == from => {
-                let now = Instant::now();
-                let gap = now
-                    .duration_since(self.execs[from].last_heartbeat)
-                    .as_secs_f64();
-                self.execs[from].last_heartbeat = now;
-                self.metrics.heartbeat_gap_s.record(gap);
-                self.recorder.push(LiveEvent::Heartbeat {
-                    executor: from,
-                    gap,
-                    at: self.recorder.now(),
-                });
-            }
-            Frame::Core(Message::PoolSizeChanged { executor, size }) if executor == from => {
-                // §5.4: fold the executor's new pool size into the slot
-                // registry so scheduling matches its real capacity.
-                self.execs[from].last_heartbeat = Instant::now();
-                self.execs[from].slots = size;
-                self.metrics.pool_size[from].set(size as f64);
-                self.recorder
-                    .push(LiveEvent::Trace(TraceEvent::PoolResized {
-                        executor: from,
-                        to: size,
-                        at: self.recorder.now(),
-                    }));
-                self.record_slots(from);
-                self.log
-                    .debug(|| format!("executor {from} resized its pool to {size}"));
-                let decision = PoolDecision {
-                    at: self.started.elapsed().as_secs_f64(),
-                    executor: from,
-                    size,
-                };
-                self.decisions.push(decision);
-                let registry = self.registry();
-                (self.observer)(&decision, &registry);
-            }
-            Frame::Core(Message::TaskFailed { task, .. }) => {
-                self.execs[from].last_heartbeat = Instant::now();
-                self.task_failed(from, task)?;
-            }
-            Frame::TaskFinished { task, .. } => {
-                self.execs[from].last_heartbeat = Instant::now();
-                self.task_finished(from, task);
-            }
-            // Pure telemetry: merge the executor's task span into the live
-            // timeline with its full trace key. Never touches scheduling
-            // state — outcome frames remain the control path.
-            Frame::TaskSpan {
-                key,
-                executor,
-                start_bits,
-                end_bits,
-                ok,
-            } if executor == from => {
-                self.recorder.push(LiveEvent::TaskSpan {
-                    job: key.job,
-                    stage: key.stage,
-                    task: key.task,
-                    attempt: key.attempt,
-                    epoch: key.epoch,
-                    executor: from,
-                    start: f64::from_bits(start_bits),
-                    end: f64::from_bits(end_bits),
-                    ok,
-                });
-            }
-            // A ζ decision record streamed as it closed: merge it into the
-            // trace now and count it, so the shutdown-time journal replay
-            // (and the process-fleet reaper) skips what already streamed.
-            Frame::ZetaSample {
-                executor,
-                threads,
-                zeta_bits,
-                at_bits,
-            } if executor == from => {
-                self.execs[from].last_heartbeat = Instant::now();
-                self.recorder.note_zeta_streamed(from);
-                self.recorder
-                    .push(LiveEvent::Trace(TraceEvent::IntervalClosed {
-                        executor: from,
-                        threads,
-                        zeta: f64::from_bits(zeta_bits),
-                        at: f64::from_bits(at_bits),
-                    }));
-            }
-            // A mis-addressed core message, a duplicate Register, or a
-            // driver-only frame echoed back: ignore, the protocol is
-            // defensive against confused peers.
-            _ => {}
-        }
-        Ok(())
     }
 
     /// Seeds the queue for stage `self.stage_idx` and announces it.
@@ -738,26 +520,23 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Run<'j, Obs> {
             let preferred = self.preferred(t);
             self.queue.push(t, &preferred);
         }
-        for ex in &mut self.execs {
-            ex.failures_in_stage = 0;
-            ex.running = 0;
-        }
-        let frame = Frame::StageStart {
+        self.execs.new_stage();
+        let frame = self.stage_frame();
+        self.execs.broadcast(&frame);
+    }
+
+    /// The current stage's announcement. Its hint is the per-executor task
+    /// count (what the simulated engine passes to `stage_started`).
+    fn stage_frame(&self) -> Frame {
+        let spec = &self.job.stages[self.stage_idx];
+        Frame::StageStart {
             stage: self.stage_idx,
             kind: spec.kind,
             tasks: spec.tasks,
             records_per_task: spec.records_per_task,
             seed: spec.seed,
-            hint: self.stage_hint(),
-        };
-        self.broadcast(&frame);
-    }
-
-    /// The per-executor task-count hint for the current stage (what the
-    /// simulated engine passes to `stage_started`).
-    fn stage_hint(&self) -> usize {
-        let tasks = self.job.stages[self.stage_idx].tasks;
-        (tasks / self.cfg.executors.max(1)).max(1)
+            hint: (spec.tasks / self.cfg.executors.max(1)).max(1),
+        }
     }
 
     /// A task's preferred executors: round-robin "data locality", the same
@@ -772,10 +551,7 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Run<'j, Obs> {
             let mut progress = false;
             let mut broken: Vec<usize> = Vec::new();
             for e in 0..self.execs.len() {
-                if !self.execs[e].usable()
-                    || self.execs[e].running >= self.execs[e].slots
-                    || !self.out.accepts_work(e)
-                {
+                if !self.execs.has_free_slot(e) {
                     continue;
                 }
                 let failed_on = &self.st.failed_on;
@@ -783,7 +559,7 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Run<'j, Obs> {
                     self.st.assigned_to[task] = Some(e);
                     self.st.assigned_at[task] = Some(Instant::now());
                     self.st.attempts += 1;
-                    self.execs[e].running += 1;
+                    self.execs.book(e);
                     self.metrics.tasks_started[e].inc();
                     self.recorder
                         .push(LiveEvent::Trace(TraceEvent::TaskStarted {
@@ -793,17 +569,15 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Run<'j, Obs> {
                             speculative: false,
                             at: self.recorder.now(),
                         }));
-                    let ok = self.send(e, &Frame::Core(Message::AssignTask { task, executor: e }));
-                    if !ok {
+                    let assign = Frame::Core(Message::AssignTask { task, executor: e });
+                    if !self.execs.send(e, &assign) {
                         broken.push(e);
                     }
                     progress = true;
                 }
             }
             for e in broken {
-                if self.execs[e].alive {
-                    self.declare_lost(e)?;
-                }
+                self.lose(e)?;
             }
             if !progress {
                 self.metrics.queue_depth.set(self.queue.len() as f64);
@@ -812,23 +586,20 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Run<'j, Obs> {
         }
     }
 
-    fn check_heartbeats(&mut self) -> Result<(), LiveError> {
-        let now = Instant::now();
-        for e in 0..self.execs.len() {
-            let ex = &self.execs[e];
-            if ex.registered
-                && ex.alive
-                && now.duration_since(ex.last_heartbeat) > self.cfg.heartbeat_timeout
-            {
-                self.declare_lost(e)?;
-            }
+    /// The periodic sweep: heartbeat timeouts, task deadlines, probation
+    /// and the degraded floor.
+    fn tick(&mut self, now: Instant) -> Result<(), LiveError> {
+        for e in self.execs.sweep(now) {
+            self.recover(e)?;
         }
-        Ok(())
+        self.check_task_deadlines(now)?;
+        self.execs.lift_probation(self.cfg.probation, now);
+        self.check_degraded(now)
     }
 
     /// Requeues task attempts that overran [`DriverConfig::task_deadline`],
     /// charging the overrun to the slow executor like any other failure.
-    fn check_task_deadlines(&mut self) -> Result<(), LiveError> {
+    fn check_task_deadlines(&mut self, now: Instant) -> Result<(), LiveError> {
         let Some(deadline) = self.cfg.task_deadline else {
             return Ok(());
         };
@@ -839,7 +610,7 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Run<'j, Obs> {
             let Some(e) = self.st.assigned_to[task] else {
                 continue;
             };
-            if !matches!(self.st.assigned_at[task], Some(at) if at.elapsed() > deadline) {
+            if !matches!(self.st.assigned_at[task], Some(at) if now.duration_since(at) > deadline) {
                 continue;
             }
             self.log.error(|| {
@@ -847,45 +618,24 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Run<'j, Obs> {
             });
             self.st.assigned_to[task] = None;
             self.st.assigned_at[task] = None;
-            self.execs[e].running = self.execs[e].running.saturating_sub(1);
-            self.execs[e].failures_in_stage += 1;
-            self.maybe_blacklist(e);
+            self.execs.release(e);
+            self.execs.note_failure(e, self.cfg.blacklist_after, now);
             self.record_failure(task, e)?;
         }
         Ok(())
     }
 
-    /// Lets blacklisted-but-alive executors back in once their probation
-    /// elapses, with a clean failure count.
-    fn check_probation(&mut self) {
-        for e in 0..self.execs.len() {
-            let served = matches!(
-                self.execs[e].blacklisted_at,
-                Some(at) if at.elapsed() >= self.cfg.probation
-            );
-            if served && self.execs[e].alive {
-                self.execs[e].blacklisted = false;
-                self.execs[e].blacklisted_at = None;
-                self.execs[e].failures_in_stage = 0;
-                self.record_slots(e);
-                self.log
-                    .info(|| format!("executor {e} finished probation: un-blacklisted"));
-            }
-        }
-    }
-
     /// Graceful degradation: below the usable-executor floor the job parks
     /// (bounded by [`DriverConfig::degraded_wait`]) instead of failing
     /// fast, giving reincarnating executors a window to rejoin.
-    fn check_degraded(&mut self) -> Result<(), LiveError> {
-        let live = self.execs.iter().filter(|e| e.usable()).count();
+    fn check_degraded(&mut self, now: Instant) -> Result<(), LiveError> {
+        let live = self.execs.usable_count();
         let floor = self.cfg.min_live_executors.max(1);
-        let below =
-            self.execs.iter().any(|e| e.registered) && live < floor && self.st.remaining > 0;
+        let below = self.execs.any_registered() && live < floor && self.st.remaining > 0;
         if below {
             match self.degraded_since {
                 None => {
-                    self.degraded_since = Some(Instant::now());
+                    self.degraded_since = Some(now);
                     self.metrics.degraded.set(1.0);
                     self.recorder.push(LiveEvent::Degraded {
                         live,
@@ -900,13 +650,13 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Run<'j, Obs> {
                         )
                     });
                 }
-                Some(since) if since.elapsed() > self.cfg.degraded_wait => {
+                Some(since) if now.duration_since(since) > self.cfg.degraded_wait => {
                     return Err(LiveError::NoUsableExecutors);
                 }
                 Some(_) => {}
             }
         } else if let Some(since) = self.degraded_since.take() {
-            let waited = since.elapsed().as_secs_f64();
+            let waited = now.duration_since(since).as_secs_f64();
             self.metrics.degraded.set(0.0);
             self.recorder.push(LiveEvent::DegradedRecovered {
                 waited,
@@ -918,25 +668,23 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Run<'j, Obs> {
         Ok(())
     }
 
-    /// The executor went silent or its socket broke: blacklist it for the
-    /// job and recover every attempt it was running — the live analogue of
-    /// the simulated engine's executor-lost path.
-    fn declare_lost(&mut self, executor: usize) -> Result<(), LiveError> {
-        self.execs[executor].alive = false;
-        self.execs[executor].running = 0;
+    /// The executor's socket broke: the fleet declares it lost, and the
+    /// attempts it was running are recovered.
+    fn lose(&mut self, executor: usize) -> Result<(), LiveError> {
+        self.execs.lose(executor);
+        self.recover(executor)
+    }
+
+    /// The live analogue of the simulated engine's executor-lost path:
+    /// every attempt the lost executor was running is requeued.
+    fn recover(&mut self, executor: usize) -> Result<(), LiveError> {
         self.lost.push(executor);
-        self.metrics.executors_lost.inc();
-        self.recorder
-            .push(LiveEvent::Trace(TraceEvent::ExecutorFailed {
-                executor,
-                at: self.recorder.now(),
-            }));
-        self.record_slots(executor);
-        self.log
-            .error(|| format!("executor {executor} declared lost; requeueing its work"));
-        // The connection stays attached: a partitioned socket may heal, and
-        // resurrection re-announces the stage through it. A truly dead
-        // connection is detached by its `Gone` event instead.
+        self.requeue_from(executor)
+    }
+
+    /// Requeues every unfinished attempt `executor` holds, booking a
+    /// failure against it.
+    fn requeue_from(&mut self, executor: usize) -> Result<(), LiveError> {
         for task in 0..self.st.done.len() {
             if self.st.assigned_to[task] == Some(executor) && !self.st.done[task] {
                 self.st.assigned_to[task] = None;
@@ -944,9 +692,6 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Run<'j, Obs> {
                 self.record_failure(task, executor)?;
             }
         }
-        // Survivors poison their current monitoring interval: the requeued
-        // work about to land on them is not the workload they were probing.
-        self.broadcast_except(executor, &Frame::FaultNotice { executor });
         Ok(())
     }
 
@@ -977,7 +722,7 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Run<'j, Obs> {
         Ok(())
     }
 
-    fn task_failed(&mut self, executor: usize, task: usize) -> Result<(), LiveError> {
+    fn task_failed(&mut self, executor: usize, task: usize, now: Instant) -> Result<(), LiveError> {
         if task >= self.st.done.len()
             || self.st.done[task]
             || self.st.assigned_to[task] != Some(executor)
@@ -986,34 +731,10 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Run<'j, Obs> {
         }
         self.st.assigned_to[task] = None;
         self.st.assigned_at[task] = None;
-        self.execs[executor].running = self.execs[executor].running.saturating_sub(1);
-        self.execs[executor].failures_in_stage += 1;
-        self.maybe_blacklist(executor);
+        self.execs.release(executor);
+        self.execs
+            .note_failure(executor, self.cfg.blacklist_after, now);
         self.record_failure(task, executor)
-    }
-
-    /// Blacklists `executor` (starting its probation clock) once its
-    /// per-stage failure count crosses the threshold, as long as the fleet
-    /// keeps at least one other usable executor.
-    fn maybe_blacklist(&mut self, executor: usize) {
-        if self.execs[executor].failures_in_stage >= self.cfg.blacklist_after
-            && !self.execs[executor].blacklisted
-            && self.execs.iter().filter(|e| e.usable()).count() > 1
-        {
-            self.execs[executor].blacklisted = true;
-            self.execs[executor].blacklisted_at = Some(Instant::now());
-            self.recorder
-                .push(LiveEvent::Trace(TraceEvent::ExecutorBlacklisted {
-                    executor,
-                    at: self.recorder.now(),
-                }));
-            self.log.error(|| {
-                format!(
-                    "executor {executor} blacklisted after {} failures this stage",
-                    self.execs[executor].failures_in_stage
-                )
-            });
-        }
     }
 
     fn task_finished(&mut self, executor: usize, task: usize) {
@@ -1027,7 +748,7 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Run<'j, Obs> {
         self.st.assigned_to[task] = None;
         self.st.assigned_at[task] = None;
         self.st.remaining -= 1;
-        self.execs[executor].running = self.execs[executor].running.saturating_sub(1);
+        self.execs.release(executor);
         self.metrics.tasks_finished[executor].inc();
         self.recorder
             .push(LiveEvent::Trace(TraceEvent::TaskFinished {
@@ -1069,55 +790,11 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Run<'j, Obs> {
         }
     }
 
-    /// Sends `frame` to `executor`; `false` means the write path broke.
-    fn send(&mut self, executor: usize, frame: &Frame) -> bool {
-        match self.out.send(executor, frame) {
-            Some(bytes) => {
-                self.metrics.frames_sent.inc();
-                self.metrics.bytes_sent.add(bytes as u64);
-                self.recorder.push(LiveEvent::FrameSent {
-                    executor,
-                    kind: frame.kind_str(),
-                    bytes,
-                    at: self.recorder.now(),
-                });
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Best-effort send to every connected executor.
-    fn broadcast(&mut self, frame: &Frame) {
-        self.broadcast_except(usize::MAX, frame);
-    }
-
-    /// Best-effort send to every connected executor but `skip` (a lane
-    /// with no connection takes nothing).
-    fn broadcast_except(&mut self, skip: usize, frame: &Frame) {
-        for executor in (0..self.out.len()).filter(|&e| e != skip) {
-            self.send(executor, frame);
-        }
-    }
-
-    fn registry(&self) -> Vec<SlotInfo> {
-        self.execs
-            .iter()
-            .map(|e| SlotInfo {
-                registered: e.registered,
-                alive: e.alive,
-                blacklisted: e.blacklisted,
-                slots: e.slots,
-                free: e.slots.saturating_sub(e.running),
-            })
-            .collect()
-    }
-
     fn into_report(self) -> LiveReport {
         LiveReport {
             job: self.job.name.clone(),
             runtime_secs: self.started.elapsed().as_secs_f64(),
-            registry: self.registry(),
+            registry: self.execs.registry(),
             stages: self.stage_reports,
             decisions: self.decisions,
             lost_executors: self.lost,

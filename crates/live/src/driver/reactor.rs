@@ -9,9 +9,10 @@
 //!
 //! The socket mechanics (connection table, write queues, backpressure,
 //! accept loop) are [`crate::shell`]'s, shared with the job server; what
-//! lives here is the loop itself and the `Register` handshake. A lane the
-//! shell reports broken is closed and handed to the state machine as
-//! [`Ev::Gone`], exactly like an EOF. On exit, queued frames — the
+//! lives here is the loop itself, which hands each new connection's first
+//! frame to the fleet's `Register` handshake. A lane the shell reports
+//! broken is closed and handed to the state machine as [`Ev::Gone`],
+//! exactly like an EOF. On exit, queued frames — the
 //! `Shutdown` broadcast above all — are drained for up to
 //! [`DriverConfig::shutdown_drain`] before connections close.
 
@@ -52,11 +53,12 @@ pub(super) fn run(
     // Tell executors the job is over, then keep flushing until the queues
     // are empty or the drain budget runs out — the frames are queued, not
     // yet on the wire.
-    reactor.run.broadcast(&Frame::Shutdown);
+    reactor.run.execs.broadcast(&Frame::Shutdown);
     let deadline = Instant::now() + cfg.shutdown_drain;
     reactor
         .run
-        .out
+        .execs
+        .lanes
         .drain(&mut reactor.conns, &reactor.poller, deadline);
     result.map(|()| reactor.run.into_report())
 }
@@ -101,7 +103,7 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Reactor<'j, Obs> {
         self.wheel
             .schedule_at(Instant::now() + self.run.cfg.check_interval, TIMER_TICK);
         loop {
-            while let Some(e) = self.run.out.pop_dirty() {
+            while let Some(e) = self.run.execs.lanes.pop_dirty() {
                 self.flush_lane(e)?;
             }
             let timeout = self.wheel.next_timeout(Instant::now());
@@ -134,10 +136,7 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Reactor<'j, Obs> {
             for (_, what) in self.wheel.expire(Instant::now()) {
                 if what == TIMER_TICK {
                     self.listener.rearm(&self.poller);
-                    self.run.check_heartbeats()?;
-                    self.run.check_task_deadlines()?;
-                    self.run.check_probation();
-                    self.run.check_degraded()?;
+                    self.run.tick(Instant::now())?;
                     self.wheel
                         .schedule_at(Instant::now() + self.run.cfg.check_interval, TIMER_TICK);
                 }
@@ -184,29 +183,14 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Reactor<'j, Obs> {
                                 bytes,
                             })?,
                             None => {
-                                // The handshake: the first frame must
-                                // register an executor of this cluster.
-                                let Frame::Register { executor, slots } = frame else {
+                                let now = Instant::now();
+                                let execs = &mut self.run.execs;
+                                let Some(joined) = execs.handshake(frame, conn_id, idx, now) else {
                                     self.close_silent(idx);
                                     return Ok(());
                                 };
-                                if executor >= self.run.cfg.executors {
-                                    self.run.log.error(|| {
-                                        format!(
-                                            "executor {executor} registered from outside \
-                                             the configured cluster"
-                                        )
-                                    });
-                                    self.close_silent(idx);
-                                    return Ok(());
-                                }
-                                conn.kind.executor = Some(executor);
-                                self.run.handle(Ev::Registered {
-                                    executor,
-                                    slots,
-                                    conn: conn_id,
-                                    conn_slot: idx,
-                                })?;
+                                conn.kind.executor = Some(joined.executor);
+                                self.run.handle(Ev::Joined(joined))?;
                             }
                         }
                     }
@@ -221,7 +205,7 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Reactor<'j, Obs> {
     /// Flushes one executor's lane; a lane the shell reports broken (write
     /// error, or a peer that stopped reading) loses its connection.
     fn flush_lane(&mut self, e: usize) -> Result<(), LiveError> {
-        match self.run.out.flush(e, &mut self.conns, &self.poller) {
+        match self.run.execs.lanes.flush(e, &mut self.conns, &self.poller) {
             Some(slot) => self.close_and_report(slot),
             None => Ok(()),
         }

@@ -21,6 +21,10 @@
 //! wall-clock heartbeat timers, and task bodies that really generate,
 //! spill, read and sort Terasort records ([`task`]).
 //!
+//! The single-job [`Driver`] and the multi-tenant [`JobServer`] share one
+//! socket shell and one sans-io executor-membership ledger: handshake,
+//! epochs, heartbeats, the §5.4 slot fold and the loss broadcast.
+//!
 //! # Quick start
 //!
 //! ```no_run
@@ -43,6 +47,7 @@ pub mod cluster;
 pub mod driver;
 pub mod epochs;
 pub mod executor;
+mod fleet;
 pub mod job;
 pub mod log;
 pub mod nemesis;

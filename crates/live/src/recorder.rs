@@ -30,6 +30,7 @@ use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
 use sae_dag::{append_chrome_entries, TraceEvent};
+use sae_net::http::escape_json;
 
 use crate::log::LogLevel;
 
@@ -543,23 +544,6 @@ impl FlightRecorder {
     }
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-fn esc_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders events as a Chrome trace-event JSON array.
 ///
 /// Row layout extends the simulator's export ([`sae_dag`]'s pid 0 =
@@ -676,8 +660,8 @@ pub fn chrome_trace(events: &[LiveEvent]) -> String {
                     r#"{{"name":"log-{}","ph":"i","ts":{},"pid":0,"tid":0,"s":"g","args":{{"scope":"{}","message":"{}"}}}}"#,
                     level.as_str(),
                     us(*at),
-                    esc_json(scope),
-                    esc_json(message)
+                    escape_json(scope),
+                    escape_json(message)
                 ));
             }
             LiveEvent::TaskSpan {
@@ -706,7 +690,7 @@ pub fn chrome_trace(events: &[LiveEvent]) -> String {
                 entries.push(format!(
                     r#"{{"name":"job{job}:{status}","ph":"i","ts":{},"pid":0,"tid":0,"s":"g","args":{{"tenant":"{}"}}}}"#,
                     us(*at),
-                    esc_json(tenant)
+                    escape_json(tenant)
                 ));
             }
             // Journal lines are the streaming plane's payload, not trace

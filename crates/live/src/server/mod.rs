@@ -1,11 +1,15 @@
 //! `sae-server`: a multi-tenant job server over the live runtime.
 //!
 //! The single-job [`Driver`](crate::Driver) runs one [`LiveJob`] and
-//! exits. This module generalises its protocol state machine into a
-//! long-running server: clients submit jobs over a hand-rolled HTTP/1.1
-//! control API ([`sae_net::http`]), a shared executor fleet serves every
-//! job's tasks concurrently, and a stride scheduler ([`sched::FairShare`])
-//! splits the fleet's slots across tenants by weight.
+//! exits; this module is the long-running server beside it: clients
+//! submit jobs over a hand-rolled HTTP/1.1 control API
+//! ([`sae_net::http`]), a shared executor fleet serves every job's tasks
+//! concurrently, and a stride scheduler ([`sched::FairShare`]) splits the
+//! fleet's slots across tenants by weight. Executor membership — the
+//! `Register` handshake, epoch fencing and resurrection, heartbeats, the
+//! §5.4 slot fold and the loss broadcast — is the fleet ledger the driver
+//! uses too (`fleet.rs`); the driver's blacklist, probation, task
+//! deadlines and degraded floor are not applied here.
 //!
 //! One reactor thread owns every socket — the executor wire listener, the
 //! HTTP listener, and all accepted connections — on a
@@ -63,7 +67,7 @@
 //! `JobTaskOutcome` (executors report outcomes even for attempts whose
 //! job was cancelled before they started) or by the executor being
 //! declared lost. Frames from superseded executor incarnations are fenced
-//! by the same [`EpochRegistry`] the single-job driver uses.
+//! by the fleet ledger, as in the single-job driver.
 //!
 //! Each job keeps a **journal**: JSONL lifecycle lines with no wall-clock
 //! times, no executor placement and no server-assigned ids, so two
@@ -86,7 +90,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sae_dag::{Message, TraceEvent};
+use sae_dag::TraceEvent;
 use sae_metrics::{
     render_prometheus, Counter, Gauge, MetricRegistry, RegistrySnapshot, EXPOSITION_CONTENT_TYPE,
 };
@@ -94,11 +98,11 @@ use sae_net::http::{self, Limits, Method, Request, RequestParser, Response};
 use sae_net::sse::{SseFrame, StreamEncoder};
 use sae_poll::{Event, Poller, TimerWheel};
 
-use crate::epochs::{Admission, EpochRegistry};
+use crate::fleet::{Admit, Fleet};
 use crate::job::{LiveJob, LiveStageKind, LiveStageSpec};
 use crate::log::Logger;
 use crate::recorder::{FlightRecorder, LiveEvent, Subscription};
-use crate::shell::{self, Conns, Flush, Lanes, Listener, OutQueue, HIGH_WATER, READ_CHUNK};
+use crate::shell::{self, Conns, Flush, Listener, OutQueue, HIGH_WATER, READ_CHUNK};
 use crate::wire::{Frame, FrameCursor};
 
 use jobs::{JobState, JobTable, StageRun};
@@ -242,21 +246,6 @@ pub struct ServerReport {
     pub metrics: RegistrySnapshot,
 }
 
-/// Server-side view of one executor.
-struct ExecState {
-    registered: bool,
-    alive: bool,
-    slots: usize,
-    running: usize,
-    last_heartbeat: Instant,
-}
-
-impl ExecState {
-    fn usable(&self) -> bool {
-        self.registered && self.alive
-    }
-}
-
 /// What an accepted connection is.
 enum ConnKind {
     /// An executor speaking the length-prefixed frame protocol.
@@ -305,9 +294,6 @@ struct ServerMetrics {
     jobs_rejected: Counter,
     tasks_dispatched: Counter,
     outcomes: Counter,
-    executors_lost: Counter,
-    reincarnations: Counter,
-    frames_fenced: Counter,
     wakeups: Counter,
     jobs_running: Gauge,
     jobs_queued: Gauge,
@@ -332,9 +318,6 @@ impl ServerMetrics {
             jobs_rejected: registry.counter("server.jobs_rejected"),
             tasks_dispatched: registry.counter("server.tasks_dispatched"),
             outcomes: registry.counter("server.task_outcomes"),
-            executors_lost: registry.counter("server.executors_lost"),
-            reincarnations: registry.counter("server.reincarnations"),
-            frames_fenced: registry.counter("server.frames_fenced"),
             wakeups: registry.counter("server.wakeups"),
             jobs_running: registry.gauge("server.jobs_running"),
             jobs_queued: registry.gauge("server.jobs_queued"),
@@ -420,9 +403,7 @@ struct ServerLoop {
     wheel: TimerWheel,
     read_buf: Vec<u8>,
     cfg: ServerConfig,
-    epochs: EpochRegistry,
-    execs: Vec<ExecState>,
-    lanes: Lanes,
+    execs: Fleet,
     /// Encode buffer for HTTP responses.
     scratch: Vec<u8>,
     fair: FairShare,
@@ -449,7 +430,14 @@ impl ServerLoop {
         let wire = Listener::new(wire, WIRE_LISTENER, &poller)?;
         let http = Listener::new(http, HTTP_LISTENER, &poller)?;
         let log = Logger::new("server", cfg.recorder.clone());
-        let now = Instant::now();
+        let execs = Fleet::new(
+            cfg.executors,
+            cfg.heartbeat_timeout,
+            "server",
+            &cfg.metrics,
+            log.clone(),
+            cfg.recorder.clone(),
+        );
         Ok(Self {
             poller,
             wire,
@@ -458,17 +446,7 @@ impl ServerLoop {
             events: Vec::new(),
             wheel: TimerWheel::new(),
             read_buf: vec![0u8; READ_CHUNK],
-            epochs: EpochRegistry::new(cfg.executors),
-            execs: (0..cfg.executors)
-                .map(|_| ExecState {
-                    registered: false,
-                    alive: false,
-                    slots: 0,
-                    running: 0,
-                    last_heartbeat: now,
-                })
-                .collect(),
-            lanes: Lanes::new(cfg.executors, log.clone()),
+            execs,
             scratch: Vec::new(),
             fair: FairShare::new(),
             jobs: JobTable::default(),
@@ -494,7 +472,7 @@ impl ServerLoop {
         self.wheel
             .schedule_at(Instant::now() + self.cfg.check_interval, TIMER_TICK);
         loop {
-            while let Some(e) = self.lanes.pop_dirty() {
+            while let Some(e) = self.execs.lanes.pop_dirty() {
                 self.flush_lane(e);
             }
             let timeout = self
@@ -568,15 +546,8 @@ impl ServerLoop {
     fn tick(&mut self) {
         self.wire.rearm(&self.poller);
         self.http.rearm(&self.poller);
-        let now = Instant::now();
-        for e in 0..self.execs.len() {
-            let ex = &self.execs[e];
-            if ex.registered
-                && ex.alive
-                && now.duration_since(ex.last_heartbeat) > self.cfg.heartbeat_timeout
-            {
-                self.declare_lost(e);
-            }
+        for e in self.execs.sweep(Instant::now()) {
+            self.requeue_inflight_on(e);
         }
         if self.draining.is_none()
             && (sae_poll::signal::triggered() || self.cfg.stop.load(Ordering::Relaxed))
@@ -707,12 +678,14 @@ impl ServerLoop {
             }
             *close = true;
         }
-        self.broadcast(&Frame::Shutdown);
+        self.execs.broadcast(&Frame::Shutdown);
         // Queued executor frames (the `Shutdown` broadcast), then buffered
         // HTTP bytes (stream terminators above all): each gets a bounded
         // final flush.
         let deadline = Instant::now() + FINAL_FLUSH;
-        self.lanes.drain(&mut self.conns, &self.poller, deadline);
+        self.execs
+            .lanes
+            .drain(&mut self.conns, &self.poller, deadline);
         let deadline = Instant::now() + FINAL_FLUSH;
         loop {
             self.flush_streams();
@@ -792,19 +765,16 @@ impl ServerLoop {
             match *executor {
                 Some(e) => self.handle_wire_frame(e, conn_id, frame),
                 None => {
-                    let Frame::Register { executor: e, slots } = frame else {
+                    let now = Instant::now();
+                    let Some(joined) = self.execs.handshake(frame, conn_id, idx, now) else {
                         self.close_conn(idx);
                         return false;
                     };
-                    if e >= self.cfg.executors {
-                        self.log.error(|| {
-                            format!("executor {e} registered from outside the configured fleet")
-                        });
-                        self.close_conn(idx);
-                        return false;
+                    *executor = Some(joined.executor);
+                    if joined.reincarnated {
+                        self.requeue_inflight_on(joined.executor);
                     }
-                    *executor = Some(e);
-                    self.handle_register(e, slots, conn_id, idx);
+                    self.announce_jobs_to(joined.executor);
                 }
             }
         }
@@ -889,7 +859,7 @@ impl ServerLoop {
     /// Flushes one executor's lane; a lane the shell reports broken (write
     /// error, or a peer that stopped reading) loses its connection.
     fn flush_lane(&mut self, e: usize) {
-        if let Some(slot) = self.lanes.flush(e, &mut self.conns, &self.poller) {
+        if let Some(slot) = self.execs.lanes.flush(e, &mut self.conns, &self.poller) {
             self.close_conn(slot);
         }
     }
@@ -911,8 +881,8 @@ impl ServerLoop {
         }
     }
 
-    /// Tears a connection down. Wire connections report through the epoch
-    /// registry so current incarnations are declared lost.
+    /// Tears a connection down. Wire connections report to the fleet, so
+    /// current incarnations are declared lost.
     fn close_conn(&mut self, idx: usize) {
         let Some(conn) = self.conns.close(idx, &self.poller) else {
             return;
@@ -921,148 +891,36 @@ impl ServerLoop {
             executor: Some(e), ..
         } = conn.kind
         {
-            if self.epochs.disconnect(e, conn.id) {
-                self.lanes.detach_if_current(e, conn.id);
-                if self.execs[e].alive {
-                    self.declare_lost(e);
-                }
+            if self.execs.disconnect(e, conn.id) {
+                self.execs.lose(e);
+                self.requeue_inflight_on(e);
             }
         }
     }
 
     // ---- executor fleet -----------------------------------------------
 
-    fn handle_register(&mut self, e: usize, slots: usize, conn: u64, conn_slot: usize) {
-        let reg = self.epochs.register(e, conn);
-        self.lanes.attach(e, conn, conn_slot);
-        if reg.reincarnation {
-            self.metrics.reincarnations.inc();
-            self.requeue_inflight_on(e);
-        }
-        let ex = &mut self.execs[e];
-        ex.registered = true;
-        ex.alive = true;
-        ex.slots = slots;
-        ex.running = 0;
-        ex.last_heartbeat = Instant::now();
-        self.log.info(|| {
-            if reg.reincarnation {
-                format!(
-                    "executor {e} reincarnated (epoch {}) with {slots} slots",
-                    reg.epoch
-                )
-            } else {
-                format!("executor {e} registered with {slots} slots")
-            }
-        });
-        self.announce_jobs_to(e);
-    }
-
     fn handle_wire_frame(&mut self, e: usize, conn: u64, frame: Frame) {
-        if self.epochs.admit(e, conn) == Admission::Stale {
-            self.metrics.frames_fenced.inc();
-            self.log.debug(|| {
-                format!(
-                    "fenced a {} frame from a stale incarnation of executor {e}",
-                    frame.kind_str()
-                )
-            });
-            return;
+        let now = Instant::now();
+        match self.execs.admit(e, conn, frame, now) {
+            Admit::Fenced => return,
+            Admit::Resurrected => self.announce_jobs_to(e),
+            Admit::Current => {}
         }
-        if !self.execs[e].alive {
-            // Frames flowing on the current connection of an executor we
-            // declared lost: the partition healed. New epoch, rejoin.
-            let epoch = self.epochs.resurrect(e);
-            self.execs[e].alive = true;
-            self.execs[e].running = 0;
-            self.metrics.reincarnations.inc();
-            self.log
-                .info(|| format!("executor {e} resurrected on live traffic (epoch {epoch})"));
-            self.announce_jobs_to(e);
-        }
-        match frame {
-            Frame::Core(Message::Heartbeat { executor }) if executor == e => {
-                self.execs[e].last_heartbeat = Instant::now();
-            }
-            Frame::Core(Message::PoolSizeChanged { executor, size }) if executor == e => {
-                // §5.4: the executor's pool resized; scheduling follows.
-                self.execs[e].last_heartbeat = Instant::now();
-                self.execs[e].slots = size;
-                self.log
-                    .debug(|| format!("executor {e} resized its pool to {size}"));
-            }
-            Frame::JobTaskOutcome { job, task, ok, .. } => {
-                self.execs[e].last_heartbeat = Instant::now();
-                self.handle_outcome(job, task, e, ok);
-            }
-            Frame::ZetaSample {
-                executor,
-                threads,
-                zeta_bits,
-                at_bits,
-            } if executor == e => {
-                self.execs[e].last_heartbeat = Instant::now();
-                self.cfg.recorder.note_zeta_streamed(e);
-                self.cfg
-                    .recorder
-                    .push(LiveEvent::Trace(TraceEvent::IntervalClosed {
-                        executor: e,
-                        threads,
-                        zeta: f64::from_bits(zeta_bits),
-                        at: f64::from_bits(at_bits),
-                    }));
-            }
-            Frame::TaskSpan {
-                key,
-                executor,
-                start_bits,
-                end_bits,
-                ok,
-            } if executor == e => {
-                self.cfg.recorder.push(LiveEvent::TaskSpan {
-                    job: key.job,
-                    stage: key.stage,
-                    task: key.task,
-                    attempt: key.attempt,
-                    epoch: key.epoch,
-                    executor: e,
-                    start: f64::from_bits(start_bits),
-                    end: f64::from_bits(end_bits),
-                    ok,
-                });
-            }
-            // Single-job frames (TaskFinished/TaskFailed) or echoes: the
-            // server only speaks the job-scoped protocol.
-            _ => {}
+        self.execs.observe(e, frame, now);
+        // Single-job frames (TaskFinished/TaskFailed) or echoes: the server
+        // only settles the job-scoped protocol.
+        if let Frame::JobTaskOutcome { job, task, ok, .. } = frame {
+            self.handle_outcome(job, task, e, ok);
         }
     }
 
     /// Re-announces every live job's current stage to one executor (a
     /// fresh or reincarnated peer has an empty job table).
     fn announce_jobs_to(&mut self, e: usize) {
-        let frames: Vec<Frame> = self
-            .jobs
-            .live_ids()
-            .filter_map(|id| self.jobs.live(id))
-            .filter(|j| j.status() == JobStatus::Running)
-            .map(stage_frame)
-            .collect();
-        for frame in frames {
-            self.lanes.send(e, &frame);
-        }
-    }
-
-    fn declare_lost(&mut self, e: usize) {
-        self.execs[e].alive = false;
-        self.execs[e].running = 0;
-        self.metrics.executors_lost.inc();
-        self.log
-            .error(|| format!("executor {e} declared lost; requeueing its work"));
-        self.requeue_inflight_on(e);
-        // Survivors poison their monitoring interval: requeued work is not
-        // the workload they were probing.
-        for x in (0..self.lanes.len()).filter(|&x| x != e) {
-            self.lanes.send(x, &Frame::FaultNotice { executor: e });
+        let live = self.jobs.live_ids().filter_map(|id| self.jobs.live(id));
+        for js in live.filter(|j| j.status() == JobStatus::Running) {
+            self.execs.send(e, &stage_frame(js));
         }
     }
 
@@ -1099,7 +957,7 @@ impl ServerLoop {
             return;
         }
         self.inflight.remove(&(job, task));
-        self.execs[e].running = self.execs[e].running.saturating_sub(1);
+        self.execs.release(e);
         self.metrics.outcomes.inc();
         let Some(js) = self.jobs.live_mut(job) else {
             return;
@@ -1172,7 +1030,7 @@ impl ServerLoop {
         let frame = stage_frame(js);
         self.log
             .info(|| format!("job {job} stage started: {tasks} tasks"));
-        self.broadcast(&frame);
+        self.execs.broadcast(&frame);
     }
 
     fn finish_stage(&mut self, job: u64) {
@@ -1259,7 +1117,7 @@ impl ServerLoop {
         }
         self.jobs.retire(job, status);
         self.fair.retire(job);
-        self.broadcast(&Frame::JobEnd { job });
+        self.execs.broadcast(&Frame::JobEnd { job });
         self.promote_waiting();
     }
 
@@ -1289,10 +1147,7 @@ impl ServerLoop {
     fn try_assign(&mut self) {
         for e in 0..self.execs.len() {
             loop {
-                if !self.execs[e].usable()
-                    || self.execs[e].running >= self.execs[e].slots
-                    || !self.lanes.accepts_work(e)
-                {
+                if !self.execs.has_free_slot(e) {
                     break;
                 }
                 // Select the fair-share winner that can actually give this
@@ -1326,22 +1181,15 @@ impl ServerLoop {
                 js.st.assigned_to[task] = Some(e);
                 js.st.attempts += 1;
                 self.inflight.insert((job, task), e);
-                self.execs[e].running += 1;
+                self.execs.book(e);
                 self.metrics.tasks_dispatched.inc();
-                let frame = Frame::AssignJobTask { job, task };
-                if self.lanes.send(e, &frame).is_none() {
+                if !self.execs.send(e, &Frame::AssignJobTask { job, task }) {
                     // No usable lane: treat like a broken socket.
-                    self.declare_lost(e);
+                    self.execs.lose(e);
+                    self.requeue_inflight_on(e);
                     break;
                 }
             }
-        }
-    }
-
-    /// Queues `frame` for every executor with an attached connection.
-    fn broadcast(&mut self, frame: &Frame) {
-        for e in 0..self.lanes.len() {
-            self.lanes.send(e, frame);
         }
     }
 
@@ -1972,18 +1820,18 @@ mod tests {
     }
 
     /// A server loop with no sockets behind it. Every configured executor
-    /// is marked registered with `slots` slots and given a lane that
-    /// accepts frames (and never flushes: no connection backs it), so the
-    /// real submit / dispatch / outcome paths run without a fleet.
+    /// passes the fleet's Register handshake with `slots` slots on
+    /// connection `e + 1`, whose lane accepts frames (and never flushes:
+    /// no socket backs it), so the real submit / dispatch / outcome paths
+    /// run without a fleet.
     fn test_loop(cfg: ServerConfig, slots: usize) -> ServerLoop {
         let wire = TcpListener::bind("127.0.0.1:0").unwrap();
         let http = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut sl = ServerLoop::new(wire, http, cfg).unwrap();
         for e in 0..sl.execs.len() {
-            sl.lanes.attach(e, e as u64 + 1, e);
-            sl.execs[e].registered = true;
-            sl.execs[e].alive = true;
-            sl.execs[e].slots = slots;
+            let register = Frame::Register { executor: e, slots };
+            sl.execs
+                .handshake(register, e as u64 + 1, e, Instant::now());
         }
         sl
     }
@@ -2048,6 +1896,65 @@ mod tests {
         let js = sl.jobs.live(job).unwrap();
         assert!(js.st.done[0]);
         assert_eq!(js.st.remaining, 1);
+    }
+
+    /// The tasks of every attempt now in flight, in task order.
+    fn inflight_tasks(sl: &ServerLoop) -> std::collections::BTreeSet<usize> {
+        sl.inflight.keys().map(|&(_, task)| task).collect()
+    }
+
+    #[test]
+    fn a_shrunk_pool_drains_before_new_work_and_nothing_is_booked_twice() {
+        // §5.4 on the server: `PoolSizeChanged` becomes the executor's slot
+        // count, and dispatch waits until its in-flight work fits under it.
+        let cfg = ServerConfig {
+            executors: 1,
+            ..ServerConfig::default()
+        };
+        let mut sl = test_loop(cfg, 4);
+        let (_, job) = post(
+            &mut sl,
+            r#"{"stages":[{"kind":"spill","tasks":8,"records_per_task":1}]}"#,
+        );
+        sl.try_assign();
+        let mut ever = inflight_tasks(&sl);
+        assert_eq!(ever.len(), 4, "four attempts in flight on four slots");
+        let shrink = Frame::Core(sae_dag::Message::PoolSizeChanged {
+            executor: 0,
+            size: 2,
+        });
+        sl.handle_wire_frame(0, 1, shrink);
+        assert_eq!(sl.execs[0].slots, 2);
+        sl.try_assign();
+        assert_eq!(inflight_tasks(&sl), ever, "a shrink dispatches nothing");
+
+        while let Some(&task) = inflight_tasks(&sl).iter().next() {
+            let running = sl.execs[0].running;
+            assert_eq!(running, sl.inflight.len());
+            let outcome = Frame::JobTaskOutcome {
+                job,
+                task,
+                executor: 0,
+                attempt: 0,
+                ok: true,
+            };
+            sl.handle_wire_frame(0, 1, outcome);
+            let left = sl.execs[0].running;
+            assert_eq!(left, running - 1, "one outcome, one booking");
+            let before = inflight_tasks(&sl);
+            sl.try_assign();
+            let after = inflight_tasks(&sl);
+            if left >= 2 {
+                assert_eq!(after, before, "dispatched with {left} running");
+            }
+            assert!(after.len() <= left.max(2));
+            for t in after.difference(&before) {
+                assert!(ever.insert(*t), "task {t} booked twice");
+            }
+        }
+        assert_eq!(ever, (0..8).collect());
+        assert_eq!(sl.execs[0].running, 0);
+        assert!(sl.jobs.live(job).is_none(), "the job completed");
     }
 
     #[test]

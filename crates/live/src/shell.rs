@@ -107,6 +107,9 @@ pub(crate) struct Lanes {
     lanes: Vec<Lane>,
     /// Executors whose queues went non-empty since the last flush pass.
     dirty: Vec<usize>,
+    /// `(conn id, slot)` of superseded connections left with write
+    /// interest armed; the next flush sets them back to read-only.
+    disarm: Vec<(u64, usize)>,
     scratch: Vec<u8>,
     log: Logger,
 }
@@ -116,20 +119,23 @@ impl Lanes {
         Self {
             lanes: (0..executors).map(|_| Lane::default()).collect(),
             dirty: Vec::new(),
+            disarm: Vec::new(),
             scratch: Vec::new(),
             log,
         }
     }
 
-    /// Number of executor lanes, attached or not.
-    pub(crate) fn len(&self) -> usize {
-        self.lanes.len()
-    }
-
     /// Points `executor`'s lane at connection `conn` in table slot `slot`.
     /// Bytes queued for a superseded incarnation would go to a socket the
-    /// protocol no longer trusts; they are dropped with it.
+    /// protocol no longer trusts; they are dropped with it. If that socket
+    /// was waiting for writability, the next flush disarms it — else the
+    /// level-triggered poller would report it on every wait.
     pub(crate) fn attach(&mut self, executor: usize, conn: u64, slot: usize) {
+        let old = &self.lanes[executor];
+        if let (Some(superseded), true) = (old.conn, old.out.want_write) {
+            self.disarm.push(superseded);
+            self.dirty.push(executor);
+        }
         self.lanes[executor] = Lane {
             conn: Some((conn, slot)),
             out: OutQueue::default(),
@@ -178,6 +184,11 @@ impl Lanes {
         conns: &mut Conns<K>,
         poller: &Poller,
     ) -> Option<usize> {
+        for (id, slot) in self.disarm.drain(..) {
+            if let Some(c) = conns.get(slot).filter(|c| c.id == id) {
+                let _ = poller.modify(&c.stream, conns.token(slot), Interest::READABLE);
+            }
+        }
         let lane = &mut self.lanes[executor];
         let (id, slot) = lane.conn?;
         let token = conns.token(slot);
@@ -566,6 +577,52 @@ mod tests {
         lanes.detach_if_current(0, 2);
         assert_eq!(lanes.send(0, &frame(4)), None);
         assert!(lanes.lanes[0].out.is_empty());
+    }
+
+    #[test]
+    fn retargeting_a_blocked_lane_disarms_the_superseded_connection() {
+        let mut bed = bed();
+        let (mut client_a, slot_a) = bed.connect();
+        let (_client_b, slot_b) = bed.connect();
+        let mut lanes = bed.lanes_on(slot_a);
+        let token_a = bed.conns.token(slot_a);
+
+        // Block lane A: its peer reads nothing.
+        for task in 0.. {
+            lanes.send(0, &frame(task));
+            assert_eq!(lanes.flush(0, &mut bed.conns, &bed.poller), None);
+            if lanes.lanes[0].out.want_write {
+                break;
+            }
+        }
+        // The executor re-registers on B; the loop's flush pass over dirty
+        // lanes runs before its next wait.
+        let id_b = bed.conns.get(slot_b).unwrap().id;
+        lanes.attach(0, id_b, slot_b);
+        while let Some(e) = lanes.pop_dirty() {
+            assert_eq!(lanes.flush(e, &mut bed.conns, &bed.poller), None);
+        }
+
+        // A's peer drains its socket, so A turns writable; nobody wants to
+        // write to it any more, so the poller must not report it.
+        client_a.set_nonblocking(true).unwrap();
+        let mut buf = vec![0u8; READ_CHUNK];
+        let mut idle_reads = 0;
+        while idle_reads < 5 {
+            match client_a.read(&mut buf) {
+                Ok(n) => assert!(n > 0, "server side closed A"),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    idle_reads += 1;
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+                Err(e) => panic!("read: {e}"),
+            }
+        }
+        let ready = bed.ready(50);
+        assert!(
+            ready.iter().all(|&(token, _)| token != token_a),
+            "the superseded connection still wakes the loop: {ready:?}"
+        );
     }
 
     #[test]

@@ -14,8 +14,10 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use sae_dag::Message;
 use sae_live::executor::LiveExecutorConfig;
 use sae_live::server::{JobServer, ServerConfig, ServerReport};
+use sae_live::wire::{Frame, FrameCursor};
 use sae_live::{LiveExecutor, TempDir};
 use sae_net::http::parse_response;
 use sae_net::sse::{ChunkedDecoder, SseFrame, SseParser};
@@ -666,4 +668,110 @@ fn unknown_routes_and_methods_are_mapped() {
     assert_eq!(s, 200);
     assert!(body.contains("\"ok\""));
     h.shutdown();
+}
+
+/// Polls `GET /metrics` until the exposition carries `line`.
+fn await_metric(addr: SocketAddr, line: &str) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let (status, body) = http(addr, "GET", "/metrics", "");
+        assert_eq!(status, 200);
+        if body.lines().any(|l| l == line) {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "/metrics never showed {line}:\n{body}"
+        );
+        thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// Writes one frame on a raw executor socket.
+fn send_frame(stream: &mut TcpStream, frame: Frame) {
+    let mut buf = Vec::new();
+    frame.encode(&mut buf);
+    stream.write_all(&buf).expect("write frame");
+}
+
+/// Reads frames off a raw executor socket until one matches `want`.
+fn await_frame(stream: &mut TcpStream, want: impl Fn(&Frame) -> bool) {
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut cursor = FrameCursor::new();
+    let mut buf = [0u8; 4096];
+    loop {
+        while let Some(frame) = cursor.next().expect("well-formed frames") {
+            if want(&frame) {
+                return;
+            }
+        }
+        let n = stream.read(&mut buf).expect("the server keeps talking");
+        assert!(n > 0, "the server hung up");
+        cursor.extend(&buf[..n]);
+    }
+}
+
+#[test]
+fn a_reregistered_executor_is_streamed_and_its_predecessor_fenced() {
+    // No heartbeat timeout inside the test: the raw sockets beat only
+    // when told to.
+    let cfg = ServerConfig {
+        executors: 1,
+        heartbeat_timeout: Duration::from_secs(60),
+        ..ServerConfig::default()
+    };
+    let stop = Arc::clone(&cfg.stop);
+    let server = JobServer::bind(cfg).expect("bind server");
+    let wire = server.wire_addr().unwrap();
+    let addr = server.http_addr().unwrap();
+    let serve = thread::spawn(move || server.serve());
+    let register = Frame::Register {
+        executor: 0,
+        slots: 4,
+    };
+    let heartbeat = Frame::Core(Message::Heartbeat { executor: 0 });
+
+    // A one-task job waits for a fleet: its task goes to the first
+    // registration, which proves the server booked it.
+    let job = r#"{"stages":[{"kind":"spill","tasks":1,"records_per_task":1}]}"#;
+    let (status, body) = http(addr, "POST", "/jobs", job);
+    assert_eq!(status, 201, "{body}");
+
+    // Two raw sockets register as executor 0 in turn.
+    let mut sockets = Vec::new();
+    let frames = sse_collect(addr, "/events", "", |f| {
+        if sockets.is_empty() {
+            let mut first = TcpStream::connect(wire).unwrap();
+            send_frame(&mut first, register);
+            await_frame(&mut first, |f| matches!(f, Frame::AssignJobTask { .. }));
+            let mut second = TcpStream::connect(wire).unwrap();
+            send_frame(&mut second, register);
+            sockets = vec![first, second];
+        }
+        f.event.as_deref() == Some("reincarnated")
+    });
+    let reborn = frames.last().unwrap();
+    assert!(
+        reborn.data.contains("\"executor\":0,\"epoch\":2,"),
+        "{reborn:?}"
+    );
+
+    // The superseded socket's traffic is fenced and counted; the current
+    // one's heartbeat and resize land on the membership metrics.
+    send_frame(&mut sockets[0], heartbeat);
+    await_metric(addr, "server_frames_fenced 1");
+    send_frame(&mut sockets[1], heartbeat);
+    await_metric(addr, "server_heartbeat_gap_s_count 1");
+    let resize = Frame::Core(Message::PoolSizeChanged {
+        executor: 0,
+        size: 3,
+    });
+    send_frame(&mut sockets[1], resize);
+    await_metric(addr, "server_pool_size{executor=\"0\"} 3");
+    await_metric(addr, "server_reincarnations 1");
+
+    stop.store(true, Ordering::Relaxed);
+    serve.join().expect("serve thread").expect("serve ok");
 }

@@ -49,7 +49,9 @@ mod timeseries;
 pub use counter::{Counter, FloatCounter, Gauge};
 pub use ewma::Ewma;
 pub use histogram::{Histogram, HistogramSnapshot};
-pub use prometheus::{render_prometheus, snapshot_jsonl_line, EXPOSITION_CONTENT_TYPE};
+pub use prometheus::{
+    escape_json, render_prometheus, snapshot_jsonl_line, EXPOSITION_CONTENT_TYPE,
+};
 pub use registry::{MetricRegistry, RegistrySnapshot};
 pub use reporters::{iostat_report, mpstat_report};
 pub use stage::{StageSummary, StageSummaryBuilder, UtilizationSample};

@@ -205,8 +205,8 @@ pub fn render_prometheus(registry: &MetricRegistry) -> String {
     out
 }
 
-/// Escapes a string for a JSON string literal (the JSONL sink).
-fn escape_json(s: &str) -> String {
+/// Escapes a string for embedding in a JSON string literal.
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
