@@ -8,21 +8,24 @@ use sae_workloads::WorkloadKind;
 use crate::experiments::ExperimentOutput;
 use crate::{derive_bestfit, run_workload, static_sweep, TextTable};
 
-/// The full sweep for one workload, plus the BestFit combination run.
-pub fn sweep_with_bestfit(kind: WorkloadKind) -> (Vec<(usize, JobReport)>, JobReport) {
-    let cfg = EngineConfig::four_node_hdd();
+/// The full sweep for one workload on `cfg`, plus the BestFit combination
+/// run.
+pub fn sweep_with_bestfit(
+    cfg: &EngineConfig,
+    kind: WorkloadKind,
+) -> (Vec<(usize, JobReport)>, JobReport) {
     let w = kind.build();
-    let sweep = static_sweep(&cfg, &w)
+    let sweep = static_sweep(cfg, &w)
         .into_iter()
         .map(|p| (p.io_threads.unwrap_or(32), p.report))
         .collect();
-    let table = derive_bestfit(&cfg, &w);
-    let bestfit = run_workload(&cfg, &w, ThreadPolicy::BestFit(table));
+    let table = derive_bestfit(cfg, &w);
+    let bestfit = run_workload(cfg, &w, ThreadPolicy::BestFit(table));
     (sweep, bestfit)
 }
 
-fn render(kind: WorkloadKind, body: &mut String) {
-    let (sweep, bestfit) = sweep_with_bestfit(kind);
+fn render(cfg: &EngineConfig, kind: WorkloadKind, body: &mut String) {
+    let (sweep, bestfit) = sweep_with_bestfit(cfg, kind);
     let stages = sweep[0].1.stages.len();
     let mut header = vec!["io_threads".to_owned(), "runtime (s)".to_owned()];
     for s in 0..stages {
@@ -58,11 +61,16 @@ fn render(kind: WorkloadKind, body: &mut String) {
     ));
 }
 
-/// Renders Figure 2.
+/// Renders Figure 2 on the paper's cluster.
 pub fn run() -> ExperimentOutput {
+    run_with(&EngineConfig::four_node_hdd())
+}
+
+/// Renders Figure 2 on `cfg`.
+pub fn run_with(cfg: &EngineConfig) -> ExperimentOutput {
     let mut body = String::new();
-    render(WorkloadKind::Terasort, &mut body);
-    render(WorkloadKind::PageRank, &mut body);
+    render(cfg, WorkloadKind::Terasort, &mut body);
+    render(cfg, WorkloadKind::PageRank, &mut body);
     ExperimentOutput {
         id: "fig2",
         artefact: "Figure 2",
@@ -77,7 +85,8 @@ mod tests {
 
     #[test]
     fn terasort_has_interior_optimum() {
-        let (sweep, bestfit) = sweep_with_bestfit(WorkloadKind::Terasort);
+        let (sweep, bestfit) =
+            sweep_with_bestfit(&EngineConfig::four_node_hdd(), WorkloadKind::Terasort);
         let default = sweep[0].1.total_runtime;
         let best = sweep
             .iter()
@@ -101,7 +110,7 @@ mod tests {
     fn pagerank_static_gain_is_modest() {
         // Paper: 19.02 % at the best static setting — far below Terasort,
         // because static tuning cannot reach the shuffle stages (L2).
-        let (sweep, _) = sweep_with_bestfit(WorkloadKind::PageRank);
+        let (sweep, _) = sweep_with_bestfit(&EngineConfig::four_node_hdd(), WorkloadKind::PageRank);
         let default = sweep[0].1.total_runtime;
         let best = sweep
             .iter()
@@ -113,7 +122,7 @@ mod tests {
 
     #[test]
     fn pagerank_shuffle_stages_unaffected_by_static_sweep() {
-        let (sweep, _) = sweep_with_bestfit(WorkloadKind::PageRank);
+        let (sweep, _) = sweep_with_bestfit(&EngineConfig::four_node_hdd(), WorkloadKind::PageRank);
         // Middle stages (1..=4) keep the same duration across the sweep.
         let reference: Vec<f64> = sweep[0].1.stages[1..5].iter().map(|s| s.duration).collect();
         for (_, report) in &sweep[1..] {

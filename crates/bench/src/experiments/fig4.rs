@@ -1,5 +1,6 @@
 //! Figure 4: the static solution does not help the SQL applications.
 
+use sae_dag::EngineConfig;
 use sae_workloads::WorkloadKind;
 
 use crate::experiments::fig2::sweep_with_bestfit;
@@ -7,7 +8,7 @@ use crate::experiments::ExperimentOutput;
 use crate::TextTable;
 
 fn render(kind: WorkloadKind, body: &mut String) {
-    let (sweep, bestfit) = sweep_with_bestfit(kind);
+    let (sweep, bestfit) = sweep_with_bestfit(&EngineConfig::four_node_hdd(), kind);
     let mut t = TextTable::new(vec![
         "io_threads".to_owned(),
         "runtime (s)".to_owned(),
@@ -52,7 +53,7 @@ mod tests {
     #[test]
     fn default_wins_for_both_sql_workloads() {
         for kind in [WorkloadKind::Aggregation, WorkloadKind::Join] {
-            let (sweep, _) = sweep_with_bestfit(kind);
+            let (sweep, _) = sweep_with_bestfit(&EngineConfig::four_node_hdd(), kind);
             let default = sweep[0].1.total_runtime;
             for (threads, report) in &sweep[1..] {
                 assert!(
@@ -67,7 +68,7 @@ mod tests {
 
     #[test]
     fn throttling_hurts_the_scan_stage_badly() {
-        let (sweep, _) = sweep_with_bestfit(WorkloadKind::Join);
+        let (sweep, _) = sweep_with_bestfit(&EngineConfig::four_node_hdd(), WorkloadKind::Join);
         let default_s0 = sweep[0].1.stages[0].duration;
         let two_s0 = sweep.last().unwrap().1.stages[0].duration;
         assert!(two_s0 > default_s0 * 2.0, "{two_s0} vs {default_s0}");

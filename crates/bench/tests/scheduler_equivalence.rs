@@ -2,10 +2,6 @@
 //! evaluation workloads and the full Figure 2 sweep rerun through the
 //! pre-index reference scan (`reference-impl` feature) must produce
 //! bit-identical output.
-//!
-//! `SAE_REFERENCE_SCHEDULER` is process-global, so everything lives in one
-//! test that flips it sequentially (the same pattern as
-//! `parallel_determinism.rs`).
 
 use sae_bench::experiments::fig2;
 use sae_bench::run_workload;
@@ -38,11 +34,8 @@ fn indexed_and_reference_schedulers_are_bit_identical() {
     }
 
     // The full Figure 2 sweep (full-size Terasort + PageRank across the
-    // whole thread grid, plus BestFit runs). Its configs are built
-    // internally, so the reference pass goes through the env switch.
-    let indexed = fig2::run();
-    std::env::set_var("SAE_REFERENCE_SCHEDULER", "1");
-    let reference = fig2::run();
-    std::env::remove_var("SAE_REFERENCE_SCHEDULER");
+    // whole thread grid, plus BestFit runs) on the same two configs.
+    let indexed = fig2::run_with(&cfg);
+    let reference = fig2::run_with(&ref_cfg);
     assert_eq!(indexed.body, reference.body, "fig2 diverged");
 }

@@ -62,9 +62,6 @@ pub struct EngineConfig {
     /// reference ([`crate::sched::ReferenceQueue`]) instead of the indexed
     /// queue — for equivalence tests and benchmarks only, which is why the
     /// field exists only under the `reference-impl` feature (or `cfg(test)`).
-    /// The `SAE_REFERENCE_SCHEDULER` environment variable forces the same
-    /// switch for runs whose configs are built out of reach (e.g. the fig2
-    /// sweep).
     #[cfg(any(test, feature = "reference-impl"))]
     pub reference_scheduler: bool,
 }

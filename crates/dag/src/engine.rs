@@ -310,12 +310,11 @@ impl<'a> Run<'a> {
         );
         let slowdown_count = cfg.fault_plan.as_ref().map_or(0, |p| p.slowdowns.len());
         #[cfg(any(test, feature = "reference-impl"))]
-        let sched =
-            if cfg.reference_scheduler || std::env::var_os("SAE_REFERENCE_SCHEDULER").is_some() {
-                Scheduler::Reference(ReferenceQueue::new())
-            } else {
-                Scheduler::Indexed(PendingQueue::new())
-            };
+        let sched = if cfg.reference_scheduler {
+            Scheduler::Reference(ReferenceQueue::new())
+        } else {
+            Scheduler::Indexed(PendingQueue::new())
+        };
         #[cfg(not(any(test, feature = "reference-impl")))]
         let sched = Scheduler::Indexed(PendingQueue::new());
         Self {

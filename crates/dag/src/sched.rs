@@ -2,7 +2,8 @@
 //! core, plus the O(pending)-scan reference implementation it replaced.
 //!
 //! The driver assigns pending tasks to executors with a fixed preference
-//! order (see [`ReferenceQueue::pick`], the original formulation):
+//! order (see `ReferenceQueue::pick`, the original formulation, compiled
+//! for tests and the `reference-impl` feature):
 //!
 //! 1. the **first-queued** task that prefers the executor (data-local) and
 //!    has not already failed on it,

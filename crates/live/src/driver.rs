@@ -4,8 +4,9 @@
 //! real sockets and wall-clock time:
 //!
 //! * schedule pending tasks through the *same* locality-aware
-//!   [`PendingQueue`] the simulator uses, respecting per-executor free
-//!   slots (each executor's last announced pool size, §5.4);
+//!   [`PendingQueue`](sae_dag::sched::PendingQueue) the simulator uses,
+//!   respecting per-executor free slots (each executor's last announced
+//!   pool size, §5.4);
 //! * requeue the running tasks of an executor declared lost — silent for
 //!   [`DriverConfig::heartbeat_timeout`], its socket broken, or superseded
 //!   by a reincarnation — with the failure recorded against it, and give
@@ -23,30 +24,31 @@
 //! that fence stale incarnations and resurrect lost executors showing
 //! live traffic, heartbeats, the `PoolSizeChanged` fold into the slot
 //! registry and the `FaultNotice` broadcast on loss — is the fleet
-//! ledger's (`fleet.rs`), which the job server shares. Blacklisting,
-//! probation, task deadlines and the degraded floor are policies only
-//! the driver applies.
+//! ledger's (`fleet.rs`), and the stage's attempts — queue, holders,
+//! failures, requeues — are the task ledger's (`ledger.rs`); the job
+//! server shares both. Blacklisting, probation, task deadlines and the
+//! degraded floor are policies only the driver applies.
 //!
-//! The protocol logic lives in one state machine ([`Run`]) that never
+//! The protocol logic lives in one state machine (`Run`) that never
 //! touches a socket: the event loop in `driver/reactor.rs` feeds it
-//! connection events ([`Ev`]) and timer callbacks, and it answers by
+//! connection events (`Ev`) and timer callbacks, and it answers by
 //! queueing frames on the fleet's per-executor lanes. The loop, in turn,
 //! owns no socket mechanics of its own — connection table, write queues,
-//! backpressure and the accept loop are [`crate::shell`]'s, shared with
-//! the job server: one thread, one poller (`sae-poll`), hundreds of
-//! connections.
+//! backpressure and the accept loop are the socket shell's (`shell.rs`),
+//! shared with the job server: one thread, one poller (`sae-poll`),
+//! hundreds of connections.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
 
-use sae_dag::sched::PendingQueue;
 use sae_dag::{Message, TraceEvent};
 use sae_metrics::{Counter, Gauge, MetricRegistry, RegistrySnapshot};
 
 pub use crate::fleet::SlotInfo;
 use crate::fleet::{Admit, Fleet, Joined};
 use crate::job::LiveJob;
+use crate::ledger::{Outcome, TaskLedger};
 use crate::log::Logger;
 use crate::recorder::{FlightRecorder, LiveEvent};
 use crate::wire::Frame;
@@ -239,35 +241,6 @@ enum Ev {
     Gone { executor: usize, conn: u64 },
 }
 
-/// Mutable state of the stage currently running.
-struct StageState {
-    done: Vec<bool>,
-    assigned_to: Vec<Option<usize>>,
-    assigned_at: Vec<Option<Instant>>,
-    failures: Vec<usize>,
-    failed_on: Vec<Vec<usize>>,
-    remaining: usize,
-    attempts: usize,
-    failed_attempts: usize,
-    started: Instant,
-}
-
-impl StageState {
-    fn new(tasks: usize) -> Self {
-        Self {
-            done: vec![false; tasks],
-            assigned_to: vec![None; tasks],
-            assigned_at: vec![None; tasks],
-            failures: vec![0; tasks],
-            failed_on: vec![Vec::new(); tasks],
-            remaining: tasks,
-            attempts: 0,
-            failed_attempts: 0,
-            started: Instant::now(),
-        }
-    }
-}
-
 /// A live driver bound to a loopback port, ready to run one job.
 #[derive(Debug)]
 pub struct Driver {
@@ -369,8 +342,8 @@ struct Run<'j, Obs> {
     cfg: DriverConfig,
     job: &'j LiveJob,
     execs: Fleet,
-    queue: PendingQueue,
-    st: StageState,
+    /// The current stage's attempts.
+    tasks: TaskLedger,
     stage_idx: usize,
     decisions: Vec<PoolDecision>,
     lost: Vec<usize>,
@@ -401,8 +374,7 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Run<'j, Obs> {
             cfg: cfg.clone(),
             job,
             execs,
-            queue: PendingQueue::new(),
-            st: StageState::new(0),
+            tasks: TaskLedger::new(0, cfg.executors, now),
             stage_idx: 0,
             decisions: Vec::new(),
             lost: Vec::new(),
@@ -471,9 +443,9 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Run<'j, Obs> {
                 }
                 match frame {
                     Frame::Core(Message::TaskFailed { task, .. }) => {
-                        self.task_failed(executor, task, now)?
+                        self.settle(executor, task, false, now)?
                     }
-                    Frame::TaskFinished { task, .. } => self.task_finished(executor, task),
+                    Frame::TaskFinished { task, .. } => self.settle(executor, task, true, now)?,
                     // Liveness and telemetry were the fleet's. A
                     // mis-addressed core message, a duplicate Register, or
                     // a driver-only frame echoed back is ignored: the
@@ -498,9 +470,9 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Run<'j, Obs> {
         }
     }
 
-    /// Seeds the queue for stage `self.stage_idx` and announces it.
+    /// Opens a ledger for stage `self.stage_idx` and announces it.
     fn begin_stage(&mut self) {
-        let spec = &self.job.stages[self.stage_idx];
+        let tasks = self.job.stages[self.stage_idx].tasks;
         self.recorder
             .push(LiveEvent::Trace(TraceEvent::StageStarted {
                 stage: self.stage_idx,
@@ -508,18 +480,11 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Run<'j, Obs> {
             }));
         self.log.info(|| {
             format!(
-                "stage {} ({}) started: {} tasks",
-                self.stage_idx,
-                self.job.stages[self.stage_idx].name,
-                self.job.stages[self.stage_idx].tasks
+                "stage {} ({}) started: {tasks} tasks",
+                self.stage_idx, self.job.stages[self.stage_idx].name
             )
         });
-        self.st = StageState::new(spec.tasks);
-        self.queue.reset(spec.tasks, self.cfg.executors);
-        for t in 0..spec.tasks {
-            let preferred = self.preferred(t);
-            self.queue.push(t, &preferred);
-        }
+        self.tasks = TaskLedger::new(tasks, self.cfg.executors, Instant::now());
         self.execs.new_stage();
         let frame = self.stage_frame();
         self.execs.broadcast(&frame);
@@ -539,12 +504,6 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Run<'j, Obs> {
         }
     }
 
-    /// A task's preferred executors: round-robin "data locality", the same
-    /// placement rule the engine-scale benchmarks use for map stages.
-    fn preferred(&self, task: usize) -> [usize; 1] {
-        [task % self.cfg.executors.max(1)]
-    }
-
     /// Hands queued tasks to free slots until nothing more can move.
     fn try_assign(&mut self) -> Result<(), LiveError> {
         loop {
@@ -554,17 +513,13 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Run<'j, Obs> {
                 if !self.execs.has_free_slot(e) {
                     continue;
                 }
-                let failed_on = &self.st.failed_on;
-                if let Some(task) = self.queue.pick(e, |t| failed_on[t].contains(&e)) {
-                    self.st.assigned_to[task] = Some(e);
-                    self.st.assigned_at[task] = Some(Instant::now());
-                    self.st.attempts += 1;
+                if let Some(task) = self.tasks.pick(e, Instant::now()) {
                     self.execs.book(e);
                     self.metrics.tasks_started[e].inc();
                     self.recorder
                         .push(LiveEvent::Trace(TraceEvent::TaskStarted {
                             task,
-                            attempt: self.st.failures[task],
+                            attempt: self.tasks.attempt(task),
                             executor: e,
                             speculative: false,
                             at: self.recorder.now(),
@@ -580,7 +535,7 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Run<'j, Obs> {
                 self.lose(e)?;
             }
             if !progress {
-                self.metrics.queue_depth.set(self.queue.len() as f64);
+                self.metrics.queue_depth.set(self.tasks.queued() as f64);
                 return Ok(());
             }
         }
@@ -603,24 +558,11 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Run<'j, Obs> {
         let Some(deadline) = self.cfg.task_deadline else {
             return Ok(());
         };
-        for task in 0..self.st.done.len() {
-            if self.st.done[task] {
-                continue;
-            }
-            let Some(e) = self.st.assigned_to[task] else {
-                continue;
-            };
-            if !matches!(self.st.assigned_at[task], Some(at) if now.duration_since(at) > deadline) {
-                continue;
-            }
+        for (task, e) in self.tasks.overdue(now, deadline) {
             self.log.error(|| {
                 format!("task {task} overran its {deadline:?} deadline on executor {e}; requeueing")
             });
-            self.st.assigned_to[task] = None;
-            self.st.assigned_at[task] = None;
-            self.execs.release(e);
-            self.execs.note_failure(e, self.cfg.blacklist_after, now);
-            self.record_failure(task, e)?;
+            self.settle(e, task, false, now)?;
         }
         Ok(())
     }
@@ -631,7 +573,7 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Run<'j, Obs> {
     fn check_degraded(&mut self, now: Instant) -> Result<(), LiveError> {
         let live = self.execs.usable_count();
         let floor = self.cfg.min_live_executors.max(1);
-        let below = self.execs.any_registered() && live < floor && self.st.remaining > 0;
+        let below = self.execs.any_registered() && live < floor && self.tasks.remaining() > 0;
         if below {
             match self.degraded_since {
                 None => {
@@ -682,88 +624,66 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Run<'j, Obs> {
         self.requeue_from(executor)
     }
 
-    /// Requeues every unfinished attempt `executor` holds, booking a
-    /// failure against it.
-    fn requeue_from(&mut self, executor: usize) -> Result<(), LiveError> {
-        for task in 0..self.st.done.len() {
-            if self.st.assigned_to[task] == Some(executor) && !self.st.done[task] {
-                self.st.assigned_to[task] = None;
-                self.st.assigned_at[task] = None;
-                self.record_failure(task, executor)?;
-            }
+    /// Requeues every unfinished attempt `e` holds, booking a failure
+    /// against it.
+    fn requeue_from(&mut self, e: usize) -> Result<(), LiveError> {
+        for (task, outcome) in self.tasks.requeue_from(e, self.cfg.max_task_attempts) {
+            self.record_failure(task, e, outcome)?;
         }
         Ok(())
     }
 
-    /// Books one failed attempt of `task` on `executor` and requeues it.
-    fn record_failure(&mut self, task: usize, executor: usize) -> Result<(), LiveError> {
-        self.st.failures[task] += 1;
-        self.st.failed_attempts += 1;
-        self.metrics.tasks_failed[executor].inc();
+    /// Settles the attempt of `task` that `e` reported (or overran). A
+    /// failure also counts toward blacklisting `e`.
+    fn settle(&mut self, e: usize, task: usize, ok: bool, now: Instant) -> Result<(), LiveError> {
+        let outcome = self.tasks.settle(task, e, ok, self.cfg.max_task_attempts);
+        if outcome == Outcome::Stale {
+            return Ok(()); // stale or duplicate report
+        }
+        self.execs.release(e);
+        let Outcome::Done { stage_done } = outcome else {
+            self.execs.note_failure(e, self.cfg.blacklist_after, now);
+            return self.record_failure(task, e, outcome);
+        };
+        self.metrics.tasks_finished[e].inc();
+        self.recorder
+            .push(LiveEvent::Trace(TraceEvent::TaskFinished {
+                task,
+                attempt: self.tasks.attempt(task),
+                executor: e,
+                at: self.recorder.now(),
+            }));
+        if stage_done {
+            self.finish_stage();
+        }
+        Ok(())
+    }
+
+    /// Records a failed attempt of `task` on `e`, and gives up on the job
+    /// once the task's attempt budget is spent.
+    fn record_failure(&mut self, task: usize, e: usize, failed: Outcome) -> Result<(), LiveError> {
+        let (Outcome::Requeued { attempt } | Outcome::Exhausted { attempt }) = failed else {
+            return Ok(());
+        };
+        self.metrics.tasks_failed[e].inc();
         self.recorder.push(LiveEvent::Trace(TraceEvent::TaskFailed {
             task,
-            attempt: self.st.failures[task] - 1,
-            executor,
+            attempt,
+            executor: e,
             at: self.recorder.now(),
         }));
-        if !self.st.failed_on[task].contains(&executor) {
-            self.st.failed_on[task].push(executor);
-        }
-        if self.st.failures[task] >= self.cfg.max_task_attempts {
+        if let Outcome::Exhausted { .. } = failed {
             self.log
                 .error(|| format!("task {task} exceeded its attempt budget"));
             return Err(LiveError::MaxAttemptsExceeded { task });
         }
-        if !self.queue.contains(task) {
-            let preferred = self.preferred(task);
-            self.queue.push(task, &preferred);
-            self.metrics.retries.inc();
-        }
+        self.metrics.retries.inc();
         Ok(())
-    }
-
-    fn task_failed(&mut self, executor: usize, task: usize, now: Instant) -> Result<(), LiveError> {
-        if task >= self.st.done.len()
-            || self.st.done[task]
-            || self.st.assigned_to[task] != Some(executor)
-        {
-            return Ok(()); // stale or duplicate report
-        }
-        self.st.assigned_to[task] = None;
-        self.st.assigned_at[task] = None;
-        self.execs.release(executor);
-        self.execs
-            .note_failure(executor, self.cfg.blacklist_after, now);
-        self.record_failure(task, executor)
-    }
-
-    fn task_finished(&mut self, executor: usize, task: usize) {
-        if task >= self.st.done.len()
-            || self.st.done[task]
-            || self.st.assigned_to[task] != Some(executor)
-        {
-            return; // duplicate or stale completion
-        }
-        self.st.done[task] = true;
-        self.st.assigned_to[task] = None;
-        self.st.assigned_at[task] = None;
-        self.st.remaining -= 1;
-        self.execs.release(executor);
-        self.metrics.tasks_finished[executor].inc();
-        self.recorder
-            .push(LiveEvent::Trace(TraceEvent::TaskFinished {
-                task,
-                attempt: self.st.failures[task],
-                executor,
-                at: self.recorder.now(),
-            }));
-        if self.st.remaining == 0 {
-            self.finish_stage();
-        }
     }
 
     fn finish_stage(&mut self) {
         let spec = &self.job.stages[self.stage_idx];
+        let (attempts, failed_attempts) = (self.tasks.attempts(), self.tasks.failed_attempts());
         self.recorder
             .push(LiveEvent::Trace(TraceEvent::StageFinished {
                 stage: self.stage_idx,
@@ -771,16 +691,16 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Run<'j, Obs> {
             }));
         self.log.info(|| {
             format!(
-                "stage {} ({}) finished: {} attempts, {} failed",
-                self.stage_idx, spec.name, self.st.attempts, self.st.failed_attempts
+                "stage {} ({}) finished: {attempts} attempts, {failed_attempts} failed",
+                self.stage_idx, spec.name
             )
         });
         self.stage_reports.push(LiveStageReport {
             name: spec.name.clone(),
             tasks: spec.tasks,
-            attempts: self.st.attempts,
-            failed_attempts: self.st.failed_attempts,
-            duration_secs: self.st.started.elapsed().as_secs_f64(),
+            attempts,
+            failed_attempts,
+            duration_secs: self.tasks.started().elapsed().as_secs_f64(),
         });
         self.stage_idx += 1;
         if self.stage_idx == self.job.stages.len() {

@@ -1,11 +1,14 @@
 //! The live executor: an [`AdaptivePool`] behind a TCP connection.
 //!
-//! Each executor connects to the driver, registers, and then services
-//! `AssignTask` messages by running real Terasort tasks on its adaptive
-//! pool. The §5.4 protocol extension is wired through the pool's resize
-//! hook: every effective pool-size change — the reset at a stage boundary
-//! and every MAPE-K decision — emits a `PoolSizeChanged` frame, which is
-//! what keeps the driver's slot registry consistent.
+//! Each executor connects to the driver (or job server), registers, and
+//! then runs real Terasort tasks on its adaptive pool. The driver's
+//! `AssignTask` and the server's `AssignJobTask` go through one attempt
+//! path and differ only in the outcome frame sent back: `TaskFinished` /
+//! `TaskFailed`, or `JobTaskOutcome`. The §5.4 protocol extension is
+//! wired through the pool's resize hook: every effective pool-size change
+//! — the reset at a stage boundary and every MAPE-K decision — emits a
+//! `PoolSizeChanged` frame, which is what keeps the slot registry
+//! consistent.
 //!
 //! The pool's I/O probe is the live runtime's *shared probe*: an explicit
 //! per-task [`CounterProbe`] (tasks record the bytes they moved and the
@@ -42,6 +45,7 @@
 //! taken while redistributed work (or a retry storm) distorted the probe,
 //! keeping ζ comparisons clean across fault windows.
 
+use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -65,9 +69,8 @@ use crate::recorder::{FlightRecorder, LiveEvent};
 use crate::task::{run_task, SINGLE_JOB};
 use crate::wire::{Frame, FrameReader, FrameWriter, Next};
 
-/// Per-job stage parameters `(stage, kind, records_per_task, seed)`
-/// shared with in-flight task closures.
-type JobStages = Arc<Mutex<std::collections::HashMap<u64, (usize, LiveStageKind, usize, u64)>>>;
+/// A stage's parameters `(stage, kind, records_per_task, seed)`.
+type StageParams = (usize, LiveStageKind, usize, u64);
 
 /// Reincarnation policy: how a dead executor comes back.
 #[derive(Debug, Clone)]
@@ -433,7 +436,6 @@ fn run_incarnation(
     // The read timeout bounds how stale the kill flag can get.
     stream.set_read_timeout(Some(Duration::from_millis(25)))?;
     let recorder = cfg.recorder.clone();
-    let metrics = ExecMetrics::new(&cfg.metrics, cfg.id);
     let link = Arc::new(Link {
         writer: Mutex::new(FrameWriter::new(stream.try_clone()?)),
         frames_sent: cfg.metrics.counter(&format!(
@@ -507,32 +509,28 @@ fn run_incarnation(
         })
     };
 
-    let completed = Arc::new(AtomicUsize::new(0));
-    let mut current_stage: Option<(usize, LiveStageKind, usize, u64)> = None;
-    let result = serve(
-        cfg,
-        incarnation,
-        &mut reader,
-        &link,
-        &pool,
-        &task_io,
-        &stage_probe,
-        kill,
-        &completed,
-        &mut current_stage,
-        zeta_sent,
-        &metrics,
-        log,
-    );
+    let inc = Arc::new(Incarnation {
+        cfg: cfg.clone(),
+        number: incarnation,
+        link,
+        kill: Arc::clone(kill),
+        pool: pool.clone(),
+        task_io: task_io.clone(),
+        metrics: ExecMetrics::new(&cfg.metrics, cfg.id),
+        log: log.clone(),
+        completed: AtomicUsize::new(0),
+        jobs: Mutex::new(HashMap::new()),
+    });
+    let result = inc.serve(&mut reader, &stage_probe, zeta_sent);
     heartbeat_stop.store(true, Ordering::Relaxed);
     pool.shutdown();
     // Book the final stage's I/O before the incarnation's probe drops.
     let (_, mb) = (task_io.as_probe())();
-    metrics.io_mb.add(mb);
+    inc.metrics.io_mb.add(mb);
     log.info(|| {
         format!(
             "incarnation {incarnation} exiting after {} tasks, {} journal records",
-            completed.load(Ordering::Relaxed),
+            inc.completed.load(Ordering::Relaxed),
             cfg.journal.len()
         )
     });
@@ -540,291 +538,229 @@ fn run_incarnation(
     result
 }
 
-/// The executor's frame loop, split out so cleanup in [`run_incarnation`]
-/// runs on every exit path.
-#[allow(clippy::too_many_arguments)]
-fn serve(
-    cfg: &LiveExecutorConfig,
-    incarnation: usize,
-    reader: &mut FrameReader,
-    link: &Arc<Link>,
-    pool: &AdaptivePool,
-    task_io: &CounterProbe,
-    stage_probe: &sae_pool::procfs::StageIoProbe,
-    kill: &Arc<AtomicBool>,
-    completed: &Arc<AtomicUsize>,
-    current_stage: &mut Option<(usize, LiveStageKind, usize, u64)>,
-    zeta_sent: &mut usize,
-    metrics: &ExecMetrics,
-    log: &Logger,
-) -> io::Result<Exit> {
-    let io_reading = task_io.as_probe();
-    // The deterministic kill switch taints only the first incarnation.
-    let kill_after_tasks = if incarnation == 0 {
-        cfg.kill_after_tasks
-    } else {
-        None
-    };
-    // Stage parameters per live job, for multi-job serving. Shared with
-    // task closures so a cancelled job's queued attempts notice the
-    // cancellation at run time and drop silently instead of running a
-    // retired job's stage.
-    let jobs: JobStages = Arc::new(Mutex::new(std::collections::HashMap::new()));
-    loop {
-        if kill.load(Ordering::Relaxed) {
-            log.error(|| "killed: going silent with the socket open".into());
-            return Ok(Exit::Killed);
-        }
-        // Stream ζ intervals the MAPE-K controller closed since the last
-        // pass, so the receiver's timeline gains its zeta-exec{N} track
-        // during the run instead of at the shutdown-time journal replay.
-        if cfg.journal.len() > *zeta_sent {
-            for rec in cfg.journal.records().iter().skip(*zeta_sent) {
-                if link
-                    .send(&Frame::ZetaSample {
-                        executor: rec.executor,
-                        threads: rec.threads,
-                        zeta_bits: rec.zeta.to_bits(),
-                        at_bits: rec.at.to_bits(),
-                    })
-                    .is_err()
-                {
-                    break;
+/// One incarnation's serving state, shared with its task attempts: each
+/// holds it while it waits in the pool queue and runs.
+struct Incarnation {
+    cfg: LiveExecutorConfig,
+    /// Incarnation number: the epoch of its attempts' trace keys.
+    number: usize,
+    link: Arc<Link>,
+    kill: Arc<AtomicBool>,
+    pool: AdaptivePool,
+    task_io: CounterProbe,
+    metrics: ExecMetrics,
+    log: Logger,
+    /// Attempts run to an outcome.
+    completed: AtomicUsize,
+    /// Stage parameters per live job — the driver's stage under
+    /// [`SINGLE_JOB`] — read as each attempt starts to run.
+    jobs: Mutex<HashMap<u64, StageParams>>,
+}
+
+impl Incarnation {
+    /// The frame loop, split out so cleanup in [`run_incarnation`] runs on
+    /// every exit path.
+    fn serve(
+        self: &Arc<Self>,
+        reader: &mut FrameReader,
+        stage_probe: &sae_pool::procfs::StageIoProbe,
+        zeta_sent: &mut usize,
+    ) -> io::Result<Exit> {
+        let (cfg, link, log) = (&self.cfg, &self.link, &self.log);
+        loop {
+            if self.kill.load(Ordering::Relaxed) {
+                log.error(|| "killed: going silent with the socket open".into());
+                return Ok(Exit::Killed);
+            }
+            // Stream ζ intervals the MAPE-K controller closed since the
+            // last pass, so the receiver's timeline gains its zeta-exec{N}
+            // track during the run instead of at the shutdown-time journal
+            // replay.
+            if cfg.journal.len() > *zeta_sent {
+                for rec in cfg.journal.records().iter().skip(*zeta_sent) {
+                    if link
+                        .send(&Frame::ZetaSample {
+                            executor: rec.executor,
+                            threads: rec.threads,
+                            zeta_bits: rec.zeta.to_bits(),
+                            at_bits: rec.at.to_bits(),
+                        })
+                        .is_err()
+                    {
+                        break;
+                    }
+                    *zeta_sent += 1;
                 }
-                *zeta_sent += 1;
+            }
+            let frame = match reader.next_frame()? {
+                Next::Idle => continue,
+                Next::Eof => return Ok(Exit::ConnLost),
+                Next::Frame(frame) => frame,
+            };
+            self.metrics.frames_received.inc();
+            self.metrics
+                .bytes_received
+                .add(reader.last_frame_len() as u64);
+            link.recorder.push(LiveEvent::FrameReceived {
+                executor: cfg.id,
+                kind: frame.kind_str(),
+                bytes: reader.last_frame_len(),
+                at: link.recorder.now(),
+            });
+            match frame {
+                Frame::Shutdown => return Ok(Exit::Clean),
+                // A peer died and its work is being redistributed onto us:
+                // measurements spanning this window would mislead the
+                // MAPE-K climb, so poison the current interval. (A notice
+                // about our own prior incarnation is not a peer loss —
+                // ignore it.)
+                Frame::FaultNotice { executor } if executor != cfg.id => {
+                    self.pool
+                        .interval_poisoned(&format!("executor {executor} declared lost"));
+                    log.info(|| {
+                        format!("peer executor {executor} lost: poisoned the current interval")
+                    });
+                }
+                Frame::FaultNotice { .. } => {}
+                Frame::StageStart {
+                    stage,
+                    kind,
+                    records_per_task,
+                    seed,
+                    hint,
+                    ..
+                } => {
+                    // Book the finished stage's explicit I/O before the
+                    // reset.
+                    let (_, mb) = (self.task_io.as_probe())();
+                    self.metrics.io_mb.add(mb);
+                    self.task_io.reset();
+                    stage_probe.rebase();
+                    self.pool.stage_started(Some(hint));
+                    log.info(|| format!("stage {stage} announced: pool reset, hint {hint}"));
+                    self.jobs
+                        .lock()
+                        .insert(SINGLE_JOB, (stage, kind, records_per_task, seed));
+                }
+                Frame::Core(Message::AssignTask { task, .. }) => {
+                    self.attempt(SINGLE_JOB, task, false)
+                }
+                // Multi-job serving (the job-server path). Unlike
+                // StageStart this does not reset the pool or probes: many
+                // jobs interleave on one fleet, and a reset per job stage
+                // would thrash the MAPE-K controller's measurement
+                // intervals.
+                Frame::JobStageStart {
+                    job,
+                    stage,
+                    kind,
+                    records_per_task,
+                    seed,
+                    ..
+                } => {
+                    self.jobs
+                        .lock()
+                        .insert(job, (stage, kind, records_per_task, seed));
+                    log.info(|| format!("job {job} stage {stage} announced"));
+                }
+                Frame::JobEnd { job } => {
+                    self.jobs.lock().remove(&job);
+                    log.info(|| format!("job {job} retired"));
+                }
+                Frame::AssignJobTask { job, task } => self.attempt(job, task, true),
+                // Driver-only frames echoed at us: ignore.
+                _ => {}
             }
         }
-        let frame = match reader.next_frame()? {
-            Next::Idle => continue,
-            Next::Eof => return Ok(Exit::ConnLost),
-            Next::Frame(frame) => frame,
-        };
-        metrics.frames_received.inc();
-        metrics.bytes_received.add(reader.last_frame_len() as u64);
-        link.recorder.push(LiveEvent::FrameReceived {
-            executor: cfg.id,
-            kind: frame.kind_str(),
-            bytes: reader.last_frame_len(),
-            at: link.recorder.now(),
-        });
-        match frame {
-            Frame::Shutdown => return Ok(Exit::Clean),
-            // A peer died and its work is being redistributed onto us:
-            // measurements spanning this window would mislead the MAPE-K
-            // climb, so poison the current interval. (A notice about our
-            // own prior incarnation is not a peer loss — ignore it.)
-            Frame::FaultNotice { executor } if executor != cfg.id => {
-                pool.interval_poisoned(&format!("executor {executor} declared lost"));
-                log.info(|| {
-                    format!("peer executor {executor} lost: poisoned the current interval")
-                });
+    }
+
+    /// Runs one attempt of `job`'s `task` on the pool, then reports its
+    /// span and outcome in the dialect it was assigned in.
+    fn attempt(self: &Arc<Self>, job: u64, task: usize, job_scoped: bool) {
+        let run = Arc::clone(self);
+        self.pool.submit(move || {
+            if run.kill.load(Ordering::Relaxed) {
+                return;
             }
-            Frame::FaultNotice { .. } => {}
-            Frame::StageStart {
-                stage,
-                kind,
-                records_per_task,
-                seed,
-                hint,
-                ..
-            } => {
-                // Book the finished stage's explicit I/O before the reset.
-                let (_, mb) = io_reading();
-                metrics.io_mb.add(mb);
-                task_io.reset();
-                stage_probe.rebase();
-                pool.stage_started(Some(hint));
-                log.info(|| format!("stage {stage} announced: pool reset, hint {hint}"));
-                *current_stage = Some((stage, kind, records_per_task, seed));
+            // The stage is looked up when the attempt runs. A job (or, from
+            // the driver, a stage) never announced, or a job retired while
+            // the attempt sat in the pool queue, gets a failed outcome: the
+            // receiver booked a slot for the assignment and frees it only
+            // when an outcome arrives.
+            let params = run.jobs.lock().get(&job).copied();
+            let Some((stage, kind, records_per_task, seed)) = params else {
+                let _ = run.link.send(&run.outcome(job, task, job_scoped, false));
+                return;
+            };
+            let (dir, io) = (&run.cfg.spill_dir, &run.task_io);
+            let started = run.link.recorder.now();
+            let ok = run_task(kind, job, task, records_per_task, seed, dir, io).is_ok();
+            if run.kill.load(Ordering::Relaxed) {
+                return; // died mid-task: no report, just silence
             }
-            Frame::Core(Message::AssignTask { task, .. }) => {
-                let Some((stage, kind, records_per_task, seed)) = *current_stage else {
-                    continue; // assignment before any stage: confused peer
-                };
-                let link = Arc::clone(link);
-                let kill = Arc::clone(kill);
-                let completed = Arc::clone(completed);
-                let task_io = task_io.clone();
-                let pool = pool.clone();
-                let dir = cfg.spill_dir.clone();
-                let id = cfg.id;
-                let tasks_finished = metrics.tasks_finished.clone();
-                let tasks_failed = metrics.tasks_failed.clone();
-                let log = log.clone();
-                pool.clone().submit(move || {
-                    if kill.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    let started = link.recorder.now();
-                    let outcome = run_task(
-                        kind,
-                        SINGLE_JOB,
-                        task,
-                        records_per_task,
-                        seed,
-                        &dir,
-                        &task_io,
-                    );
-                    if kill.load(Ordering::Relaxed) {
-                        return; // died mid-task: no report, just silence
-                    }
-                    let span = Frame::TaskSpan {
-                        key: TraceKey {
-                            job: SINGLE_JOB,
-                            stage,
-                            task,
-                            attempt: 0,
-                            epoch: incarnation as u64,
-                        },
-                        executor: id,
-                        start_bits: started.to_bits(),
-                        end_bits: link.recorder.now().to_bits(),
-                        ok: outcome.is_ok(),
-                    };
-                    let frame = match outcome {
-                        Ok(()) => {
-                            tasks_finished.inc();
-                            Frame::TaskFinished {
-                                task,
-                                executor: id,
-                                attempt: 0,
-                            }
-                        }
-                        Err(_) => {
-                            tasks_failed.inc();
-                            log.error(|| format!("task {task} failed"));
-                            // Our own failure distorts the probe the same
-                            // way a peer's does: poison the interval.
-                            pool.interval_poisoned(&format!("local task {task} failed"));
-                            Frame::Core(Message::TaskFailed {
-                                task,
-                                executor: id,
-                                attempt: 0,
-                            })
-                        }
-                    };
-                    // Span first, outcome second: the receiver merges the
-                    // span into the live timeline before it acts on the
-                    // outcome, keeping the trace causally ordered.
-                    let _ = link.send_batch(&[span, frame]);
-                    let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-                    if kill_after_tasks.is_some_and(|n| done >= n) {
-                        kill.store(true, Ordering::Relaxed);
-                    }
-                });
-            }
-            // Multi-job serving (the job-server path). Unlike StageStart
-            // this does not reset the pool or probes: many jobs interleave
-            // on one fleet, and a reset per job stage would thrash the
-            // MAPE-K controller's measurement intervals.
-            Frame::JobStageStart {
+            let key = TraceKey {
                 job,
                 stage,
-                kind,
-                records_per_task,
-                seed,
-                ..
-            } => {
-                jobs.lock()
-                    .insert(job, (stage, kind, records_per_task, seed));
-                log.info(|| format!("job {job} stage {stage} announced"));
+                task,
+                attempt: 0,
+                epoch: run.number as u64,
+            };
+            let span = Frame::TaskSpan {
+                key,
+                executor: run.cfg.id,
+                start_bits: started.to_bits(),
+                end_bits: run.link.recorder.now().to_bits(),
+                ok,
+            };
+            if ok {
+                run.metrics.tasks_finished.inc();
+            } else {
+                run.metrics.tasks_failed.inc();
+                let failed = format!("job {job} task {task} failed");
+                run.log.error(|| failed.clone());
+                // Our own failure distorts the probe the same way a peer's
+                // does: poison the interval.
+                run.pool.interval_poisoned(&failed);
             }
-            Frame::JobEnd { job } => {
-                jobs.lock().remove(&job);
-                log.info(|| format!("job {job} retired"));
+            // Span first, outcome second: the receiver merges the span into
+            // the live timeline before it acts on the outcome, keeping the
+            // trace causally ordered.
+            let _ = run
+                .link
+                .send_batch(&[span, run.outcome(job, task, job_scoped, ok)]);
+            let done = run.completed.fetch_add(1, Ordering::Relaxed) + 1;
+            // The deterministic kill switch taints only the first
+            // incarnation.
+            let kill_after = run.cfg.kill_after_tasks.filter(|_| run.number == 0);
+            if kill_after.is_some_and(|n| done >= n) {
+                run.kill.store(true, Ordering::Relaxed);
             }
-            Frame::AssignJobTask { job, task } => {
-                let Some((stage, kind, records_per_task, seed)) = jobs.lock().get(&job).copied()
-                else {
-                    // Assignment for a job we never saw start (announcement
-                    // lost or job already retired). The server booked a slot
-                    // for this assignment; report a failed outcome so it is
-                    // freed and the task requeued instead of sitting assigned
-                    // until we are declared lost.
-                    let _ = link.send(&Frame::JobTaskOutcome {
-                        job,
-                        task,
-                        executor: cfg.id,
-                        attempt: 0,
-                        ok: false,
-                    });
-                    continue;
-                };
-                let link = Arc::clone(link);
-                let kill = Arc::clone(kill);
-                let completed = Arc::clone(completed);
-                let task_io = task_io.clone();
-                let pool = pool.clone();
-                let jobs = Arc::clone(&jobs);
-                let dir = cfg.spill_dir.clone();
-                let id = cfg.id;
-                let tasks_finished = metrics.tasks_finished.clone();
-                let tasks_failed = metrics.tasks_failed.clone();
-                let log = log.clone();
-                pool.clone().submit(move || {
-                    if kill.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    // Cancellation fast path: the job was retired while
-                    // this attempt sat in the pool queue. Still report an
-                    // outcome — the server frees the slot it booked for
-                    // this assignment only when one arrives.
-                    if !jobs.lock().contains_key(&job) {
-                        let _ = link.send(&Frame::JobTaskOutcome {
-                            job,
-                            task,
-                            executor: id,
-                            attempt: 0,
-                            ok: false,
-                        });
-                        return;
-                    }
-                    let started = link.recorder.now();
-                    let outcome = run_task(kind, job, task, records_per_task, seed, &dir, &task_io);
-                    if kill.load(Ordering::Relaxed) {
-                        return; // died mid-task: no report, just silence
-                    }
-                    let ok = match outcome {
-                        Ok(()) => {
-                            tasks_finished.inc();
-                            true
-                        }
-                        Err(_) => {
-                            tasks_failed.inc();
-                            log.error(|| format!("job {job} task {task} failed"));
-                            pool.interval_poisoned(&format!("job {job} task {task} failed"));
-                            false
-                        }
-                    };
-                    let span = Frame::TaskSpan {
-                        key: TraceKey {
-                            job,
-                            stage,
-                            task,
-                            attempt: 0,
-                            epoch: incarnation as u64,
-                        },
-                        executor: id,
-                        start_bits: started.to_bits(),
-                        end_bits: link.recorder.now().to_bits(),
-                        ok,
-                    };
-                    let outcome = Frame::JobTaskOutcome {
-                        job,
-                        task,
-                        executor: id,
-                        attempt: 0,
-                        ok,
-                    };
-                    let _ = link.send_batch(&[span, outcome]);
-                    let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-                    if kill_after_tasks.is_some_and(|n| done >= n) {
-                        kill.store(true, Ordering::Relaxed);
-                    }
-                });
-            }
-            // Driver-only frames echoed at us: ignore.
-            _ => {}
+        });
+    }
+
+    /// An attempt's outcome report: `TaskFinished`/`TaskFailed` for the
+    /// single-job driver, `JobTaskOutcome` for the job server
+    /// (`job_scoped`).
+    fn outcome(&self, job: u64, task: usize, job_scoped: bool, ok: bool) -> Frame {
+        let (executor, attempt) = (self.cfg.id, 0);
+        match (job_scoped, ok) {
+            (true, _) => Frame::JobTaskOutcome {
+                job,
+                task,
+                executor,
+                attempt,
+                ok,
+            },
+            (false, true) => Frame::TaskFinished {
+                task,
+                executor,
+                attempt,
+            },
+            (false, false) => Frame::Core(Message::TaskFailed {
+                task,
+                executor,
+                attempt,
+            }),
         }
     }
 }

@@ -22,8 +22,9 @@
 //! spill, read and sort Terasort records ([`task`]).
 //!
 //! The single-job [`Driver`] and the multi-tenant [`JobServer`] share one
-//! socket shell and one sans-io executor-membership ledger: handshake,
-//! epochs, heartbeats, the §5.4 slot fold and the loss broadcast.
+//! socket shell and two sans-io ledgers: executor membership (handshake,
+//! epochs, heartbeats, the §5.4 slot fold and the loss broadcast) and each
+//! stage's task attempts (queue, holders, failures and requeues).
 //!
 //! # Quick start
 //!
@@ -49,6 +50,7 @@ pub mod epochs;
 pub mod executor;
 mod fleet;
 pub mod job;
+mod ledger;
 pub mod log;
 pub mod nemesis;
 pub mod recorder;

@@ -144,7 +144,7 @@ pub enum LiveEvent {
     /// cross-process correlation record that lets a multi-process fleet's
     /// events merge into one causally-ordered trace during the run.
     TaskSpan {
-        /// Job the task belongs to ([`crate::wire::SINGLE_JOB`] for the
+        /// Job the task belongs to ([`crate::task::SINGLE_JOB`] for the
         /// single-job driver).
         job: u64,
         /// Stage index within the job.

@@ -3,11 +3,12 @@
 //!
 //! Job ids are dense (`1, 2, 3, …`) and a job is never forgotten, so the
 //! table is one `Vec` indexed by `id − 1`. A slot starts out
-//! [`Slot::Live`] — the full scheduling state of a queued or running job
-//! — and is converted in place to [`Slot::Retired`] the moment the job
-//! turns terminal: queue, stage vectors and spec are dropped, and only
-//! what terminal reads need stays (the [`JobSummary`], the per-stage rows
-//! of `/jobs/:id/report`, and the now-immutable status line, rendered
+//! [`Slot::Live`] — a queued or running job's full scheduling state, its
+//! current stage's task ledger (`ledger.rs`, as in the driver) included —
+//! and is converted in place to [`Slot::Retired`] the moment the job turns
+//! terminal: ledger and spec are dropped, and only what terminal reads
+//! need stays (the [`JobSummary`], the per-stage rows of
+//! `/jobs/:id/report`, and the now-immutable status line, rendered
 //! once). Admission and the periodic sweep read a running-jobs counter
 //! and a small ordered set of non-terminal ids (bounded by
 //! `max_active + max_queued`) instead of walking history.
@@ -20,39 +21,11 @@ use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use sae_dag::sched::PendingQueue;
 use sae_net::http;
 
 use super::{kind_name, JobStatus, JobSummary};
 use crate::job::{LiveJob, LiveStageSpec};
-
-/// Mutable state of one job's current stage (the multi-job analogue of
-/// the driver's `StageState`).
-pub(super) struct StageRun {
-    pub(super) done: Vec<bool>,
-    pub(super) assigned_to: Vec<Option<usize>>,
-    pub(super) failures: Vec<usize>,
-    pub(super) failed_on: Vec<Vec<usize>>,
-    pub(super) remaining: usize,
-    pub(super) attempts: usize,
-    pub(super) failed_attempts: usize,
-    pub(super) started: Instant,
-}
-
-impl StageRun {
-    pub(super) fn new(tasks: usize) -> Self {
-        Self {
-            done: vec![false; tasks],
-            assigned_to: vec![None; tasks],
-            failures: vec![0; tasks],
-            failed_on: vec![Vec::new(); tasks],
-            remaining: tasks,
-            attempts: 0,
-            failed_attempts: 0,
-            started: Instant::now(),
-        }
-    }
-}
+use crate::ledger::TaskLedger;
 
 /// One queued or running job.
 pub(super) struct JobState {
@@ -61,13 +34,14 @@ pub(super) struct JobState {
     pub(super) tenant: String,
     pub(super) weight: u64,
     status: JobStatus,
+    /// The current stage: also the number of stages completed.
     pub(super) stage_idx: usize,
-    pub(super) queue: PendingQueue,
-    pub(super) st: StageRun,
+    /// The current stage's attempts.
+    pub(super) tasks: TaskLedger,
     started_at: Option<Instant>,
+    /// Attempts dispatched, and attempts failed, over every stage.
     pub(super) total_attempts: usize,
     pub(super) total_failed: usize,
-    pub(super) stages_completed: usize,
     /// Wall-clock seconds per completed stage, in stage order.
     pub(super) stage_durations: Vec<f64>,
     pub(super) journal: String,
@@ -82,12 +56,7 @@ impl JobState {
 
     /// Can this job absorb another slot right now?
     pub(super) fn runnable(&self) -> bool {
-        self.status == JobStatus::Running && !self.queue.is_empty()
-    }
-
-    /// Dispatches so far: finished stages plus the one in flight.
-    fn attempts(&self) -> usize {
-        self.total_attempts + self.st.attempts
+        self.status == JobStatus::Running && self.tasks.queued() > 0
     }
 
     fn runtime_secs(&self) -> f64 {
@@ -99,10 +68,8 @@ impl JobState {
     /// Appends the `GET /jobs/:id` body to `out`.
     fn write_status_line(&self, out: &mut String) {
         let (done, total) = if self.status == JobStatus::Running {
-            (
-                self.st.done.iter().filter(|d| **d).count(),
-                self.st.done.len(),
-            )
+            let total = self.tasks.len();
+            (total - self.tasks.remaining(), total)
         } else {
             (0, 0)
         };
@@ -120,7 +87,7 @@ impl JobState {
             self.job.stages.len(),
             done,
             total,
-            self.attempts(),
+            self.total_attempts,
             self.total_failed
         );
     }
@@ -140,8 +107,6 @@ pub(super) struct RetiredJob {
 
 impl RetiredJob {
     /// Strips a job that just turned terminal down to its terminal reads.
-    /// A job that ended mid-stage (failed/cancelled) still owes its
-    /// in-flight stage's dispatches to the attempts total.
     fn from_live(js: &mut JobState) -> Self {
         let mut status_line = String::new();
         js.write_status_line(&mut status_line);
@@ -154,8 +119,8 @@ impl RetiredJob {
                 tenant: std::mem::take(&mut js.tenant),
                 weight: js.weight,
                 status: js.status,
-                stages_completed: js.stages_completed,
-                attempts: js.attempts(),
+                stages_completed: js.stage_idx,
+                attempts: js.total_attempts,
                 failed_attempts: js.total_failed,
                 runtime_secs: js.runtime_secs(),
                 journal,
@@ -210,12 +175,10 @@ impl JobTable {
             weight,
             status: JobStatus::Queued,
             stage_idx: 0,
-            queue: PendingQueue::new(),
-            st: StageRun::new(0),
+            tasks: TaskLedger::new(0, 0, Instant::now()),
             started_at: None,
             total_attempts: 0,
             total_failed: 0,
-            stages_completed: 0,
             stage_durations: Vec::new(),
             journal: String::new(),
             journal_lines: 0,
@@ -334,9 +297,9 @@ impl JobTable {
                 id,
                 status: js.status,
                 runtime_secs: js.runtime_secs(),
-                attempts: js.attempts(),
+                attempts: js.total_attempts,
                 failed_attempts: js.total_failed,
-                stages_completed: js.stages_completed,
+                stages_completed: js.stage_idx,
                 stages: &js.job.stages,
                 stage_durations: &js.stage_durations,
             },
@@ -429,8 +392,8 @@ impl JobTable {
                     running += usize::from(js.status == JobStatus::Running);
                     live.push(id);
                 }
-                // A retired slot has no queue or stage vectors to hold on
-                // to; what it does own must be tight.
+                // A retired slot has no task ledger to hold on to; what
+                // it does own must be tight.
                 Slot::Retired(r) => {
                     assert_eq!(r.summary.id, id);
                     assert!(r.summary.status.terminal(), "job {id} retired early");
@@ -499,8 +462,7 @@ mod tests {
         // keep answering from the compact record.
         let js = table.live_mut(2).unwrap();
         js.journal.push_str("{\"event\":\"x\"}\n");
-        js.st.attempts = 3;
-        js.total_attempts = 4;
+        js.total_attempts = 7;
         let live_report = table.report(2).unwrap();
         table.retire(2, JobStatus::Failed);
         table.assert_consistent();
@@ -514,7 +476,7 @@ mod tests {
         let line = table.status_line(2).unwrap();
         assert!(
             line.contains("\"status\":\"failed\"") && line.contains("\"attempts\":7"),
-            "in-flight dispatches are owed to the total: {line}"
+            "the attempts total carries over: {line}"
         );
         let report = table.report(2).unwrap();
         let stages = |r: &str| r[r.find("\"stages\"").unwrap()..].to_string();

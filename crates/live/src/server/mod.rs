@@ -8,8 +8,9 @@
 //! fleet's slots across tenants by weight. Executor membership — the
 //! `Register` handshake, epoch fencing and resurrection, heartbeats, the
 //! §5.4 slot fold and the loss broadcast — is the fleet ledger the driver
-//! uses too (`fleet.rs`); the driver's blacklist, probation, task
-//! deadlines and degraded floor are not applied here.
+//! uses too (`fleet.rs`), and each job books its current stage's attempts
+//! in the driver's task ledger (`ledger.rs`); the driver's blacklist,
+//! probation, task deadlines and degraded floor are not applied here.
 //!
 //! One reactor thread owns every socket — the executor wire listener, the
 //! HTTP listener, and all accepted connections — on a
@@ -100,12 +101,13 @@ use sae_poll::{Event, Poller, TimerWheel};
 
 use crate::fleet::{Admit, Fleet};
 use crate::job::{LiveJob, LiveStageKind, LiveStageSpec};
+use crate::ledger::{Outcome, TaskLedger};
 use crate::log::Logger;
 use crate::recorder::{FlightRecorder, LiveEvent, Subscription};
 use crate::shell::{self, Conns, Flush, Listener, OutQueue, HIGH_WATER, READ_CHUNK};
 use crate::wire::{Frame, FrameCursor};
 
-use jobs::{JobState, JobTable, StageRun};
+use jobs::{JobState, JobTable};
 use json::Value;
 use sched::FairShare;
 
@@ -410,7 +412,9 @@ struct ServerLoop {
     jobs: JobTable,
     waiting: VecDeque<u64>,
     /// `(job, task) -> executor` for every assignment whose outcome has
-    /// not arrived. The only place slot accounting is decremented.
+    /// not arrived: the cross-job slot ledger, and the only place slot
+    /// accounting is decremented. Unlike a job's task ledger it outlives
+    /// the job's retirement, so late outcomes still free their slots.
     inflight: HashMap<(u64, usize), usize>,
     draining: Option<Instant>,
     metrics: ServerMetrics,
@@ -935,7 +939,7 @@ impl ServerLoop {
             .collect();
         for (job, task) in hit {
             self.inflight.remove(&(job, task));
-            self.record_failure(job, task, e);
+            self.settle(job, task, e, false);
         }
     }
 
@@ -944,68 +948,42 @@ impl ServerLoop {
     fn handle_outcome(&mut self, job: u64, task: usize, from: usize, ok: bool) {
         // The in-flight table is the slot ledger: only a booked assignment
         // frees a slot, and only once. Late outcomes of requeued or
-        // retired work miss the table and change nothing.
-        let Some(&e) = self.inflight.get(&(job, task)) else {
-            return;
-        };
-        if from != e {
-            // A stale outcome from an executor that no longer holds the
-            // booking (the task was requeued and reassigned, e.g. after a
-            // lost-then-resurrected peer replayed its result). Leave the
-            // booking — and the current assignee's slot — untouched; the
-            // real outcome from `e` will settle the ledger.
+        // retired work miss the table and change nothing. So does a stale
+        // outcome from an executor that no longer holds the booking (the
+        // task was requeued and reassigned, e.g. after a lost-then-
+        // resurrected peer replayed its result): the booking — and the
+        // current assignee's slot — wait for the real outcome.
+        if self.inflight.get(&(job, task)) != Some(&from) {
             return;
         }
         self.inflight.remove(&(job, task));
-        self.execs.release(e);
+        self.execs.release(from);
         self.metrics.outcomes.inc();
-        let Some(js) = self.jobs.live_mut(job) else {
-            return;
-        };
-        if js.status() != JobStatus::Running
-            || task >= js.st.done.len()
-            || js.st.done[task]
-            || js.st.assigned_to[task] != Some(e)
-        {
-            return;
-        }
-        js.st.assigned_to[task] = None;
-        if ok {
-            js.st.done[task] = true;
-            js.st.remaining -= 1;
-            let stage_done = js.st.remaining == 0;
-            self.metrics.tenant(&js.tenant).tasks.inc();
-            if stage_done {
-                self.finish_stage(job);
-            }
-        } else {
-            self.record_failure(job, task, e);
-        }
+        self.settle(job, task, from, ok);
     }
 
-    fn record_failure(&mut self, job: u64, task: usize, e: usize) {
+    /// Settles the attempt of `job`'s `task` that `e` held, in the job's
+    /// task ledger: a finished task may end the stage, and a task out of
+    /// attempts fails the job.
+    fn settle(&mut self, job: u64, task: usize, e: usize, ok: bool) {
         let Some(js) = self.jobs.live_mut(job) else {
             return;
         };
-        if js.status() != JobStatus::Running || task >= js.st.done.len() || js.st.done[task] {
-            return;
-        }
-        js.st.assigned_to[task] = None;
-        js.st.failures[task] += 1;
-        js.st.failed_attempts += 1;
-        js.total_failed += 1;
-        if !js.st.failed_on[task].contains(&e) {
-            js.st.failed_on[task].push(e);
-        }
-        if js.st.failures[task] >= self.cfg.max_task_attempts {
-            self.log
-                .error(|| format!("job {job} task {task} exceeded its attempt budget"));
-            self.fail_job(job, task);
-            return;
-        }
-        if !js.queue.contains(task) {
-            let preferred = [task % self.cfg.executors.max(1)];
-            js.queue.push(task, &preferred);
+        match js.tasks.settle(task, e, ok, self.cfg.max_task_attempts) {
+            Outcome::Stale => {}
+            Outcome::Done { stage_done } => {
+                self.metrics.tenant(&js.tenant).tasks.inc();
+                if stage_done {
+                    self.finish_stage(job);
+                }
+            }
+            Outcome::Requeued { .. } => js.total_failed += 1,
+            Outcome::Exhausted { .. } => {
+                js.total_failed += 1;
+                self.log
+                    .error(|| format!("job {job} task {task} exceeded its attempt budget"));
+                self.fail_job(job, task);
+            }
         }
     }
 
@@ -1013,13 +991,8 @@ impl ServerLoop {
         let executors = self.cfg.executors;
         let js = self.jobs.live_mut(job).expect("job is live");
         let spec = &js.job.stages[js.stage_idx];
-        let tasks = spec.tasks;
-        let kind = spec.kind;
-        js.st = StageRun::new(tasks);
-        js.queue.reset(tasks, executors);
-        for t in 0..tasks {
-            js.queue.push(t, &[t % executors.max(1)]);
-        }
+        let (tasks, kind) = (spec.tasks, spec.kind);
+        js.tasks = TaskLedger::new(tasks, executors, Instant::now());
         let line = format!(
             "{{\"event\":\"stage-start\",\"stage\":{},\"kind\":\"{}\",\"tasks\":{}}}",
             js.stage_idx,
@@ -1039,29 +1012,24 @@ impl ServerLoop {
         let stage = js.stage_idx;
         // Journal per-task attempt counts in task order — content depends
         // only on the job's logical history, never on completion order.
-        for t in 0..js.st.done.len() {
+        for t in 0..js.tasks.len() {
             let line = format!(
                 "{{\"event\":\"task\",\"stage\":{},\"task\":{},\"attempts\":{}}}",
                 stage,
                 t,
-                js.st.failures[t] + 1
+                js.tasks.attempt(t) + 1
             );
             journal_line(recorder, js, line);
         }
         let line = format!(
             "{{\"event\":\"stage-end\",\"stage\":{},\"attempts\":{},\"failed_attempts\":{}}}",
-            stage, js.st.attempts, js.st.failed_attempts
+            stage,
+            js.tasks.attempts(),
+            js.tasks.failed_attempts()
         );
         journal_line(recorder, js, line);
-        js.total_attempts += js.st.attempts;
-        // Absorbed into the running total: zero the stage counter so the
-        // live views' `total + current` sum stays exact after the final
-        // stage, which no `begin_stage` call will replace.
-        js.st.attempts = 0;
-        js.st.failed_attempts = 0;
         js.stage_durations
-            .push(js.st.started.elapsed().as_secs_f64());
-        js.stages_completed += 1;
+            .push(js.tasks.started().elapsed().as_secs_f64());
         js.stage_idx += 1;
         let stages = js.job.stages.len();
         if js.stage_idx == stages {
@@ -1145,41 +1113,20 @@ impl ServerLoop {
     /// Hands free slots to queued tasks, fair-share order, until nothing
     /// more can move.
     fn try_assign(&mut self) {
+        let now = Instant::now();
         for e in 0..self.execs.len() {
-            loop {
-                if !self.execs.has_free_slot(e) {
-                    break;
-                }
-                // Select the fair-share winner that can actually give this
-                // executor a task; jobs whose remaining tasks all failed
-                // here are passed over without being charged a stride.
-                let mut tried: Vec<u64> = Vec::new();
-                let mut picked = None;
-                loop {
-                    let fair = &self.fair;
-                    let jobs = &self.jobs;
-                    let Some(j) = fair.peek(|id| {
-                        !tried.contains(&id) && jobs.live(id).is_some_and(JobState::runnable)
-                    }) else {
-                        break;
-                    };
-                    let js = self.jobs.live_mut(j).expect("peeked job is live");
-                    let JobState { queue, st, .. } = js;
-                    match queue.pick(e, |t| st.failed_on[t].contains(&e)) {
-                        Some(task) => {
-                            picked = Some((j, task));
-                            break;
-                        }
-                        None => tried.push(j),
-                    }
-                }
-                let Some((job, task)) = picked else {
+            while self.execs.has_free_slot(e) {
+                let jobs = &self.jobs;
+                let runnable = |id| jobs.live(id).is_some_and(JobState::runnable);
+                let Some(job) = self.fair.pick(runnable).map(|d| d.job) else {
                     break;
                 };
-                self.fair.charge(job);
+                // A runnable job has queued tasks, and its ledger hands
+                // every executor one (a task that failed everywhere still
+                // runs), so the winner is never charged for nothing.
                 let js = self.jobs.live_mut(job).expect("picked job is live");
-                js.st.assigned_to[task] = Some(e);
-                js.st.attempts += 1;
+                let task = js.tasks.pick(e, now).expect("a runnable job has a task");
+                js.total_attempts += 1;
                 self.inflight.insert((job, task), e);
                 self.execs.book(e);
                 self.metrics.tasks_dispatched.inc();
@@ -1886,16 +1833,16 @@ mod tests {
             "assignee's slot was over-freed"
         );
         let js = sl.jobs.live(job).unwrap();
-        assert!(!js.st.done[0]);
-        assert_eq!(js.st.assigned_to[0], Some(holder));
+        assert!(!js.tasks.is_done(0));
+        assert_eq!(js.tasks.holder(0), Some(holder));
 
         // The real outcome from the holder then settles the ledger once.
         sl.handle_outcome(job, 0, holder, true);
         assert!(!sl.inflight.contains_key(&(job, 0)));
         assert_eq!(sl.execs[holder].running, 0);
         let js = sl.jobs.live(job).unwrap();
-        assert!(js.st.done[0]);
-        assert_eq!(js.st.remaining, 1);
+        assert!(js.tasks.is_done(0));
+        assert_eq!(js.tasks.remaining(), 1);
     }
 
     /// The tasks of every attempt now in flight, in task order.

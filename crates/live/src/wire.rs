@@ -552,7 +552,7 @@ impl FrameCursor {
     }
 }
 
-/// What a [`FrameReader::next`] call produced.
+/// What a [`FrameReader::next_frame`] call produced.
 #[derive(Debug)]
 pub enum Next {
     /// A complete frame arrived.

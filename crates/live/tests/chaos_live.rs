@@ -74,10 +74,10 @@ fn fault_kinds(events: &[LiveEvent]) -> Vec<&'static str> {
 
 #[test]
 fn throttled_link_completes_without_losing_the_executor() {
-    let plan = FaultPlan::new(11).with_throttle(1, 0.2, 3.0, 4_000.0);
+    let plan = FaultPlan::new(11).with_throttle(1, 0.1, 0.5, 4_000.0);
     plan.validate(3);
     let mut cluster = LiveCluster::launch(chaos_cluster(plan)).unwrap();
-    let report = cluster.run(&terasort(24, 20_000, 42)).unwrap();
+    let report = cluster.run(&terasort(24, 40_000, 42)).unwrap();
     let events = cluster.recorder().snapshot();
     // Throttling slows frames but must never look like death: 4 kB/s
     // still carries a heartbeat in well under the 400 ms timeout.
@@ -100,12 +100,13 @@ fn partition_is_detected_then_heals_into_a_resurrection() {
     // 0.8 s of two-way silence on executor 2's link: two heartbeat
     // timeouts deep, so the driver must declare it lost — and then take
     // it back once frames flow again, without the socket ever closing.
-    // The window opens early enough to fit inside the job even in a
-    // release build, where the whole sort is over in under two seconds.
-    let plan = FaultPlan::new(23).with_partition(2, 0.4, 0.8, WireDirection::Both);
+    // The window closes at 0.9 s and the job is sized to outlast it
+    // (about 1.5 s on its own in a release build on a 2-core VM), so the
+    // resurrection lands before the job ends.
+    let plan = FaultPlan::new(23).with_partition(2, 0.1, 0.8, WireDirection::Both);
     plan.validate(3);
     let mut cluster = LiveCluster::launch(chaos_cluster(plan)).unwrap();
-    let report = cluster.run(&terasort(36, 30_000, 7)).unwrap();
+    let report = cluster.run(&terasort(36, 60_000, 7)).unwrap();
     let events = cluster.recorder().snapshot();
     let lost_at = events.iter().find_map(|ev| match ev {
         LiveEvent::Trace(TraceEvent::ExecutorFailed { executor: 2, at }) => Some(*at),
@@ -131,14 +132,15 @@ fn partition_is_detected_then_heals_into_a_resurrection() {
 #[test]
 fn crashed_executor_reincarnates_and_the_job_completes() {
     // A real crash-and-rebirth: the chaos agent flips the kill switch at
-    // t=0.4 s; the executor reincarnates after the plan's 0.6 s downtime
+    // t=0.1 s; the executor reincarnates after the plan's 0.5 s downtime
     // under a fresh registration epoch. The downtime deliberately exceeds
     // the 0.4 s heartbeat timeout so detection precedes the rebirth, and
-    // the rebirth lands while release-build jobs still have work left.
-    let plan = FaultPlan::new(31).with_crash(1, 0.4, 0.6);
+    // the job is sized so the rebirth lands while a release build still
+    // has work left.
+    let plan = FaultPlan::new(31).with_crash(1, 0.1, 0.5);
     plan.validate(3);
     let mut cluster = LiveCluster::launch(chaos_cluster(plan)).unwrap();
-    let report = cluster.run(&terasort(36, 30_000, 13)).unwrap();
+    let report = cluster.run(&terasort(36, 60_000, 13)).unwrap();
     let events = cluster.recorder().snapshot();
     assert!(fault_kinds(&events).contains(&"crash"), "kill never fired");
     let epoch = events
@@ -212,20 +214,21 @@ fn fleet_below_floor_parks_degraded_before_failing() {
 /// The acceptance scenario: one seeded plan combining a crash (with
 /// reincarnation), a transient two-way partition and a throttled link —
 /// the job completes, every recovery transition is journaled, and the
-/// same seed replays the same recovery story.
+/// same seed replays the same recovery story. Every window closes by
+/// 1.0 s, well inside the job.
 #[test]
 fn standard_chaos_plan_completes_and_replays_deterministically() {
     let plan = || {
         FaultPlan::new(1234)
-            .with_crash(1, 0.4, 0.6)
-            .with_partition(2, 0.5, 0.8, WireDirection::Both)
-            .with_throttle(0, 0.2, 2.0, 4_000.0)
+            .with_crash(1, 0.1, 0.5)
+            .with_partition(2, 0.2, 0.8, WireDirection::Both)
+            .with_throttle(0, 0.1, 0.9, 4_000.0)
     };
     plan().validate(3);
 
     let run = || {
         let mut cluster = LiveCluster::launch(chaos_cluster(plan())).unwrap();
-        let report = cluster.run(&terasort(36, 30_000, 77)).unwrap();
+        let report = cluster.run(&terasort(36, 60_000, 77)).unwrap();
         let events = cluster.recorder().snapshot();
         let seq = recovery_sequence(&events);
         cluster.shutdown().unwrap();
