@@ -24,14 +24,13 @@ use sae_live::wire::{Frame, FrameCursor, FrameWriter};
 fn traffic(n: usize) -> Vec<Frame> {
     (0..n)
         .map(|i| match i % 8 {
-            0..=2 => Frame::Core(Message::AssignTask {
-                task: i,
-                executor: i % 16,
-            }),
-            3..=5 => Frame::TaskFinished {
+            0..=2 => Frame::AssignJobTask { job: 1, task: i },
+            3..=5 => Frame::JobTaskOutcome {
+                job: 1,
                 task: i,
                 executor: i % 16,
                 attempt: 0,
+                ok: true,
             },
             6 => Frame::Core(Message::Heartbeat { executor: i % 16 }),
             _ => Frame::Core(Message::PoolSizeChanged {

@@ -2,14 +2,14 @@
 //!
 //! A single-threaded *fake fleet* — N non-blocking loopback sockets
 //! driven by the same `sae-poll` poller the reactor uses — registers
-//! with the driver and answers every `AssignTask` with an instant
-//! `TaskFinished`, so the measurement isolates the driver's wire layer:
+//! with the driver and answers every `AssignJobTask` with an instant
+//! `JobTaskOutcome`, so the measurement isolates the driver's wire layer:
 //! no Terasort I/O, no MAPE-K, just frames. The sweep runs executor
 //! counts 4→512 against the driver's event loop (one thread, all
 //! sockets, batched decode, coalesced writes).
 //!
 //! Reported per point: frames/sec through the driver, client-measured
-//! assignment turnaround (`TaskFinished` sent → next `AssignTask`
+//! assignment turnaround (`JobTaskOutcome` sent → next `AssignJobTask`
 //! received) p50/p99, and wakeups per frame (how many frames each
 //! scheduler wakeup amortizes — the reactor's whole thesis).
 //!
@@ -46,8 +46,8 @@ struct FakeConn {
     out: VecDeque<u8>,
     want_write: bool,
     done: bool,
-    /// Set when a `TaskFinished` goes out; taken when the next
-    /// `AssignTask` lands — the assignment turnaround sample.
+    /// Set when a `JobTaskOutcome` goes out; taken when the next
+    /// `AssignJobTask` lands — the assignment turnaround sample.
     armed_at: Option<Instant>,
 }
 
@@ -81,7 +81,7 @@ impl FakeConn {
 struct FleetReport {
     /// Assignment-turnaround samples, sorted, in milliseconds.
     latencies: Vec<f64>,
-    /// First `AssignTask` seen → last frame seen: the steady-state
+    /// First `AssignJobTask` seen → last frame seen: the steady-state
     /// window. Connection setup and registration happen before the
     /// first assignment, so backlog stalls during the connect storm
     /// (the listener queue holds 128; a 512-socket burst would park
@@ -206,7 +206,7 @@ fn run_fleet(addr: SocketAddr, executors: usize) -> io::Result<FleetReport> {
                 }
                 loop {
                     match conn.cursor.next() {
-                        Ok(Some(Frame::Core(Message::AssignTask { task, .. }))) => {
+                        Ok(Some(Frame::AssignJobTask { job, task })) => {
                             let now = Instant::now();
                             first_assign.get_or_insert(now);
                             last_frame = now;
@@ -214,16 +214,18 @@ fn run_fleet(addr: SocketAddr, executors: usize) -> io::Result<FleetReport> {
                                 latencies.push((now - t0).as_secs_f64() * 1e3);
                             }
                             conn.queue(
-                                &Frame::TaskFinished {
+                                &Frame::JobTaskOutcome {
+                                    job,
                                     task,
                                     executor: idx,
                                     attempt: 0,
+                                    ok: true,
                                 },
                                 &mut scratch,
                             );
                             conn.armed_at = Some(Instant::now());
                         }
-                        Ok(Some(Frame::StageStart { .. })) => {
+                        Ok(Some(Frame::JobStageStart { .. } | Frame::StageStart { .. })) => {
                             // The stage barrier is driver progress, not
                             // assignment turnaround: disarm.
                             conn.armed_at = None;
@@ -367,7 +369,7 @@ fn main() {
     let top = *counts.last().unwrap();
     let mut json = String::from("{\n  \"benchmark\": \"reactor_scale\",\n");
     json.push_str(&format!(
-        "  \"workload\": \"loopback fake fleet, {tasks_per_exec} tasks/executor x 2 stages, {SLOTS} slots, instant TaskFinished replies\",\n"
+        "  \"workload\": \"loopback fake fleet, {tasks_per_exec} tasks/executor x 2 stages, {SLOTS} slots, instant JobTaskOutcome replies\",\n"
     ));
     json.push_str(&format!("  \"top_executors\": {top},\n  \"points\": [\n"));
     for (i, p) in points.iter().enumerate() {

@@ -25,7 +25,7 @@ use sae_live::{terasort, ClusterConfig, FlightRecorder, LiveCluster, LiveEvent};
 fn frame_event(i: usize) -> LiveEvent {
     LiveEvent::FrameSent {
         executor: i % 4,
-        kind: "assign-task",
+        kind: "assign-job-task",
         bytes: 64 + i % 128,
         at: i as f64 * 1e-6,
     }

@@ -29,6 +29,13 @@
 //! server shares both. Blacklisting, probation, task deadlines and the
 //! degraded floor are policies only the driver applies.
 //!
+//! Executors hear the job server's task dialect from the driver too: its
+//! one job runs under the wire id `SINGLE_JOB`, each stage is announced
+//! with `JobStageStart`, tasks go out as `AssignJobTask` and come back as
+//! `JobTaskOutcome`. The one frame only the driver sends is `StageStart`,
+//! queued right behind each stage announcement: it opens the executors'
+//! per-stage MAPE-K episode (pool reset, fresh climb).
+//!
 //! The protocol logic lives in one state machine (`Run`) that never
 //! touches a socket: the event loop in `driver/reactor.rs` feeds it
 //! connection events (`Ev`) and timer callbacks, and it answers by
@@ -42,7 +49,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
 
-use sae_dag::{Message, TraceEvent};
+use sae_dag::TraceEvent;
 use sae_metrics::{Counter, Gauge, MetricRegistry, RegistrySnapshot};
 
 pub use crate::fleet::SlotInfo;
@@ -51,6 +58,7 @@ use crate::job::LiveJob;
 use crate::ledger::{Outcome, TaskLedger};
 use crate::log::Logger;
 use crate::recorder::{FlightRecorder, LiveEvent};
+use crate::task::SINGLE_JOB;
 use crate::wire::Frame;
 
 mod reactor;
@@ -441,16 +449,18 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Run<'j, Obs> {
                     self.decisions.push(decision);
                     (self.observer)(&decision, &self.execs.registry());
                 }
-                match frame {
-                    Frame::Core(Message::TaskFailed { task, .. }) => {
-                        self.settle(executor, task, false, now)?
-                    }
-                    Frame::TaskFinished { task, .. } => self.settle(executor, task, true, now)?,
-                    // Liveness and telemetry were the fleet's. A
-                    // mis-addressed core message, a duplicate Register, or
-                    // a driver-only frame echoed back is ignored: the
-                    // protocol is defensive against confused peers.
-                    _ => {}
+                // Liveness and telemetry were the fleet's. An outcome for
+                // another job, a duplicate Register, or a driver-only frame
+                // echoed back is ignored: the protocol is defensive against
+                // confused peers.
+                if let Frame::JobTaskOutcome {
+                    job: SINGLE_JOB,
+                    task,
+                    ok,
+                    ..
+                } = frame
+                {
+                    self.settle(executor, task, ok, now)?;
                 }
             }
             Ev::Gone { executor, conn } => {
@@ -465,8 +475,9 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Run<'j, Obs> {
     /// Sends the current stage announcement to one executor.
     fn announce_stage_to(&mut self, executor: usize) {
         if !self.finished && self.stage_idx < self.job.stages.len() {
-            let frame = self.stage_frame();
-            self.execs.send(executor, &frame);
+            for frame in self.stage_frames() {
+                self.execs.send(executor, &frame);
+            }
         }
     }
 
@@ -486,22 +497,21 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Run<'j, Obs> {
         });
         self.tasks = TaskLedger::new(tasks, self.cfg.executors, Instant::now());
         self.execs.new_stage();
-        let frame = self.stage_frame();
-        self.execs.broadcast(&frame);
+        for frame in self.stage_frames() {
+            self.execs.broadcast(&frame);
+        }
     }
 
-    /// The current stage's announcement. Its hint is the per-executor task
-    /// count (what the simulated engine passes to `stage_started`).
-    fn stage_frame(&self) -> Frame {
-        let spec = &self.job.stages[self.stage_idx];
-        Frame::StageStart {
-            stage: self.stage_idx,
-            kind: spec.kind,
-            tasks: spec.tasks,
-            records_per_task: spec.records_per_task,
-            seed: spec.seed,
-            hint: (spec.tasks / self.cfg.executors.max(1)).max(1),
-        }
+    /// The current stage's announcement, then the MAPE-K episode it
+    /// opens. The episode's hint is the per-executor task count (what the
+    /// simulated engine passes to `stage_started`).
+    fn stage_frames(&self) -> [Frame; 2] {
+        let (stage, tasks) = (self.stage_idx, self.job.stages[self.stage_idx].tasks);
+        let hint = (tasks / self.cfg.executors.max(1)).max(1);
+        [
+            self.job.stage_frame(SINGLE_JOB, stage),
+            Frame::StageStart { stage, hint },
+        ]
     }
 
     /// Hands queued tasks to free slots until nothing more can move.
@@ -524,7 +534,10 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Run<'j, Obs> {
                             speculative: false,
                             at: self.recorder.now(),
                         }));
-                    let assign = Frame::Core(Message::AssignTask { task, executor: e });
+                    let assign = Frame::AssignJobTask {
+                        job: SINGLE_JOB,
+                        task,
+                    };
                     if !self.execs.send(e, &assign) {
                         broken.push(e);
                     }

@@ -1,12 +1,13 @@
 //! The live executor: an [`AdaptivePool`] behind a TCP connection.
 //!
 //! Each executor connects to the driver (or job server), registers, and
-//! then runs real Terasort tasks on its adaptive pool. The driver's
-//! `AssignTask` and the server's `AssignJobTask` go through one attempt
-//! path and differ only in the outcome frame sent back: `TaskFinished` /
-//! `TaskFailed`, or `JobTaskOutcome`. The §5.4 protocol extension is
+//! then runs real Terasort tasks on its adaptive pool. Both speak one
+//! task dialect: `JobStageStart` installs a job's stage, `AssignJobTask`
+//! runs one attempt of it, and `JobTaskOutcome` reports the attempt. Only
+//! the driver sends `StageStart`, which opens a MAPE-K episode: the pool
+//! resets and the controller climbs again. The §5.4 protocol extension is
 //! wired through the pool's resize hook: every effective pool-size change
-//! — the reset at a stage boundary and every MAPE-K decision — emits a
+//! — the reset at an episode start and every MAPE-K decision — emits a
 //! `PoolSizeChanged` frame, which is what keeps the slot registry
 //! consistent.
 //!
@@ -66,7 +67,7 @@ use sae_dag::codec::TraceKey;
 use crate::job::LiveStageKind;
 use crate::log::Logger;
 use crate::recorder::{FlightRecorder, LiveEvent};
-use crate::task::{run_task, SINGLE_JOB};
+use crate::task::run_task;
 use crate::wire::{Frame, FrameReader, FrameWriter, Next};
 
 /// A stage's parameters `(stage, kind, records_per_task, seed)`.
@@ -553,7 +554,7 @@ struct Incarnation {
     /// Attempts run to an outcome.
     completed: AtomicUsize,
     /// Stage parameters per live job — the driver's stage under
-    /// [`SINGLE_JOB`] — read as each attempt starts to run.
+    /// [`crate::task::SINGLE_JOB`] — read as each attempt starts to run.
     jobs: Mutex<HashMap<u64, StageParams>>,
 }
 
@@ -622,34 +623,20 @@ impl Incarnation {
                     });
                 }
                 Frame::FaultNotice { .. } => {}
-                Frame::StageStart {
-                    stage,
-                    kind,
-                    records_per_task,
-                    seed,
-                    hint,
-                    ..
-                } => {
-                    // Book the finished stage's explicit I/O before the
-                    // reset.
+                // The driver opens a MAPE-K episode. Book the finished
+                // stage's explicit I/O before the reset.
+                Frame::StageStart { stage, hint } => {
                     let (_, mb) = (self.task_io.as_probe())();
                     self.metrics.io_mb.add(mb);
                     self.task_io.reset();
                     stage_probe.rebase();
                     self.pool.stage_started(Some(hint));
                     log.info(|| format!("stage {stage} announced: pool reset, hint {hint}"));
-                    self.jobs
-                        .lock()
-                        .insert(SINGLE_JOB, (stage, kind, records_per_task, seed));
                 }
-                Frame::Core(Message::AssignTask { task, .. }) => {
-                    self.attempt(SINGLE_JOB, task, false)
-                }
-                // Multi-job serving (the job-server path). Unlike
-                // StageStart this does not reset the pool or probes: many
-                // jobs interleave on one fleet, and a reset per job stage
-                // would thrash the MAPE-K controller's measurement
-                // intervals.
+                // A stage announcement only installs its parameters. The
+                // job server never follows it with a StageStart: many jobs
+                // interleave on one fleet, and a reset per job stage would
+                // thrash the MAPE-K controller's measurement intervals.
                 Frame::JobStageStart {
                     job,
                     stage,
@@ -667,7 +654,7 @@ impl Incarnation {
                     self.jobs.lock().remove(&job);
                     log.info(|| format!("job {job} retired"));
                 }
-                Frame::AssignJobTask { job, task } => self.attempt(job, task, true),
+                Frame::AssignJobTask { job, task } => self.attempt(job, task),
                 // Driver-only frames echoed at us: ignore.
                 _ => {}
             }
@@ -675,21 +662,20 @@ impl Incarnation {
     }
 
     /// Runs one attempt of `job`'s `task` on the pool, then reports its
-    /// span and outcome in the dialect it was assigned in.
-    fn attempt(self: &Arc<Self>, job: u64, task: usize, job_scoped: bool) {
+    /// span and outcome.
+    fn attempt(self: &Arc<Self>, job: u64, task: usize) {
         let run = Arc::clone(self);
         self.pool.submit(move || {
             if run.kill.load(Ordering::Relaxed) {
                 return;
             }
-            // The stage is looked up when the attempt runs. A job (or, from
-            // the driver, a stage) never announced, or a job retired while
-            // the attempt sat in the pool queue, gets a failed outcome: the
-            // receiver booked a slot for the assignment and frees it only
-            // when an outcome arrives.
+            // The stage is looked up when the attempt runs. A job never
+            // announced, or retired while the attempt sat in the pool
+            // queue, gets a failed outcome: the receiver booked a slot for
+            // the assignment and frees it only when an outcome arrives.
             let params = run.jobs.lock().get(&job).copied();
             let Some((stage, kind, records_per_task, seed)) = params else {
-                let _ = run.link.send(&run.outcome(job, task, job_scoped, false));
+                let _ = run.link.send(&run.outcome(job, task, false));
                 return;
             };
             let (dir, io) = (&run.cfg.spill_dir, &run.task_io);
@@ -725,9 +711,7 @@ impl Incarnation {
             // Span first, outcome second: the receiver merges the span into
             // the live timeline before it acts on the outcome, keeping the
             // trace causally ordered.
-            let _ = run
-                .link
-                .send_batch(&[span, run.outcome(job, task, job_scoped, ok)]);
+            let _ = run.link.send_batch(&[span, run.outcome(job, task, ok)]);
             let done = run.completed.fetch_add(1, Ordering::Relaxed) + 1;
             // The deterministic kill switch taints only the first
             // incarnation.
@@ -738,29 +722,14 @@ impl Incarnation {
         });
     }
 
-    /// An attempt's outcome report: `TaskFinished`/`TaskFailed` for the
-    /// single-job driver, `JobTaskOutcome` for the job server
-    /// (`job_scoped`).
-    fn outcome(&self, job: u64, task: usize, job_scoped: bool, ok: bool) -> Frame {
-        let (executor, attempt) = (self.cfg.id, 0);
-        match (job_scoped, ok) {
-            (true, _) => Frame::JobTaskOutcome {
-                job,
-                task,
-                executor,
-                attempt,
-                ok,
-            },
-            (false, true) => Frame::TaskFinished {
-                task,
-                executor,
-                attempt,
-            },
-            (false, false) => Frame::Core(Message::TaskFailed {
-                task,
-                executor,
-                attempt,
-            }),
+    /// An attempt's outcome report.
+    fn outcome(&self, job: u64, task: usize, ok: bool) -> Frame {
+        Frame::JobTaskOutcome {
+            job,
+            task,
+            executor: self.cfg.id,
+            attempt: 0,
+            ok,
         }
     }
 }

@@ -8,6 +8,8 @@
 
 use sae_dag::codec::FrameError;
 
+use crate::wire::Frame;
+
 /// What one stage's tasks actually do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LiveStageKind {
@@ -20,7 +22,7 @@ pub enum LiveStageKind {
 }
 
 impl LiveStageKind {
-    /// Wire discriminant for [`crate::wire::Frame::StageStart`].
+    /// Wire discriminant for [`Frame::JobStageStart`].
     pub(crate) fn to_wire(self) -> u64 {
         match self {
             LiveStageKind::Spill => 0,
@@ -61,6 +63,23 @@ pub struct LiveJob {
     pub name: String,
     /// Stages, run strictly in order with a barrier between them.
     pub stages: Vec<LiveStageSpec>,
+}
+
+impl LiveJob {
+    /// The announcement of stage `stage`, run under the wire job id `job`
+    /// — what the driver and the job server send before assigning any of
+    /// the stage's tasks.
+    pub(crate) fn stage_frame(&self, job: u64, stage: usize) -> Frame {
+        let spec = &self.stages[stage];
+        Frame::JobStageStart {
+            job,
+            stage,
+            kind: spec.kind,
+            tasks: spec.tasks,
+            records_per_task: spec.records_per_task,
+            seed: spec.seed,
+        }
+    }
 }
 
 /// Builds the live Terasort job: a spill (map) stage that generates and

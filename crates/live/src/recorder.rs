@@ -144,8 +144,8 @@ pub enum LiveEvent {
     /// cross-process correlation record that lets a multi-process fleet's
     /// events merge into one causally-ordered trace during the run.
     TaskSpan {
-        /// Job the task belongs to ([`crate::task::SINGLE_JOB`] for the
-        /// single-job driver).
+        /// The wire job id the task ran under (the single-job driver's
+        /// job is [`crate::task::SINGLE_JOB`]).
         job: u64,
         /// Stage index within the job.
         stage: usize,

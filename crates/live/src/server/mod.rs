@@ -912,8 +912,7 @@ impl ServerLoop {
             Admit::Current => {}
         }
         self.execs.observe(e, frame, now);
-        // Single-job frames (TaskFinished/TaskFailed) or echoes: the server
-        // only settles the job-scoped protocol.
+        // Liveness and telemetry were the fleet's; echoes are ignored.
         if let Frame::JobTaskOutcome { job, task, ok, .. } = frame {
             self.handle_outcome(job, task, e, ok);
         }
@@ -924,7 +923,7 @@ impl ServerLoop {
     fn announce_jobs_to(&mut self, e: usize) {
         let live = self.jobs.live_ids().filter_map(|id| self.jobs.live(id));
         for js in live.filter(|j| j.status() == JobStatus::Running) {
-            self.execs.send(e, &stage_frame(js));
+            self.execs.send(e, &js.job.stage_frame(js.id, js.stage_idx));
         }
     }
 
@@ -1000,7 +999,7 @@ impl ServerLoop {
             tasks
         );
         journal_line(&self.cfg.recorder, js, line);
-        let frame = stage_frame(js);
+        let frame = js.job.stage_frame(js.id, js.stage_idx);
         self.log
             .info(|| format!("job {job} stage started: {tasks} tasks"));
         self.execs.broadcast(&frame);
@@ -1545,19 +1544,6 @@ fn cluster_frame(seq: u64, ev: &LiveEvent) -> Option<SseFrame> {
             .with_event(event)
             .with_id(seq.to_string()),
     )
-}
-
-/// The current stage announcement for one job.
-fn stage_frame(js: &JobState) -> Frame {
-    let spec = &js.job.stages[js.stage_idx];
-    Frame::JobStageStart {
-        job: js.id,
-        stage: js.stage_idx,
-        kind: spec.kind,
-        tasks: spec.tasks,
-        records_per_task: spec.records_per_task,
-        seed: spec.seed,
-    }
 }
 
 fn kind_name(kind: LiveStageKind) -> &'static str {

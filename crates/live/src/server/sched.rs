@@ -14,7 +14,7 @@
 //! same dispatch sequence, which is what makes the server's accounting
 //! journal replayable — [`replay`] re-runs a recorded schedule and
 //! byte-identical journals out of two runs prove the allocator
-//! deterministic (the acceptance gate `jobserver_bench` asserts).
+//! deterministic (`replay_is_deterministic` below asserts it).
 
 use std::collections::BTreeMap;
 

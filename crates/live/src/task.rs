@@ -20,8 +20,8 @@ use sae_workloads::spill::{read_records, write_records, RECORD_BYTES};
 
 use crate::job::LiveStageKind;
 
-/// Job id used by the single-job `Run` path, which predates multi-job
-/// serving: its artifacts live in the `j0-` namespace.
+/// Job id the single-job driver runs its job under, on the wire and in
+/// the spill dir: its artifacts live in the `j0-` namespace.
 pub const SINGLE_JOB: u64 = 0;
 
 /// Path of job `job` task `task`'s spill partition inside `dir`.
@@ -86,8 +86,8 @@ fn read_or_regenerate(
 
 /// Runs one task attempt to completion, recording its I/O into `io_probe`.
 ///
-/// Errors propagate to the caller, which reports a `TaskFailed` to the
-/// driver — e.g. a sort task whose input partition failed its checksum
+/// Errors propagate to the caller, which reports a failed
+/// `JobTaskOutcome` — e.g. a sort task whose input partition failed its checksum
 /// (the corrupt file is quarantined, so the retry regenerates it from
 /// lineage and completes).
 pub fn run_task(

@@ -5,9 +5,18 @@
 //! [`sae_dag::codec::encode_body`] produces, so the §5.4 messages have one
 //! encoding whether they travel through the simulator's mailboxes or a TCP
 //! socket. The envelope adds only what a real cluster needs around them —
-//! executor registration, stage dissemination, task completion, shutdown —
-//! in the same `[tag u8][u64 BE]*` style, framed by the same
-//! `[u32 BE length]` prefix ([`sae_dag::codec::split_frame`]).
+//! executor registration, stage dissemination, task assignment and
+//! outcome, shutdown — in the same `[tag u8][u64 BE]*` style, framed by
+//! the same `[u32 BE length]` prefix ([`sae_dag::codec::split_frame`]).
+//!
+//! Executors speak one task dialect to both the single-job driver and the
+//! job server: [`Frame::JobStageStart`] installs a stage,
+//! [`Frame::AssignJobTask`] assigns one of its tasks and
+//! [`Frame::JobTaskOutcome`] reports the attempt (the driver's job is
+//! [`crate::task::SINGLE_JOB`]). The driver alone follows each stage
+//! announcement with [`Frame::StageStart`], which opens a MAPE-K episode.
+//! `Message::AssignTask` and `Message::TaskFailed` still decode, so
+//! decoding stays total, but only the simulator sends them.
 //!
 //! Like the core codec, decoding is total: malformed bytes produce a
 //! [`FrameError`], never a panic, and a partial buffer reports "need more
@@ -20,22 +29,21 @@ use sae_dag::codec::{self, FrameError, TraceKey, LEN_PREFIX};
 use sae_dag::Message;
 
 use crate::job::LiveStageKind;
+use crate::shell::READ_CHUNK;
 
 /// Envelope tag: a core [`Message`] body follows.
 const TAG_CORE: u8 = 0x10;
 /// Envelope tag: executor registration.
 const TAG_REGISTER: u8 = 0x11;
-/// Envelope tag: stage dissemination from the driver.
+/// Envelope tag: the driver opens a MAPE-K episode.
 const TAG_STAGE_START: u8 = 0x12;
-/// Envelope tag: successful task completion.
-const TAG_TASK_FINISHED: u8 = 0x13;
 /// Envelope tag: driver tells executors the job is over.
 const TAG_SHUTDOWN: u8 = 0x14;
 /// Envelope tag: driver tells executors a peer was declared lost.
 const TAG_FAULT_NOTICE: u8 = 0x15;
-/// Envelope tag: the job server announces one job's stage.
+/// Envelope tag: one job's stage is announced.
 const TAG_JOB_STAGE_START: u8 = 0x16;
-/// Envelope tag: the job server assigns one task of one job.
+/// Envelope tag: one task of one job is assigned.
 const TAG_ASSIGN_JOB_TASK: u8 = 0x17;
 /// Envelope tag: an executor reports a job-task attempt's outcome.
 const TAG_JOB_TASK_OUTCOME: u8 = 0x18;
@@ -60,29 +68,14 @@ pub enum Frame {
         /// Initial slot count.
         slots: usize,
     },
-    /// The driver announces a stage; executors reset probes and pools.
+    /// The driver opens a MAPE-K episode for a stage it has just
+    /// announced with [`Frame::JobStageStart`]: executors book the
+    /// finished stage's I/O, reset their probes and reset their pools.
     StageStart {
         /// Stage index within the job.
         stage: usize,
-        /// What the stage's tasks do.
-        kind: LiveStageKind,
-        /// Number of tasks in the stage.
-        tasks: usize,
-        /// Records each task generates or sorts.
-        records_per_task: usize,
-        /// Base RNG seed for the stage's data.
-        seed: u64,
         /// Per-executor task-count hint fed to the MAPE-K controller.
         hint: usize,
-    },
-    /// An executor reports a task attempt succeeded.
-    TaskFinished {
-        /// Task id.
-        task: usize,
-        /// Reporting executor.
-        executor: usize,
-        /// Attempt ordinal (0-based).
-        attempt: usize,
     },
     /// The driver is done; executors drain and exit.
     Shutdown,
@@ -95,13 +88,13 @@ pub enum Frame {
         /// The executor that was declared lost.
         executor: usize,
     },
-    /// The job server announces one job's current stage. Unlike
-    /// [`Frame::StageStart`] this does not reset the executor's pool or
-    /// probes — many jobs run interleaved on one fleet, so per-stage
-    /// resets would thrash the MAPE-K controller; it only installs the
-    /// stage parameters task assignments for `job` will reference.
+    /// The driver or the job server announces one job's current stage.
+    /// It only installs the stage parameters task assignments for `job`
+    /// will reference; it does not reset the executor's pool or probes
+    /// (that is [`Frame::StageStart`]'s job, which only the driver sends).
     JobStageStart {
-        /// Server-assigned job id.
+        /// Job id: server-assigned, or the driver's
+        /// [`crate::task::SINGLE_JOB`].
         job: u64,
         /// Stage index within the job.
         stage: usize,
@@ -114,16 +107,15 @@ pub enum Frame {
         /// Base RNG seed for the stage's data.
         seed: u64,
     },
-    /// The job server assigns one task of one job's current stage.
+    /// The driver or the job server assigns one task of one job's
+    /// current stage.
     AssignJobTask {
         /// Job the task belongs to.
         job: u64,
         /// Task id within the job's current stage.
         task: usize,
     },
-    /// An executor reports a job-task attempt finished (success or
-    /// failure — the multi-job analogue of [`Frame::TaskFinished`] and
-    /// `Message::TaskFailed` in one frame).
+    /// An executor reports a task attempt finished, successfully or not.
     JobTaskOutcome {
         /// Job the task belongs to.
         job: u64,
@@ -190,7 +182,6 @@ impl Frame {
             Frame::Core(Message::TaskFailed { .. }) => "task-failed",
             Frame::Register { .. } => "register",
             Frame::StageStart { .. } => "stage-start",
-            Frame::TaskFinished { .. } => "task-finished",
             Frame::Shutdown => "shutdown",
             Frame::FaultNotice { .. } => "fault-notice",
             Frame::JobStageStart { .. } => "job-stage-start",
@@ -222,31 +213,10 @@ impl Frame {
                 codec::put_u64(out, executor as u64);
                 codec::put_u64(out, slots as u64);
             }
-            Frame::StageStart {
-                stage,
-                kind,
-                tasks,
-                records_per_task,
-                seed,
-                hint,
-            } => {
+            Frame::StageStart { stage, hint } => {
                 out.push(TAG_STAGE_START);
                 codec::put_u64(out, stage as u64);
-                codec::put_u64(out, kind.to_wire());
-                codec::put_u64(out, tasks as u64);
-                codec::put_u64(out, records_per_task as u64);
-                codec::put_u64(out, seed);
                 codec::put_u64(out, hint as u64);
-            }
-            Frame::TaskFinished {
-                task,
-                executor,
-                attempt,
-            } => {
-                out.push(TAG_TASK_FINISHED);
-                codec::put_u64(out, task as u64);
-                codec::put_u64(out, executor as u64);
-                codec::put_u64(out, attempt as u64);
             }
             Frame::Shutdown => out.push(TAG_SHUTDOWN),
             Frame::FaultNotice { executor } => {
@@ -344,22 +314,10 @@ impl Frame {
                 })
             }
             TAG_STAGE_START => {
-                expect_len(body, 6)?;
+                expect_len(body, 2)?;
                 Ok(Frame::StageStart {
                     stage: codec::get_usize(body, 1)?,
-                    kind: LiveStageKind::from_wire(codec::get_u64(body, 9)?)?,
-                    tasks: codec::get_usize(body, 17)?,
-                    records_per_task: codec::get_usize(body, 25)?,
-                    seed: codec::get_u64(body, 33)?,
-                    hint: codec::get_usize(body, 41)?,
-                })
-            }
-            TAG_TASK_FINISHED => {
-                expect_len(body, 3)?;
-                Ok(Frame::TaskFinished {
-                    task: codec::get_usize(body, 1)?,
-                    executor: codec::get_usize(body, 9)?,
-                    attempt: codec::get_usize(body, 17)?,
+                    hint: codec::get_usize(body, 9)?,
                 })
             }
             TAG_SHUTDOWN => {
@@ -582,9 +540,6 @@ pub struct FrameReader {
     chunk: Vec<u8>,
 }
 
-/// Per-read chunk size — how many bytes one socket read may pull in.
-const READ_CHUNK: usize = 4096;
-
 impl FrameReader {
     /// Wraps a connected stream.
     pub fn new(stream: TcpStream) -> Self {
@@ -657,27 +612,7 @@ mod tests {
                 executor: 1,
                 slots: 8,
             },
-            Frame::StageStart {
-                stage: 1,
-                kind: LiveStageKind::Sort,
-                tasks: 24,
-                records_per_task: 20_000,
-                seed: 0xDEAD_BEEF,
-                hint: 8,
-            },
-            Frame::StageStart {
-                stage: 0,
-                kind: LiveStageKind::Spill,
-                tasks: 24,
-                records_per_task: 20_000,
-                seed: 7,
-                hint: 8,
-            },
-            Frame::TaskFinished {
-                task: 5,
-                executor: 2,
-                attempt: 0,
-            },
+            Frame::StageStart { stage: 1, hint: 8 },
             Frame::Shutdown,
             Frame::FaultNotice { executor: 1 },
             Frame::JobStageStart {
@@ -756,13 +691,13 @@ mod tests {
     #[test]
     fn every_prefix_is_incomplete_not_an_error() {
         let mut buf = Vec::new();
-        Frame::StageStart {
+        Frame::JobStageStart {
+            job: 3,
             stage: 0,
             kind: LiveStageKind::Spill,
             tasks: 4,
             records_per_task: 100,
             seed: 1,
-            hint: 2,
         }
         .encode(&mut buf);
         for cut in 0..buf.len() {
@@ -781,18 +716,19 @@ mod tests {
     #[test]
     fn bad_stage_kind_rejected() {
         let mut buf = Vec::new();
-        Frame::StageStart {
+        Frame::JobStageStart {
+            job: 0,
             stage: 0,
             kind: LiveStageKind::Sort,
             tasks: 1,
             records_per_task: 1,
             seed: 0,
-            hint: 1,
         }
         .encode(&mut buf);
-        // Corrupt the kind field (bytes 9..17 of the body, after the prefix
-        // and envelope tag) to an undefined discriminant.
-        let kind_at = LEN_PREFIX + 1 + 8;
+        // Corrupt the kind field (bytes 17..25 of the body, after the
+        // prefix, the envelope tag, the job and the stage) to an undefined
+        // discriminant.
+        let kind_at = LEN_PREFIX + 1 + 16;
         buf[kind_at..kind_at + 8].copy_from_slice(&99u64.to_be_bytes());
         assert!(Frame::decode(&buf).is_err());
     }
@@ -823,9 +759,8 @@ mod tests {
         let mut kinds: Vec<&str> = all_frames().iter().map(Frame::kind_str).collect();
         kinds.sort_unstable();
         kinds.dedup();
-        // all_frames carries two StageStart and two JobTaskOutcome samples,
-        // each pair sharing one label.
-        assert_eq!(kinds.len(), all_frames().len() - 2);
+        // all_frames carries two JobTaskOutcome samples sharing one label.
+        assert_eq!(kinds.len(), all_frames().len() - 1);
     }
 
     #[test]
@@ -865,10 +800,12 @@ mod tests {
     fn cursor_compacts_without_losing_partial_frames() {
         // Push far past COMPACT_AT with a partial frame straddling the
         // compaction point; every frame must still come out intact.
-        let frame = Frame::TaskFinished {
+        let frame = Frame::JobTaskOutcome {
+            job: 4,
             task: 1,
             executor: 2,
             attempt: 0,
+            ok: true,
         };
         let mut one = Vec::new();
         frame.encode(&mut one);

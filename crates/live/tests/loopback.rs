@@ -7,12 +7,15 @@
 //!   heartbeat-silence detection and task retry.
 //! * A connection registering an executor id outside the fleet is hung up
 //!   on, and the job is none the worse.
+//! * The driver and its executors speak only the job server's task
+//!   dialect, plus the driver's episode-opening `StageStart`.
 //!
 //! Timers are tightened well below the library defaults so the failure
 //! test stays fast; every run is additionally bounded by the driver's
 //! internal deadline, so a wedged protocol fails the test instead of
 //! hanging the suite.
 
+use std::collections::BTreeSet;
 use std::io::Read;
 use std::net::TcpStream;
 use std::time::Duration;
@@ -20,7 +23,9 @@ use std::time::Duration;
 use sae_core::MapeConfig;
 use sae_live::executor::LiveExecutorConfig;
 use sae_live::wire::{Frame, FrameWriter};
-use sae_live::{terasort, ClusterConfig, Driver, DriverConfig, LiveCluster, LiveExecutor, TempDir};
+use sae_live::{
+    terasort, ClusterConfig, Driver, DriverConfig, LiveCluster, LiveEvent, LiveExecutor, TempDir,
+};
 
 fn test_cfg(executors: usize) -> ClusterConfig {
     ClusterConfig {
@@ -223,4 +228,43 @@ fn a_register_from_outside_the_fleet_is_hung_up_on() {
     assert!(report.lost_executors.is_empty());
     assert_eq!(report.registry.len(), 2);
     assert!(report.registry.iter().all(|s| s.registered && s.alive));
+}
+
+#[test]
+fn a_driver_run_job_speaks_only_the_job_dialect() {
+    let mut cluster = LiveCluster::launch(ClusterConfig {
+        recorder_capacity: 1 << 16,
+        ..test_cfg(2)
+    })
+    .unwrap();
+    let report = cluster.run(&terasort(8, 2_000, 11)).unwrap();
+    let recorder = cluster.recorder().clone();
+    cluster.shutdown().unwrap();
+    assert_eq!(report.stages.len(), 2);
+    assert_eq!(recorder.dropped(), 0, "the ring overwrote frame events");
+
+    let kinds: BTreeSet<&str> = recorder
+        .snapshot()
+        .iter()
+        .filter_map(|ev| match ev {
+            LiveEvent::FrameSent { kind, .. } | LiveEvent::FrameReceived { kind, .. } => {
+                Some(*kind)
+            }
+            _ => None,
+        })
+        .collect();
+    for retired in ["assign-task", "task-finished", "task-failed"] {
+        assert!(!kinds.contains(retired), "{retired} on the wire: {kinds:?}");
+    }
+    for spoken in [
+        "job-stage-start",
+        "stage-start",
+        "assign-job-task",
+        "job-task-outcome",
+    ] {
+        assert!(
+            kinds.contains(spoken),
+            "{spoken} never on the wire: {kinds:?}"
+        );
+    }
 }

@@ -32,22 +32,29 @@ fn frame_strategy() -> impl Strategy<Value = Frame> {
     )
         .prop_map(
             |(variant, task, executor, small, seed, flag)| match variant {
-                0 => Frame::Core(Message::AssignTask { task, executor }),
+                0 => Frame::AssignJobTask { job: seed, task },
                 1 => Frame::Core(Message::PoolSizeChanged {
                     executor,
                     size: small,
                 }),
                 2 => Frame::Core(Message::Heartbeat { executor }),
-                3 => Frame::Core(Message::TaskFailed {
+                3 => Frame::JobTaskOutcome {
+                    job: seed,
                     task,
                     executor,
                     attempt: small % 4,
-                }),
+                    ok: flag,
+                },
                 4 => Frame::Register {
                     executor,
                     slots: small,
                 },
                 5 => Frame::StageStart {
+                    stage: task % 8,
+                    hint: small,
+                },
+                6 => Frame::JobStageStart {
+                    job: seed,
                     stage: task % 8,
                     kind: if flag {
                         LiveStageKind::Sort
@@ -57,12 +64,6 @@ fn frame_strategy() -> impl Strategy<Value = Frame> {
                     tasks: task + 1,
                     records_per_task: (seed % 100_000) as usize + 1,
                     seed,
-                    hint: small,
-                },
-                6 => Frame::TaskFinished {
-                    task,
-                    executor,
-                    attempt: small % 4,
                 },
                 7 => Frame::Shutdown,
                 _ => Frame::FaultNotice { executor },
