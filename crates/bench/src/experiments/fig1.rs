@@ -8,7 +8,7 @@ use crate::experiments::ExperimentOutput;
 use crate::{run_workload, TextTable};
 
 /// The applications shown in Figure 1.
-pub const APPS: [WorkloadKind; 4] = [
+pub(crate) const APPS: [WorkloadKind; 4] = [
     WorkloadKind::Aggregation,
     WorkloadKind::Join,
     WorkloadKind::PageRank,
@@ -16,7 +16,7 @@ pub const APPS: [WorkloadKind; 4] = [
 ];
 
 /// Per-stage CPU% and disk-iowait% under the default configuration.
-pub fn stage_utilisation(kind: WorkloadKind) -> Vec<(String, f64, f64, f64)> {
+pub(crate) fn stage_utilisation(kind: WorkloadKind) -> Vec<(String, f64, f64, f64)> {
     let cfg = EngineConfig::four_node_hdd();
     let w = kind.build();
     let report = run_workload(&cfg, &w, ThreadPolicy::Default);
@@ -36,7 +36,7 @@ pub fn stage_utilisation(kind: WorkloadKind) -> Vec<(String, f64, f64, f64)> {
 
 /// Renders Figure 1, plus mpstat/iostat-style views for Terasort (the
 /// tools the paper collected this data with).
-pub fn run() -> ExperimentOutput {
+pub(crate) fn run() -> ExperimentOutput {
     let mut t = TextTable::new(vec![
         "app",
         "stage",
@@ -88,7 +88,6 @@ terasort, iostat view (MB columns):
     );
     body.push_str(&sae_metrics::iostat_report(&summaries));
     ExperimentOutput {
-        id: "fig1",
         artefact: "Figure 1",
         title: "Per-stage CPU usage and disk I/O wait (default configuration)",
         body,

@@ -7,7 +7,7 @@ use crate::experiments::ExperimentOutput;
 use crate::{static_sweep, TextTable};
 
 /// Static sweep on the given device config.
-pub fn device_sweep(cfg: &EngineConfig) -> Vec<(usize, JobReport)> {
+pub(crate) fn device_sweep(cfg: &EngineConfig) -> Vec<(usize, JobReport)> {
     let w = WorkloadKind::Terasort.build();
     static_sweep(cfg, &w)
         .into_iter()
@@ -16,7 +16,7 @@ pub fn device_sweep(cfg: &EngineConfig) -> Vec<(usize, JobReport)> {
 }
 
 /// Per-stage best thread count from a sweep.
-pub fn per_stage_best(sweep: &[(usize, JobReport)]) -> Vec<usize> {
+pub(crate) fn per_stage_best(sweep: &[(usize, JobReport)]) -> Vec<usize> {
     let stages = sweep[0].1.stages.len();
     (0..stages)
         .map(|s| {
@@ -60,12 +60,11 @@ fn render(label: &str, cfg: &EngineConfig, body: &mut String) {
 }
 
 /// Renders Figure 10.
-pub fn run() -> ExperimentOutput {
+pub(crate) fn run() -> ExperimentOutput {
     let mut body = String::new();
     render("HDD", &EngineConfig::four_node_hdd(), &mut body);
     render("SSD", &EngineConfig::four_node_ssd(), &mut body);
     ExperimentOutput {
-        id: "fig10",
         artefact: "Figure 10",
         title: "Static solution on HDD vs SSD (Terasort)",
         body,

@@ -7,14 +7,14 @@ use crate::experiments::ExperimentOutput;
 use crate::{run_policy, PolicyRun, TextTable};
 
 /// Default / static-bestfit / dynamic on the SSD configuration.
-pub fn compare_ssd() -> Vec<PolicyRun> {
+pub(crate) fn compare_ssd() -> Vec<PolicyRun> {
     let cfg = EngineConfig::four_node_ssd();
     let w = WorkloadKind::Terasort.build();
     run_policy(&cfg, &w)
 }
 
 /// Renders Figure 11.
-pub fn run() -> ExperimentOutput {
+pub(crate) fn run() -> ExperimentOutput {
     let runs = compare_ssd();
     let default = runs[0].report.total_runtime;
     let mut t = TextTable::new(vec![
@@ -40,7 +40,6 @@ pub fn run() -> ExperimentOutput {
         t.row(row);
     }
     ExperimentOutput {
-        id: "fig11",
         artefact: "Figure 11",
         title: "Dynamic solution on SSDs (Terasort)",
         body: t.render(),

@@ -8,7 +8,7 @@ use crate::{fixed_thread_run, TextTable};
 
 /// One throughput series: cluster-aggregate disk MB/s samples of a stage.
 #[derive(Debug, Clone)]
-pub struct ThroughputSeries {
+pub(crate) struct ThroughputSeries {
     /// Threads per executor.
     pub threads: usize,
     /// `(t, MB/s)` samples relative to stage start.
@@ -17,7 +17,7 @@ pub struct ThroughputSeries {
 
 impl ThroughputSeries {
     /// Mean throughput over the stage.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.samples.is_empty() {
             return 0.0;
         }
@@ -26,7 +26,7 @@ impl ThroughputSeries {
 }
 
 /// Collects the throughput series of `stage` for each thread count.
-pub fn series(cfg: &EngineConfig, stage: usize) -> Vec<ThroughputSeries> {
+pub(crate) fn series(cfg: &EngineConfig, stage: usize) -> Vec<ThroughputSeries> {
     let w = WorkloadKind::Terasort.build();
     [32usize, 16, 8, 4, 2]
         .iter()
@@ -67,7 +67,7 @@ fn render(label: &str, cfg: &EngineConfig, stage: usize, body: &mut String) {
 }
 
 /// Renders Figure 12.
-pub fn run() -> ExperimentOutput {
+pub(crate) fn run() -> ExperimentOutput {
     let hdd = EngineConfig::four_node_hdd();
     let ssd = EngineConfig::four_node_ssd();
     let mut body = String::new();
@@ -76,7 +76,6 @@ pub fn run() -> ExperimentOutput {
     render("HDD", &hdd, 1, &mut body);
     render("SSD", &ssd, 1, &mut body);
     ExperimentOutput {
-        id: "fig12",
         artefact: "Figure 12",
         title: "I/O throughput over time per thread count (Terasort, HDD vs SSD)",
         body,

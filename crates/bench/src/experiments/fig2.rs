@@ -10,7 +10,7 @@ use crate::{derive_bestfit, run_workload, static_sweep, TextTable};
 
 /// The full sweep for one workload on `cfg`, plus the BestFit combination
 /// run.
-pub fn sweep_with_bestfit(
+pub(crate) fn sweep_with_bestfit(
     cfg: &EngineConfig,
     kind: WorkloadKind,
 ) -> (Vec<(usize, JobReport)>, JobReport) {
@@ -72,7 +72,6 @@ pub fn run_with(cfg: &EngineConfig) -> ExperimentOutput {
     render(cfg, WorkloadKind::Terasort, &mut body);
     render(cfg, WorkloadKind::PageRank, &mut body);
     ExperimentOutput {
-        id: "fig2",
         artefact: "Figure 2",
         title: "Runtime effect of the static solution on Terasort and PageRank",
         body,

@@ -6,13 +6,13 @@ use crate::experiments::ExperimentOutput;
 use crate::TextTable;
 
 /// The number of nodes shown in the paper's Figure 3.
-pub const NODES: usize = 44;
+pub(crate) const NODES: usize = 44;
 /// Volume read/written per node (30 GB, as in the paper).
-pub const VOLUME_MB: f64 = 30.0 * 1024.0;
+pub(crate) const VOLUME_MB: f64 = 30.0 * 1024.0;
 
 /// Per-node `(read_seconds, write_seconds)` for reading/writing 30 GB
 /// with 8 sequential-ish streams (a `dd`-style benchmark).
-pub fn node_times(seed: u64) -> Vec<(f64, f64)> {
+pub(crate) fn node_times(seed: u64) -> Vec<(f64, f64)> {
     let variability = NodeVariability::new(VariabilityConfig::das5(), seed);
     let hdd = DeviceProfile::hdd_7200();
     let streams = 8;
@@ -31,7 +31,7 @@ pub fn node_times(seed: u64) -> Vec<(f64, f64)> {
 }
 
 /// Renders Figure 3.
-pub fn run() -> ExperimentOutput {
+pub(crate) fn run() -> ExperimentOutput {
     let times = node_times(42);
     let mean_read = times.iter().map(|t| t.0).sum::<f64>() / times.len() as f64;
     let mean_write = times.iter().map(|t| t.1).sum::<f64>() / times.len() as f64;
@@ -48,7 +48,6 @@ pub fn run() -> ExperimentOutput {
         "mean read: {mean_read:.1} s   mean write: {mean_write:.1} s\n"
     ));
     ExperimentOutput {
-        id: "fig3",
         artefact: "Figure 3",
         title: "I/O performance variability across 44 identically specced nodes",
         body,

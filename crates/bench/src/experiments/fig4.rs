@@ -30,7 +30,7 @@ fn render(kind: WorkloadKind, body: &mut String) {
 }
 
 /// Renders Figure 4.
-pub fn run() -> ExperimentOutput {
+pub(crate) fn run() -> ExperimentOutput {
     let mut body = String::new();
     render(WorkloadKind::Aggregation, &mut body);
     render(WorkloadKind::Join, &mut body);
@@ -39,7 +39,6 @@ pub fn run() -> ExperimentOutput {
          throttling threads starves the CPU: the default is optimal.\n",
     );
     ExperimentOutput {
-        id: "fig4",
         artefact: "Figure 4",
         title: "Static solution on SQL applications (no benefit, L3)",
         body,

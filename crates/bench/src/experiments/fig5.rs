@@ -8,7 +8,7 @@ use crate::experiments::ExperimentOutput;
 use crate::{fixed_thread_run, TextTable, SWEEP_THREADS};
 
 /// The panels of Figure 5: `(workload, stage index)`.
-pub const PANELS: [(WorkloadKind, usize); 6] = [
+pub(crate) const PANELS: [(WorkloadKind, usize); 6] = [
     (WorkloadKind::Terasort, 0),
     (WorkloadKind::Terasort, 1),
     (WorkloadKind::Terasort, 2),
@@ -18,7 +18,7 @@ pub const PANELS: [(WorkloadKind, usize); 6] = [
 ];
 
 /// Average disk utilisation (%) of `stage` for each sweep thread count.
-pub fn utilisation_sweep(kind: WorkloadKind, stage: usize) -> Vec<(usize, f64)> {
+pub(crate) fn utilisation_sweep(kind: WorkloadKind, stage: usize) -> Vec<(usize, f64)> {
     let cfg = EngineConfig::four_node_hdd();
     let w = kind.build();
     SWEEP_THREADS
@@ -31,7 +31,7 @@ pub fn utilisation_sweep(kind: WorkloadKind, stage: usize) -> Vec<(usize, f64)> 
 }
 
 /// Renders Figure 5.
-pub fn run() -> ExperimentOutput {
+pub(crate) fn run() -> ExperimentOutput {
     let mut body = String::new();
     for (kind, stage) in PANELS {
         let sweep = utilisation_sweep(kind, stage);
@@ -52,7 +52,6 @@ pub fn run() -> ExperimentOutput {
         ));
     }
     ExperimentOutput {
-        id: "fig5",
         artefact: "Figure 5",
         title: "Average disk utilisation per thread count (I/O stages)",
         body,

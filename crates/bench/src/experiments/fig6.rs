@@ -9,7 +9,7 @@ use crate::{run_workload, TextTable};
 
 /// Runs Terasort adaptively on a cluster with realistic per-node disk
 /// variability (the effect Figure 3 measures) and returns the report.
-pub fn adaptive_terasort() -> JobReport {
+pub(crate) fn adaptive_terasort() -> JobReport {
     let cfg = EngineConfig::four_node_hdd()
         .with_variability(sae_storage::VariabilityConfig::das5())
         .with_seed(2); // includes one slow-disk node
@@ -18,7 +18,7 @@ pub fn adaptive_terasort() -> JobReport {
 }
 
 /// Renders Figure 6.
-pub fn run() -> ExperimentOutput {
+pub(crate) fn run() -> ExperimentOutput {
     let report = adaptive_terasort();
     let mut header = vec!["stage".to_owned()];
     for e in 0..report.nodes {
@@ -35,7 +35,6 @@ pub fn run() -> ExperimentOutput {
     let mut body = t.render();
     body.push_str("(cell: final thread count, followed by the decision trace)\n");
     ExperimentOutput {
-        id: "fig6",
         artefact: "Figure 6",
         title: "Thread counts selected by the dynamic solution per stage/executor",
         body,

@@ -10,7 +10,7 @@ use crate::{fixed_thread_run, TextTable};
 /// One whole-stage measurement at a fixed thread count (executor 0, as in
 /// the paper's "one of the executors").
 #[derive(Debug, Clone, Copy)]
-pub struct StagePoint {
+pub(crate) struct StagePoint {
     /// Threads per executor.
     pub threads: usize,
     /// Accumulated epoll wait `ε` in seconds.
@@ -22,7 +22,7 @@ pub struct StagePoint {
 }
 
 /// Sweeps the thread counts of Figure 7 for one Terasort stage.
-pub fn stage_sweep(stage: usize) -> Vec<StagePoint> {
+pub(crate) fn stage_sweep(stage: usize) -> Vec<StagePoint> {
     let cfg = EngineConfig::four_node_hdd();
     let w = WorkloadKind::Terasort.build();
     [2usize, 4, 8, 16, 32]
@@ -47,7 +47,7 @@ pub fn stage_sweep(stage: usize) -> Vec<StagePoint> {
 }
 
 /// The thread count minimising ζ in a sweep.
-pub fn selected(sweep: &[StagePoint]) -> usize {
+pub(crate) fn selected(sweep: &[StagePoint]) -> usize {
     sweep
         .iter()
         .min_by(|a, b| a.zeta.partial_cmp(&b.zeta).unwrap())
@@ -56,7 +56,7 @@ pub fn selected(sweep: &[StagePoint]) -> usize {
 }
 
 /// Renders Figure 7.
-pub fn run() -> ExperimentOutput {
+pub(crate) fn run() -> ExperimentOutput {
     let mut body = String::new();
     for stage in 0..3 {
         let sweep = stage_sweep(stage);
@@ -86,7 +86,6 @@ pub fn run() -> ExperimentOutput {
         ));
     }
     ExperimentOutput {
-        id: "fig7",
         artefact: "Figure 7",
         title: "ε, µ and ζ vs thread count (Terasort stages, one executor)",
         body,

@@ -8,7 +8,7 @@ use crate::experiments::ExperimentOutput;
 use crate::{run_policy, PolicyRun, TextTable};
 
 /// The four panels of Figure 8.
-pub const APPS: [WorkloadKind; 4] = [
+pub(crate) const APPS: [WorkloadKind; 4] = [
     WorkloadKind::Terasort,
     WorkloadKind::PageRank,
     WorkloadKind::Aggregation,
@@ -16,14 +16,14 @@ pub const APPS: [WorkloadKind; 4] = [
 ];
 
 /// Runs the three-policy comparison for one workload.
-pub fn compare(kind: WorkloadKind) -> Vec<PolicyRun> {
+pub(crate) fn compare(kind: WorkloadKind) -> Vec<PolicyRun> {
     let cfg = EngineConfig::four_node_hdd();
     let w = kind.build();
     run_policy(&cfg, &w)
 }
 
 /// Percentage runtime reduction of `candidate` vs `reference`.
-pub fn reduction(reference: f64, candidate: f64) -> f64 {
+pub(crate) fn reduction(reference: f64, candidate: f64) -> f64 {
     (1.0 - candidate / reference) * 100.0
 }
 
@@ -55,13 +55,12 @@ fn render(kind: WorkloadKind, body: &mut String) {
 }
 
 /// Renders Figure 8.
-pub fn run() -> ExperimentOutput {
+pub(crate) fn run() -> ExperimentOutput {
     let mut body = String::new();
     for kind in APPS {
         render(kind, &mut body);
     }
     ExperimentOutput {
-        id: "fig8",
         artefact: "Figure 8",
         title: "Default vs static BestFit vs dynamic (runtime and per-stage threads)",
         body,

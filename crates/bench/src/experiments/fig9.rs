@@ -8,7 +8,7 @@ use crate::experiments::ExperimentOutput;
 use crate::{run_policy, TextTable};
 
 /// Runtimes per policy for a cluster of `nodes` nodes.
-pub fn scaled_runtimes(nodes: usize) -> Vec<(String, f64)> {
+pub(crate) fn scaled_runtimes(nodes: usize) -> Vec<(String, f64)> {
     let cfg = EngineConfig::four_node_hdd().with_nodes(nodes);
     let w = WorkloadKind::Terasort.build_scaled(nodes as f64 / 4.0);
     run_policy(&cfg, &w)
@@ -18,7 +18,7 @@ pub fn scaled_runtimes(nodes: usize) -> Vec<(String, f64)> {
 }
 
 /// Renders Figure 9.
-pub fn run() -> ExperimentOutput {
+pub(crate) fn run() -> ExperimentOutput {
     let mut t = TextTable::new(vec!["nodes", "policy", "runtime (s)"]);
     for nodes in [4usize, 16] {
         for (policy, runtime) in scaled_runtimes(nodes) {
@@ -34,7 +34,6 @@ pub fn run() -> ExperimentOutput {
          the fluid model, is scale-invariant. See EXPERIMENTS.md.\n",
     );
     ExperimentOutput {
-        id: "fig9",
         artefact: "Figure 9",
         title: "Scalability: Terasort on 4 vs 16 nodes (input scaled 4x)",
         body,

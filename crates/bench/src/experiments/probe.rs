@@ -35,26 +35,3 @@ pub fn run(kind: WorkloadKind, scale: f64) -> String {
     }
     t.render()
 }
-
-/// Policy-comparison probe: default vs static-bestfit vs dynamic.
-pub fn run_policies(kind: WorkloadKind, scale: f64) -> String {
-    let cfg = EngineConfig::four_node_hdd();
-    let workload = kind.build_scaled(scale);
-    let runs = crate::run_policy(&cfg, &workload);
-    let stages = workload.job.stages.len();
-    let mut header = vec!["policy".to_owned(), "total(s)".to_owned()];
-    for s in 0..stages {
-        header.push(format!("s{s}(s)"));
-        header.push(format!("s{s} thr"));
-    }
-    let mut t = TextTable::new(header);
-    for r in &runs {
-        let mut row = vec![r.policy.clone(), format!("{:.1}", r.report.total_runtime)];
-        for st in &r.report.stages {
-            row.push(format!("{:.1}", st.duration));
-            row.push(format!("{}/{}", st.threads_used, r.report.total_cores));
-        }
-        t.row(row);
-    }
-    t.render()
-}

@@ -7,7 +7,7 @@ use crate::TextTable;
 
 /// Renders Table 1 from the Spark 2.4.2 reference catalog, plus this
 /// engine's own catalog for comparison.
-pub fn run() -> ExperimentOutput {
+pub(crate) fn run() -> ExperimentOutput {
     let mut body = String::new();
     for (label, catalog) in [
         (
@@ -26,7 +26,6 @@ pub fn run() -> ExperimentOutput {
         body.push('\n');
     }
     ExperimentOutput {
-        id: "table1",
         artefact: "Table 1",
         title: "Number of functional parameters by category",
         body,

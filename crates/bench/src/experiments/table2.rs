@@ -10,7 +10,7 @@ use crate::{run_workload, TextTable};
 
 /// Measured I/O activity for one workload, in GiB.
 #[derive(Debug, Clone, Copy)]
-pub struct IoActivity {
+pub(crate) struct IoActivity {
     /// Input size in GiB.
     pub input_gib: f64,
     /// Measured disk activity in GiB (reads + writes, incl. replication).
@@ -21,14 +21,14 @@ pub struct IoActivity {
 
 impl IoActivity {
     /// Measured amplification (+x %).
-    pub fn measured_diff_percent(&self) -> f64 {
+    pub(crate) fn measured_diff_percent(&self) -> f64 {
         (self.measured_gib / self.input_gib - 1.0) * 100.0
     }
 }
 
 /// Runs one workload under the default configuration and measures its
 /// total disk activity.
-pub fn measure(kind: WorkloadKind) -> IoActivity {
+pub(crate) fn measure(kind: WorkloadKind) -> IoActivity {
     let cfg = EngineConfig::four_node_hdd();
     let w = kind.build();
     let report = run_workload(&cfg, &w, ThreadPolicy::Default);
@@ -40,7 +40,7 @@ pub fn measure(kind: WorkloadKind) -> IoActivity {
 }
 
 /// Renders Table 2 with paper-vs-measured columns.
-pub fn run() -> ExperimentOutput {
+pub(crate) fn run() -> ExperimentOutput {
     let mut t = TextTable::new(vec![
         "Application",
         "Input Size",
@@ -61,7 +61,6 @@ pub fn run() -> ExperimentOutput {
         ]);
     }
     ExperimentOutput {
-        id: "table2",
         artefact: "Table 2",
         title: "I/O activity of applications relative to their input size",
         body: t.render(),

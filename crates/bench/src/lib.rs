@@ -1,8 +1,8 @@
 //! Experiment harness: regenerates every table and figure of the paper.
 //!
-//! Each experiment lives in [`experiments`] and is runnable through a
-//! dedicated binary (`cargo run -p sae-bench --release --bin exp_fig8`) or
-//! all at once (`--bin exp_all`). Binaries print the same rows/series the
+//! Each experiment lives in [`experiments`] and is runnable by id
+//! (`cargo run -p sae-bench --release --bin exp_all fig8`) or all at once
+//! (`--bin exp_all`). Binaries print the same rows/series the
 //! paper reports; `EXPERIMENTS.md` is generated from their output.
 //!
 //! The harness intentionally reports *shapes* (who wins, by what factor,
@@ -11,15 +11,15 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod experiments;
 pub mod parallel;
 mod runner;
 mod table;
 
-pub use parallel::{par_map_indexed, par_map_slice};
 pub use runner::{
-    derive_bestfit, fixed_thread_run, run_policy, run_workload, static_sweep, PolicyRun,
-    StaticSweepPoint, SWEEP_THREADS,
+    derive_bestfit, run_policy, run_workload, static_sweep, PolicyRun, StaticSweepPoint,
 };
-pub use table::TextTable;
+use runner::{fixed_thread_run, SWEEP_THREADS};
+use table::TextTable;

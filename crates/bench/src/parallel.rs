@@ -3,12 +3,12 @@
 //! Every simulation in this crate is a pure function of its inputs (seeds
 //! live inside `EngineConfig`/`Workload`), so independent runs can execute
 //! on any thread without changing their results. The only thing
-//! parallelism could perturb is *collection order* — so [`par_map_indexed`]
+//! parallelism could perturb is *collection order* — so `par_map_indexed`
 //! writes each result into a slot keyed by its input index and returns them
 //! in input order, making the output bit-identical to a serial loop
 //! regardless of worker count or scheduling.
 //!
-//! Worker count comes from [`worker_count`]: the `SAE_BENCH_THREADS`
+//! Worker count comes from `worker_count`: the `SAE_BENCH_THREADS`
 //! environment variable when set (a value of `1` forces the serial path),
 //! otherwise [`std::thread::available_parallelism`].
 
@@ -19,7 +19,7 @@ use std::sync::Mutex;
 ///
 /// Reads `SAE_BENCH_THREADS` on every call (cheap relative to a simulation
 /// run) so tests can flip between serial and parallel execution.
-pub fn worker_count() -> usize {
+pub(crate) fn worker_count() -> usize {
     if let Ok(v) = std::env::var("SAE_BENCH_THREADS") {
         if let Ok(n) = v.parse::<usize>() {
             return n.max(1);
@@ -38,7 +38,7 @@ pub fn worker_count() -> usize {
 /// the slot of its index, so the returned `Vec` is identical to
 /// `(0..n).map(f).collect()` bit for bit. A panicking task propagates out
 /// of the scope, same as in the serial loop.
-pub fn par_map_indexed<R, F>(n: usize, f: F) -> Vec<R>
+pub(crate) fn par_map_indexed<R, F>(n: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
@@ -72,7 +72,7 @@ where
 }
 
 /// Maps `f` over a slice in parallel, results in input order.
-pub fn par_map_slice<T, R, F>(items: &[T], f: F) -> Vec<R>
+pub(crate) fn par_map_slice<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,

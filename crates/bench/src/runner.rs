@@ -7,7 +7,7 @@ use sae_workloads::Workload;
 use crate::parallel::{par_map_indexed, par_map_slice};
 
 /// The thread counts the paper sweeps in Figures 2, 4, 5, 10.
-pub const SWEEP_THREADS: [usize; 5] = [32, 16, 8, 4, 2];
+pub(crate) const SWEEP_THREADS: [usize; 5] = [32, 16, 8, 4, 2];
 
 /// Runs `workload` under `policy` on `config` (with the workload's engine
 /// requirements applied) and returns the report.
@@ -62,7 +62,7 @@ pub struct StaticSweepPoint {
     pub report: JobReport,
 }
 
-/// Sweeps the static solution over [`SWEEP_THREADS`], plus the default.
+/// Sweeps the static solution over `SWEEP_THREADS`, plus the default.
 pub fn static_sweep(config: &EngineConfig, workload: &Workload) -> Vec<StaticSweepPoint> {
     par_map_slice(&SWEEP_THREADS, |&threads| {
         let policy = if threads == config.node_spec.cores {
@@ -79,7 +79,11 @@ pub fn static_sweep(config: &EngineConfig, workload: &Workload) -> Vec<StaticSwe
 
 /// Runs `workload` with *every* stage pinned to `threads` per executor
 /// (used for the whole-stage measurements behind Figures 5, 7 and 12).
-pub fn fixed_thread_run(config: &EngineConfig, workload: &Workload, threads: usize) -> JobReport {
+pub(crate) fn fixed_thread_run(
+    config: &EngineConfig,
+    workload: &Workload,
+    threads: usize,
+) -> JobReport {
     let table: BestFitTable = (0..workload.job.stages.len())
         .map(|s| (s, threads))
         .collect();

@@ -1,26 +1,15 @@
 //! Plain-text table rendering for experiment output.
 
 /// A simple left-aligned text table.
-///
-/// # Examples
-///
-/// ```
-/// use sae_bench::TextTable;
-///
-/// let mut t = TextTable::new(vec!["app", "runtime (s)"]);
-/// t.row(vec!["terasort".into(), "1234.5".into()]);
-/// let rendered = t.render();
-/// assert!(rendered.contains("terasort"));
-/// ```
 #[derive(Debug, Clone, Default)]
-pub struct TextTable {
+pub(crate) struct TextTable {
     header: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl TextTable {
     /// Creates a table with the given column headers.
-    pub fn new<S: Into<String>>(header: Vec<S>) -> Self {
+    pub(crate) fn new<S: Into<String>>(header: Vec<S>) -> Self {
         Self {
             header: header.into_iter().map(Into::into).collect(),
             rows: Vec::new(),
@@ -32,7 +21,7 @@ impl TextTable {
     /// # Panics
     ///
     /// Panics if the row width differs from the header width.
-    pub fn row(&mut self, cells: Vec<String>) {
+    pub(crate) fn row(&mut self, cells: Vec<String>) {
         assert_eq!(
             cells.len(),
             self.header.len(),
@@ -43,18 +32,8 @@ impl TextTable {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table with aligned columns.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let cols = self.header.len();
         let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
         for row in &self.rows {
@@ -101,9 +80,16 @@ mod tests {
     }
 
     #[test]
+    fn rendered_table_contains_its_rows() {
+        let mut t = TextTable::new(vec!["app", "runtime (s)"]);
+        t.row(vec!["terasort".into(), "1234.5".into()]);
+        let rendered = t.render();
+        assert!(rendered.contains("terasort"));
+    }
+
+    #[test]
     fn empty_table_renders_header_only() {
         let t = TextTable::new(vec!["only"]);
-        assert!(t.is_empty());
         assert_eq!(t.render().lines().count(), 2);
     }
 

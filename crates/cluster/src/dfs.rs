@@ -21,13 +21,6 @@ pub struct BlockInfo {
     pub replicas: Vec<usize>,
 }
 
-impl BlockInfo {
-    /// Whether `node` holds a replica of this block.
-    pub fn is_local(&self, node: usize) -> bool {
-        self.replicas.contains(&node)
-    }
-}
-
 /// Metadata of a DFS file.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FileInfo {
@@ -89,7 +82,7 @@ impl Dfs {
 
     /// Effective replication on a cluster of `nodes` nodes (capped, since a
     /// node stores at most one replica of a block).
-    pub fn effective_replication(&self, nodes: usize) -> usize {
+    pub(crate) fn effective_replication(&self, nodes: usize) -> usize {
         self.replication.min(nodes)
     }
 
@@ -149,11 +142,6 @@ impl Dfs {
         self.files.get(name)
     }
 
-    /// Removes a file, returning its metadata if it existed.
-    pub fn delete_file(&mut self, name: &str) -> Option<FileInfo> {
-        self.files.remove(name)
-    }
-
     /// Iterates over all files in name order.
     pub fn iter(&self) -> impl Iterator<Item = &FileInfo> {
         self.files.values()
@@ -205,7 +193,7 @@ mod tests {
         dfs.create_file("input", 2048.0, 4);
         for block in &dfs.file("input").unwrap().blocks {
             for node in 0..4 {
-                assert!(block.is_local(node));
+                assert!(block.replicas.contains(&node));
             }
         }
     }
@@ -232,15 +220,6 @@ mod tests {
             dfs.file("f").unwrap().clone()
         };
         assert_eq!(build(), build());
-    }
-
-    #[test]
-    fn delete_removes() {
-        let mut dfs = Dfs::new(64, 1, 0);
-        dfs.create_file("f", 64.0, 1);
-        assert!(dfs.delete_file("f").is_some());
-        assert!(dfs.file("f").is_none());
-        assert!(dfs.delete_file("f").is_none());
     }
 
     #[test]

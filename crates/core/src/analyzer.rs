@@ -37,7 +37,7 @@ pub enum CongestionSignal {
 
 impl CongestionSignal {
     /// Converts an interval report into a lower-is-better score.
-    pub fn score(self, report: &IntervalReport) -> f64 {
+    pub(crate) fn score(self, report: &IntervalReport) -> f64 {
         match self {
             CongestionSignal::ZetaIndex => report.zeta,
             CongestionSignal::DiskUtilization => 1.0 - report.disk_util,
@@ -124,19 +124,19 @@ impl HillClimbAnalyzer {
     }
 
     /// Sets the climb direction (default: ascend, the paper's choice).
-    pub fn with_direction(mut self, direction: ClimbDirection) -> Self {
+    pub(crate) fn with_direction(mut self, direction: ClimbDirection) -> Self {
         self.direction = direction;
         self
     }
 
     /// Sets the optimised signal (default: the congestion index ζ).
-    pub fn with_signal(mut self, signal: CongestionSignal) -> Self {
+    pub(crate) fn with_signal(mut self, signal: CongestionSignal) -> Self {
         self.signal = signal;
         self
     }
 
     /// The thread count exploration starts from under this direction.
-    pub fn start_point(&self) -> usize {
+    pub(crate) fn start_point(&self) -> usize {
         match self.direction {
             ClimbDirection::Ascend => self.c_min,
             ClimbDirection::Descend => self.c_max,
@@ -164,7 +164,7 @@ impl HillClimbAnalyzer {
     /// # Panics
     ///
     /// Panics if `tolerance` is negative or NaN.
-    pub fn with_tolerance(mut self, tolerance: f64) -> Self {
+    pub(crate) fn with_tolerance(mut self, tolerance: f64) -> Self {
         assert!(
             tolerance >= 0.0,
             "tolerance must be non-negative, got {tolerance}"

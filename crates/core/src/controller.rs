@@ -3,7 +3,6 @@
 use crate::analyzer::{Analysis, ClimbDirection, CongestionSignal, HillClimbAnalyzer};
 use crate::journal::{DecisionAction, DecisionJournal, DecisionRecord};
 use crate::monitor::{IntervalReport, Monitor, ProbeSnapshot};
-use crate::planner::Planner;
 
 /// Configuration of the adaptive controller.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,17 +71,17 @@ const NO_IO_THROUGHPUT: f64 = 5.0;
 /// A self-adaptive executor controller: Monitor → Analyze → Plan →
 /// (Execute) over a knowledge base of interval reports.
 ///
-/// The controller is deliberately passive about effecting changes: it
-/// returns the decided pool size from [`AdaptiveController::task_finished`]
-/// and the engine (or `sae-pool` wrapper) applies it via
-/// [`crate::apply_plan`] or directly. This keeps the control logic free of
-/// backend state and trivially testable — see the crate-level example.
+/// The controller is deliberately passive about effecting changes: its
+/// decision is the plan. [`AdaptiveController::task_finished`] returns the
+/// new pool size, and the effector — the simulated engine, the live
+/// executor or the `sae-pool` wrapper — resizes its pool and tells its
+/// scheduler. This keeps the control logic free of backend state and
+/// trivially testable — see the crate-level example.
 #[derive(Debug, Clone)]
 pub struct AdaptiveController {
     config: MapeConfig,
     monitor: Monitor,
     analyzer: HillClimbAnalyzer,
-    planner: Planner,
     /// Knowledge base: every completed interval of the current stage.
     history: Vec<IntervalReport>,
     current_threads: usize,
@@ -115,7 +114,6 @@ impl AdaptiveController {
                 .with_tolerance(config.rollback_tolerance)
                 .with_direction(config.direction)
                 .with_signal(config.signal),
-            planner: Planner::new(),
             history: Vec::new(),
             current_threads: config.c_max,
             adapting: false,
@@ -269,10 +267,16 @@ impl AdaptiveController {
         } else {
             self.analyzer.analyze(&report)
         };
-        let plan = self.planner.plan(analysis, self.current_threads);
-        let target = plan.target_size();
-        self.journal_interval(now, &report, low_io, prev, analysis, target, plan.terminal);
-        if plan.terminal {
+        // The decision is the plan: the pool size to move to (none when it
+        // would not change) and whether adaptation ends for this stage.
+        let (target, terminal) = match analysis {
+            Analysis::Ascend { next } => (Some(next), false),
+            Analysis::Rollback { to } => (Some(to), true),
+            Analysis::SettleAtMax => (None, true),
+        };
+        let target = target.filter(|&t| t != self.current_threads);
+        self.journal_interval(now, &report, low_io, prev, analysis, target, terminal);
+        if terminal {
             self.adapting = false;
             self.monitor.stop();
         } else {
@@ -492,6 +496,97 @@ mod tests {
             }
         }
         decisions
+    }
+
+    /// The decision is the plan: each analyzer verdict maps to one resize,
+    /// one journal record and one stop-or-continue. Intervals run one
+    /// completion per second; `(threads, wait, mb)` is the per-task epoll
+    /// wait and I/O of an interval of `threads` completions.
+    #[test]
+    fn each_verdict_resizes_journals_and_stops_as_planned() {
+        struct Case {
+            name: &'static str,
+            c_max: usize,
+            /// Pool size forced before the first interval closes.
+            pool: Option<usize>,
+            intervals: &'static [(usize, f64, f64)],
+            resize: Option<usize>,
+            action: DecisionAction,
+            pool_after: usize,
+            stops: bool,
+        }
+        let cases = [
+            Case {
+                name: "ascend",
+                c_max: 32,
+                pool: None,
+                intervals: &[(2, 1.0, 100.0)],
+                resize: Some(4),
+                action: DecisionAction::Ascend,
+                pool_after: 4,
+                stops: false,
+            },
+            Case {
+                // ζ quadruples at 4 threads: past the 50% tolerance.
+                name: "rollback",
+                c_max: 32,
+                pool: None,
+                intervals: &[(2, 1.0, 100.0), (4, 2.0, 100.0)],
+                resize: Some(2),
+                action: DecisionAction::RollBack,
+                pool_after: 2,
+                stops: true,
+            },
+            Case {
+                name: "settle at max",
+                c_max: 2,
+                pool: None,
+                intervals: &[(2, 1.0, 100.0)],
+                resize: None,
+                action: DecisionAction::Hold,
+                pool_after: 2,
+                stops: true,
+            },
+            Case {
+                // The monitor always measures at the current size, so no
+                // input reaches `next == current_threads`; force the pool.
+                name: "no-op ascend",
+                c_max: 32,
+                pool: Some(4),
+                intervals: &[(2, 1.0, 100.0)],
+                resize: None,
+                action: DecisionAction::Ascend,
+                pool_after: 4,
+                stops: false,
+            },
+        ];
+        for case in cases {
+            let mut ctl = AdaptiveController::new(MapeConfig::new(2, case.c_max));
+            ctl.stage_started(0.0, Some(300));
+            if let Some(pool) = case.pool {
+                ctl.current_threads = pool;
+            }
+            let (mut now, mut epoll, mut bytes) = (0.0, 0.0, 0.0);
+            let mut resize = None;
+            for &(threads, wait, mb) in case.intervals {
+                for _ in 0..threads {
+                    now += 1.0;
+                    epoll += wait;
+                    bytes += mb;
+                    resize = ctl.task_finished(now, epoll, bytes);
+                }
+            }
+            let name = case.name;
+            assert_eq!(resize, case.resize, "{name}: resize");
+            let records = ctl.journal().records();
+            assert_eq!(records.len(), case.intervals.len(), "{name}: records");
+            let last = records.last().unwrap();
+            assert_eq!(last.action, case.action, "{name}: action");
+            assert_eq!(last.pool_after, case.pool_after, "{name}: target");
+            assert_eq!(last.action.is_terminal(), case.stops, "{name}: terminal");
+            assert_eq!(ctl.settled(), case.stops, "{name}: stops adapting");
+            assert_eq!(ctl.current_threads(), case.pool_after, "{name}: pool");
+        }
     }
 
     #[test]

@@ -19,7 +19,8 @@ use std::sync::{Arc, Mutex};
 
 use sae_metrics::escape_json;
 
-/// What the Planner did with the interval's analysis.
+/// The controller's decision for one interval: the plan its effector
+/// (the simulated engine or the live executor) carries out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecisionAction {
     /// Keep climbing: the pool doubles (or jumps to `c_max` on low-I/O
@@ -104,7 +105,7 @@ pub struct DecisionRecord {
     pub pool_before: usize,
     /// Pool size after the decision took effect.
     pub pool_after: usize,
-    /// The planner's verdict.
+    /// The controller's verdict.
     pub action: DecisionAction,
     /// Human-readable explanation of the verdict.
     pub rationale: String,
@@ -125,7 +126,7 @@ fn fmt_f64(v: f64) -> String {
 
 impl DecisionRecord {
     /// Serializes the record as one JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         format!(
             concat!(
                 "{{\"stage\":{},\"executor\":{},\"interval\":{},\"at\":{},",
@@ -151,7 +152,7 @@ impl DecisionRecord {
     /// Parses a record from the JSON produced by
     /// [`DecisionRecord::to_json`] (a single flat object; key order does
     /// not matter).
-    pub fn from_json(line: &str) -> Result<Self, String> {
+    pub(crate) fn from_json(line: &str) -> Result<Self, String> {
         let mut p = JsonParser::new(line);
         p.expect('{')?;
         let mut stage = None;
@@ -220,7 +221,7 @@ impl DecisionRecord {
     }
 }
 
-/// Serializes records as JSONL: one [`DecisionRecord::to_json`] object per
+/// Serializes records as JSONL: one `DecisionRecord::to_json` object per
 /// line, each newline-terminated.
 pub fn to_jsonl(records: &[DecisionRecord]) -> String {
     let mut out = String::new();

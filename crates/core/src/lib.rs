@@ -18,10 +18,10 @@
 //!   - [`HillClimbAnalyzer`] minimises the congestion index `ζ = ε / µ`,
 //!     doubling the thread count from `c_min` until `ζ` worsens, then
 //!     rolling back,
-//!   - [`Planner`] turns decisions into an action sequence that keeps the
-//!     pool *and* the driver's scheduler view consistent,
-//!   - the effector ([`apply_plan`]) resizes any [`TunablePool`] and
-//!     notifies any [`SchedulerNotifier`].
+//!   - the controller's decision *is* the plan: a new pool size, or none,
+//!     and whether adaptation ends for the stage. The two effectors — the
+//!     simulated engine in `sae-dag` and the live executor in `sae-live` —
+//!     resize their pool and tell their scheduler themselves.
 //!
 //! [`ThreadPolicy`] packages default / static / best-fit / adaptive
 //! behaviour behind one type that the engine consumes.
@@ -57,13 +57,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod analyzer;
 mod congestion;
 mod controller;
 mod journal;
 mod monitor;
-mod planner;
 mod policy;
 mod traits;
 
@@ -74,6 +74,5 @@ pub use journal::{
     parse_jsonl, to_jsonl, zeta_explain, DecisionAction, DecisionJournal, DecisionRecord,
 };
 pub use monitor::{IntervalReport, Monitor, ProbeSnapshot};
-pub use planner::{apply_plan, Action, Plan, Planner};
 pub use policy::{BestFitTable, StageInfo, StageKind, StaticPolicy, ThreadPolicy};
-pub use traits::{NoScheduler, SchedulerNotifier, TunablePool};
+pub use traits::TunablePool;

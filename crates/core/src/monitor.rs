@@ -143,7 +143,7 @@ impl Monitor {
     }
 
     /// Whether an interval is currently being measured.
-    pub fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         self.current.is_some()
     }
 

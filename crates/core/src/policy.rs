@@ -141,11 +141,6 @@ impl ThreadPolicy {
         }
     }
 
-    /// Whether this policy adapts at runtime.
-    pub fn is_adaptive(&self) -> bool {
-        matches!(self, ThreadPolicy::Adaptive(_))
-    }
-
     /// A short stable name for reports ("default", "static", ...).
     pub fn name(&self) -> &'static str {
         match self {

@@ -1,4 +1,4 @@
-//! Backend-agnostic traits the controller acts through.
+//! The backend-agnostic pool trait the controller's decisions resize.
 
 /// A worker pool whose maximum size can be adjusted at runtime.
 ///
@@ -20,27 +20,6 @@ pub trait TunablePool {
     ///
     /// Implementations may panic if `size` is zero.
     fn set_max_pool_size(&mut self, size: usize);
-}
-
-/// The driver-side scheduler's view of an executor's capacity.
-///
-/// Changing a pool inside an executor is not enough: the Spark scheduler
-/// tracks each executor's free cores to decide how many tasks to assign
-/// (§5.3–5.4). The paper extends the messaging protocol so executors can
-/// notify the scheduler; this trait is that protocol's receiving end.
-pub trait SchedulerNotifier {
-    /// Informs the scheduler that `executor` now runs at most `new_size`
-    /// concurrent tasks.
-    fn pool_size_changed(&mut self, executor: usize, new_size: usize);
-}
-
-/// A no-op notifier for setups without a central scheduler (e.g. driving a
-/// bare thread pool).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoScheduler;
-
-impl SchedulerNotifier for NoScheduler {
-    fn pool_size_changed(&mut self, _executor: usize, _new_size: usize) {}
 }
 
 #[cfg(test)]
@@ -67,18 +46,9 @@ mod tests {
     }
 
     #[test]
-    fn no_scheduler_is_inert() {
-        let mut n = NoScheduler;
-        n.pool_size_changed(0, 4); // must not panic
-    }
-
-    #[test]
-    fn traits_are_object_safe() {
+    fn tunable_pool_is_object_safe() {
         let mut p = FakePool(1);
         let pool: &mut dyn TunablePool = &mut p;
         pool.set_max_pool_size(2);
-        let mut n = NoScheduler;
-        let notifier: &mut dyn SchedulerNotifier = &mut n;
-        notifier.pool_size_changed(1, 2);
     }
 }

@@ -118,20 +118,6 @@ pub fn get_usize(body: &[u8], at: usize) -> Result<usize, FrameError> {
     usize::try_from(v).map_err(|_| FrameError::FieldOverflow(v))
 }
 
-/// Appends `v` to `out` as the big-endian bit pattern of an `f64`.
-///
-/// Floats ride the wire as [`f64::to_bits`] so a value round-trips
-/// *exactly* — an incrementally streamed telemetry sample must compare
-/// bit-identical to the same sample replayed from a journal at shutdown.
-pub fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
-}
-
-/// Reads the `f64` whose bit pattern sits at byte offset `at` of `body`.
-pub fn get_f64(body: &[u8], at: usize) -> Result<f64, FrameError> {
-    Ok(f64::from_bits(get_u64(body, at)?))
-}
-
 /// The cross-process trace correlation key: everything needed to place an
 /// event from *any* process of a fleet onto one causally-ordered timeline.
 ///
@@ -436,16 +422,6 @@ mod tests {
         let mut buf = Vec::new();
         key.encode(&mut buf);
         assert!(TraceKey::decode(&buf[..buf.len() - 1], 0).is_err());
-    }
-
-    #[test]
-    fn f64_fields_round_trip_exactly() {
-        for v in [0.0, -0.0, 1.5, 1e-300, f64::INFINITY, 0.1 + 0.2] {
-            let mut buf = Vec::new();
-            put_f64(&mut buf, v);
-            let back = get_f64(&buf, 0).unwrap();
-            assert_eq!(back.to_bits(), v.to_bits());
-        }
     }
 
     #[test]

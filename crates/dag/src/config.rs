@@ -270,17 +270,6 @@ impl FaultPlan {
         self
     }
 
-    /// Adds a scheduled node slowdown.
-    pub fn with_slowdown(mut self, node: usize, at: f64, duration: f64, severity: f64) -> Self {
-        self.slowdowns.push(NodeSlowdown {
-            node,
-            at,
-            duration,
-            severity,
-        });
-        self
-    }
-
     /// Sets the heartbeat loss probability.
     pub fn with_heartbeat_loss(mut self, probability: f64) -> Self {
         self.heartbeat_loss_probability = probability;
@@ -294,7 +283,7 @@ impl FaultPlan {
     }
 
     /// Adds a wire fault with an explicit direction and kind.
-    pub fn with_wire_fault(
+    pub(crate) fn with_wire_fault(
         mut self,
         executor: usize,
         at: f64,
@@ -312,17 +301,6 @@ impl FaultPlan {
         self
     }
 
-    /// Adds a per-frame delay window on both directions of a link.
-    pub fn with_wire_delay(self, executor: usize, at: f64, duration: f64, seconds: f64) -> Self {
-        self.with_wire_fault(
-            executor,
-            at,
-            duration,
-            WireDirection::Both,
-            WireFaultKind::Delay { seconds },
-        )
-    }
-
     /// Adds a bandwidth throttle window on both directions of a link.
     pub fn with_throttle(
         self,
@@ -338,33 +316,6 @@ impl FaultPlan {
             WireDirection::Both,
             WireFaultKind::Throttle { bytes_per_sec },
         )
-    }
-
-    /// Adds a probabilistic frame-drop window on both directions.
-    pub fn with_wire_drop(self, executor: usize, at: f64, duration: f64, p: f64) -> Self {
-        self.with_wire_fault(
-            executor,
-            at,
-            duration,
-            WireDirection::Both,
-            WireFaultKind::Drop { probability: p },
-        )
-    }
-
-    /// Adds a probabilistic frame-duplication window on both directions.
-    pub fn with_wire_duplicate(self, executor: usize, at: f64, duration: f64, p: f64) -> Self {
-        self.with_wire_fault(
-            executor,
-            at,
-            duration,
-            WireDirection::Both,
-            WireFaultKind::Duplicate { probability: p },
-        )
-    }
-
-    /// Schedules a mid-frame connection reset shortly after `at`.
-    pub fn with_reset(self, executor: usize, at: f64) -> Self {
-        self.with_wire_fault(executor, at, 0.1, WireDirection::Both, WireFaultKind::Reset)
     }
 
     /// Adds a (possibly asymmetric) partition window.
@@ -679,7 +630,7 @@ impl EngineConfig {
     }
 
     /// Default thread-pool size per executor (one per virtual core).
-    pub fn default_threads(&self) -> usize {
+    pub(crate) fn default_threads(&self) -> usize {
         self.node_spec.cores
     }
 
@@ -717,7 +668,7 @@ pub enum ConfigCategory {
 
 impl ConfigCategory {
     /// Human-readable name as printed in Table 1.
-    pub fn display_name(self) -> &'static str {
+    pub(crate) fn display_name(self) -> &'static str {
         match self {
             ConfigCategory::Shuffle => "Shuffle",
             ConfigCategory::CompressionSerialization => "Compression and Serialization",
@@ -963,15 +914,24 @@ mod tests {
         EngineConfig::four_node_hdd().with_nodes(0).validate();
     }
 
+    fn slowdown(node: usize, at: f64, duration: f64, severity: f64) -> NodeSlowdown {
+        NodeSlowdown {
+            node,
+            at,
+            duration,
+            severity,
+        }
+    }
+
     #[test]
     fn fault_plan_builder_chains() {
-        let plan = FaultPlan::new(7)
+        let mut plan = FaultPlan::new(7)
             .with_crash(1, 60.0, 30.0)
             .with_crash(2, 90.0, 15.0)
             .with_task_failures(0.02)
-            .with_slowdown(0, 10.0, 20.0, 0.5)
             .with_heartbeat_loss(0.1)
             .with_message_delay(0.01);
+        plan.slowdowns.push(slowdown(0, 10.0, 20.0, 0.5));
         plan.validate(4);
         assert_eq!(plan.crashes.len(), 2);
         assert_eq!(plan.slowdowns.len(), 1);
@@ -981,12 +941,19 @@ mod tests {
 
     #[test]
     fn wire_and_disk_faults_chain_and_validate() {
+        use WireDirection::Both;
         let plan = FaultPlan::new(9)
             .with_throttle(0, 0.0, 30.0, 64.0 * 1024.0)
-            .with_wire_delay(1, 2.0, 3.0, 0.05)
-            .with_wire_drop(2, 1.0, 2.0, 0.25)
-            .with_wire_duplicate(2, 1.0, 2.0, 0.25)
-            .with_reset(3, 4.0)
+            .with_wire_fault(1, 2.0, 3.0, Both, WireFaultKind::Delay { seconds: 0.05 })
+            .with_wire_fault(2, 1.0, 2.0, Both, WireFaultKind::Drop { probability: 0.25 })
+            .with_wire_fault(
+                2,
+                1.0,
+                2.0,
+                Both,
+                WireFaultKind::Duplicate { probability: 0.25 },
+            )
+            .with_wire_fault(3, 4.0, 0.1, Both, WireFaultKind::Reset)
             .with_partition(1, 5.0, 1.5, WireDirection::ToDriver)
             .with_disk_fault(7, 0.5);
         plan.validate(4);
@@ -994,7 +961,7 @@ mod tests {
         assert_eq!(plan.disk.len(), 1);
         assert!(!plan.is_empty());
         // Wire-only and disk-only plans are non-empty too.
-        assert!(!FaultPlan::new(0).with_reset(0, 1.0).is_empty());
+        assert!(!FaultPlan::new(0).with_throttle(0, 1.0, 1.0, 1.0).is_empty());
         assert!(!FaultPlan::new(0).with_disk_fault(0, 1.0).is_empty());
     }
 
@@ -1027,8 +994,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "drop probability must be in")]
     fn certain_wire_drop_rejected() {
+        let drop_all = WireFaultKind::Drop { probability: 1.0 };
         FaultPlan::new(0)
-            .with_wire_drop(0, 0.0, 1.0, 1.0)
+            .with_wire_fault(0, 0.0, 1.0, WireDirection::Both, drop_all)
             .validate(4);
     }
 
@@ -1054,9 +1022,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "severity must be in")]
     fn excessive_slowdown_severity_rejected() {
-        FaultPlan::new(0)
-            .with_slowdown(0, 1.0, 1.0, 1.5)
-            .validate(4);
+        let mut plan = FaultPlan::new(0);
+        plan.slowdowns.push(slowdown(0, 1.0, 1.0, 1.5));
+        plan.validate(4);
     }
 
     #[test]

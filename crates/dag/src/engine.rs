@@ -2047,6 +2047,18 @@ mod tests {
         }
     }
 
+    /// A plan whose only fault is a full-severity slowdown of node 0.
+    fn slowdown_plan(seed: u64, at: f64, duration: f64) -> FaultPlan {
+        let mut plan = FaultPlan::new(seed);
+        plan.slowdowns.push(crate::config::NodeSlowdown {
+            node: 0,
+            at,
+            duration,
+            severity: 1.0,
+        });
+        plan
+    }
+
     #[test]
     fn slowdown_stretches_the_stage() {
         let job = JobSpec::builder("readonly")
@@ -2056,7 +2068,7 @@ mod tests {
             .run(&job)
             .total_runtime;
         let mut cfg = small_config();
-        cfg.fault_plan = Some(FaultPlan::new(4).with_slowdown(0, 5.0, 60.0, 1.0));
+        cfg.fault_plan = Some(slowdown_plan(4, 5.0, 60.0));
         let slowed = Engine::new(cfg, ThreadPolicy::Default)
             .try_run(&job)
             .expect("slowdown is not fatal")
@@ -2074,7 +2086,7 @@ mod tests {
             .build();
         let mut cfg = small_config();
         // A long severe slowdown turns node 0's tasks into stragglers.
-        cfg.fault_plan = Some(FaultPlan::new(6).with_slowdown(0, 2.0, 500.0, 1.0));
+        cfg.fault_plan = Some(slowdown_plan(6, 2.0, 500.0));
         cfg.fault_tolerance.speculation_multiplier = 1.2;
         cfg.fault_tolerance.speculation_quantile = 0.5;
         let (report, trace) = Engine::new(cfg, ThreadPolicy::Default)
@@ -2083,7 +2095,12 @@ mod tests {
         let launched: usize = report.stages.iter().map(|s| s.speculative_launched).sum();
         assert!(launched > 0, "stragglers must be speculated");
         let wins: usize = report.stages.iter().map(|s| s.speculative_wins).sum();
-        assert_eq!(wins, trace.speculative_wins());
+        let traced = trace
+            .events()
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::SpeculativeWon { .. }))
+            .count();
+        assert_eq!(wins, traced);
     }
 
     // ---- indexed scheduler ----------------------------------------------

@@ -7,7 +7,7 @@ use sae_core::{AdaptiveController, TunablePool};
 /// tests) can resize it through the same trait as the real pool in
 /// `sae-pool`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SlotPool {
+pub(crate) struct SlotPool {
     max_size: usize,
     running: usize,
 }
@@ -18,7 +18,7 @@ impl SlotPool {
     /// # Panics
     ///
     /// Panics if `max_size` is zero.
-    pub fn new(max_size: usize) -> Self {
+    pub(crate) fn new(max_size: usize) -> Self {
         assert!(max_size > 0, "pool size must be positive");
         Self {
             max_size,
@@ -26,19 +26,8 @@ impl SlotPool {
         }
     }
 
-    /// Number of tasks currently running.
-    pub fn running(&self) -> usize {
-        self.running
-    }
-
-    /// Free slots under the current maximum (0 when shrunk below the
-    /// running count — running tasks are never aborted).
-    pub fn free_slots(&self) -> usize {
-        self.max_size.saturating_sub(self.running)
-    }
-
     /// Reserves a slot for a task.
-    pub fn task_started(&mut self) {
+    pub(crate) fn task_started(&mut self) {
         self.running += 1;
     }
 
@@ -47,7 +36,7 @@ impl SlotPool {
     /// # Panics
     ///
     /// Panics if no task is running.
-    pub fn task_finished(&mut self) {
+    pub(crate) fn task_finished(&mut self) {
         assert!(self.running > 0, "no running task to finish");
         self.running -= 1;
     }
@@ -68,7 +57,7 @@ impl TunablePool for SlotPool {
 /// data the paper's monitor collects via `strace` (epoll wait) and the
 /// Spark metrics system (task throughput).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ExecutorStats {
+pub(crate) struct ExecutorStats {
     /// Seconds tasks spent blocked in I/O phases since stage start.
     pub epoll_wait: f64,
     /// MB of task I/O (reads + writes + shuffle transfers) since stage
@@ -90,7 +79,7 @@ pub(crate) struct ExecutorState {
 }
 
 impl ExecutorState {
-    pub fn new(initial_threads: usize, controller: Option<AdaptiveController>) -> Self {
+    pub(crate) fn new(initial_threads: usize, controller: Option<AdaptiveController>) -> Self {
         Self {
             pool: SlotPool::new(initial_threads),
             stats: ExecutorStats::default(),
@@ -99,7 +88,7 @@ impl ExecutorState {
     }
 
     /// Resets the per-stage counters at a stage boundary.
-    pub fn begin_stage(&mut self) {
+    pub(crate) fn begin_stage(&mut self) {
         self.stats = ExecutorStats::default();
     }
 }
@@ -107,43 +96,6 @@ impl ExecutorState {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn slot_accounting() {
-        let mut p = SlotPool::new(4);
-        assert_eq!(p.free_slots(), 4);
-        p.task_started();
-        p.task_started();
-        assert_eq!(p.running(), 2);
-        assert_eq!(p.free_slots(), 2);
-        p.task_finished();
-        assert_eq!(p.free_slots(), 3);
-    }
-
-    #[test]
-    fn shrink_below_running_gives_zero_free_slots() {
-        let mut p = SlotPool::new(8);
-        for _ in 0..6 {
-            p.task_started();
-        }
-        p.set_max_pool_size(2);
-        assert_eq!(p.free_slots(), 0);
-        assert_eq!(p.running(), 6); // running tasks keep running
-        for _ in 0..5 {
-            p.task_finished();
-        }
-        assert_eq!(p.free_slots(), 1);
-    }
-
-    #[test]
-    fn grow_opens_slots_immediately() {
-        let mut p = SlotPool::new(2);
-        p.task_started();
-        p.task_started();
-        assert_eq!(p.free_slots(), 0);
-        p.set_max_pool_size(4);
-        assert_eq!(p.free_slots(), 2);
-    }
 
     #[test]
     fn tunable_pool_trait_roundtrip() {

@@ -31,12 +31,12 @@ pub enum Operator {
 
 impl Operator {
     /// Whether this operator reads from storage.
-    pub fn reads_storage(self) -> bool {
+    pub(crate) fn reads_storage(self) -> bool {
         matches!(self, Operator::TextFile)
     }
 
     /// Whether this operator writes to storage.
-    pub fn writes_storage(self) -> bool {
+    pub(crate) fn writes_storage(self) -> bool {
         matches!(self, Operator::SaveAsTextFile | Operator::SaveAsHadoopFile)
     }
 
@@ -201,7 +201,7 @@ impl StageSpec {
     }
 
     /// Input MB processed by this stage (drives CPU cost).
-    pub fn processed_mb(&self) -> f64 {
+    pub(crate) fn processed_mb(&self) -> f64 {
         let input = self.read_mb + self.shuffle_in_mb;
         if input > 0.0 {
             input
@@ -262,7 +262,7 @@ impl JobSpec {
     }
 
     /// Total DFS input volume across stages, in MB.
-    pub fn total_input_mb(&self) -> f64 {
+    pub(crate) fn total_input_mb(&self) -> f64 {
         self.stages.iter().map(|s| s.read_mb).sum()
     }
 

@@ -36,6 +36,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod codec;
 mod config;
@@ -53,7 +54,6 @@ pub use config::{
     FaultToleranceConfig, NodeSlowdown, ParameterCatalog, WireDirection, WireFault, WireFaultKind,
 };
 pub use engine::{Engine, JobError};
-pub use executor::{ExecutorStats, SlotPool};
 pub use job::{JobSpec, JobSpecBuilder, Operator, StageSpec};
 pub use messages::Message;
 pub use report::{ExecutorStageReport, JobReport, StageReport};

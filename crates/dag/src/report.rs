@@ -109,7 +109,7 @@ pub struct StageReport {
 
 impl StageReport {
     /// Total disk I/O (reads + writes) in MB.
-    pub fn disk_io_mb(&self) -> f64 {
+    pub(crate) fn disk_io_mb(&self) -> f64 {
         self.disk_read_mb + self.disk_write_mb
     }
 }
@@ -152,17 +152,10 @@ impl JobReport {
         self.stages.iter().map(|s| s.failed_attempts).sum()
     }
 
-    /// I/O amplification: disk activity relative to input size.
-    ///
-    /// Returns `None` when the job read no input.
-    pub fn io_amplification(&self) -> Option<f64> {
-        (self.input_mb > 0.0).then(|| self.total_disk_io_mb() / self.input_mb)
-    }
-
     /// The job's full decision journal: every executor's records, in stage
     /// order and executor order within a stage. Empty unless the run used
     /// the adaptive policy.
-    pub fn decision_journal(&self) -> Vec<sae_core::DecisionRecord> {
+    pub(crate) fn decision_journal(&self) -> Vec<sae_core::DecisionRecord> {
         self.stages
             .iter()
             .flat_map(|s| s.executors.iter())
@@ -223,24 +216,8 @@ mod tests {
             blacklisted_executors: Vec::new(),
         };
         assert_eq!(report.total_disk_io_mb(), 30.0);
-        assert_eq!(report.io_amplification(), Some(3.0));
         assert_eq!(report.total_attempts(), 2);
         assert_eq!(report.total_failed_attempts(), 0);
-    }
-
-    #[test]
-    fn amplification_none_without_input() {
-        let report = JobReport {
-            job: "j".into(),
-            policy: "default".into(),
-            nodes: 1,
-            total_cores: 32,
-            total_runtime: 1.0,
-            input_mb: 0.0,
-            stages: Vec::new(),
-            blacklisted_executors: Vec::new(),
-        };
-        assert_eq!(report.io_amplification(), None);
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! the selection sequence is **exactly** the reference scan's (pinned by
 //! proptests in this module and `tests/sched_equivalence.rs`).
 //!
-//! [`RunningMedian`] supports the speculative-execution straggler
+//! `RunningMedian` supports the speculative-execution straggler
 //! threshold: the reference cloned and sorted the stage's completed-attempt
 //! durations on every metrics tick; the two-heap form pays O(log n) per
 //! completion and O(1) per query for the same (upper) median.
@@ -367,7 +367,7 @@ impl Ord for TotalF64 {
 /// sorted stream, exactly what the reference's clone-and-sort produced.
 /// Push is O(log n), query is O(1).
 #[derive(Debug, Clone, Default)]
-pub struct RunningMedian {
+pub(crate) struct RunningMedian {
     /// Max-heap: the smaller ⌊n/2⌋ values.
     lo: BinaryHeap<TotalF64>,
     /// Min-heap: the larger ⌈n/2⌉ values; its minimum is the median.
@@ -376,22 +376,12 @@ pub struct RunningMedian {
 
 impl RunningMedian {
     /// Creates an empty accumulator.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
-    /// Number of values pushed since the last clear.
-    pub fn len(&self) -> usize {
-        self.lo.len() + self.hi.len()
-    }
-
-    /// Whether no value has been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Removes every value (capacity is retained).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.lo.clear();
         self.hi.clear();
     }
@@ -401,7 +391,7 @@ impl RunningMedian {
     /// # Panics
     ///
     /// Panics (debug) on a non-finite value.
-    pub fn push(&mut self, value: f64) {
+    pub(crate) fn push(&mut self, value: f64) {
         debug_assert!(value.is_finite(), "median over non-finite value {value}");
         let v = TotalF64(value);
         match self.hi.peek() {
@@ -419,7 +409,7 @@ impl RunningMedian {
 
     /// The upper median (index `n / 2` of the sorted stream), or `None`
     /// when empty.
-    pub fn median(&self) -> Option<f64> {
+    pub(crate) fn median(&self) -> Option<f64> {
         self.hi.peek().map(|&Reverse(TotalF64(v))| v)
     }
 }
@@ -511,9 +501,7 @@ mod tests {
             sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
             assert_eq!(m.median(), Some(sorted[sorted.len() / 2]));
         }
-        assert_eq!(m.len(), 7);
         m.clear();
-        assert!(m.is_empty());
         assert_eq!(m.median(), None);
     }
 

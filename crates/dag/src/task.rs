@@ -53,7 +53,7 @@ pub(crate) struct Phase {
 
 impl Phase {
     /// Whether the thread is blocked on I/O (vs computing) in this phase.
-    pub fn is_io(&self) -> bool {
+    pub(crate) fn is_io(&self) -> bool {
         self.flows
             .iter()
             .any(|f| !matches!(f.accounting, Accounting::Cpu))
@@ -103,7 +103,7 @@ impl TaskPlan<'_> {
     ///
     /// Panics if `chunks` is zero or a fetch is requested with no sources.
     #[cfg(test)]
-    pub fn build_phases(&self) -> Vec<Phase> {
+    pub(crate) fn build_phases(&self) -> Vec<Phase> {
         self.build_phases_with(&mut Vec::new())
     }
 
@@ -121,7 +121,7 @@ impl TaskPlan<'_> {
     /// # Panics
     ///
     /// Panics if `chunks` is zero or a fetch is requested with no sources.
-    pub fn build_phases_with(&self, weights: &mut Vec<f64>) -> Vec<Phase> {
+    pub(crate) fn build_phases_with(&self, weights: &mut Vec<f64>) -> Vec<Phase> {
         assert!(self.chunks > 0, "chunks must be positive");
         let mut rng = sae_sim::rng::DeterministicRng::seed(self.seed);
         // Uneven chunk weights (record-size skew); byte totals are exact.
@@ -272,7 +272,12 @@ pub(crate) struct AttemptState {
 
 impl AttemptState {
     /// Creates a freshly assigned attempt.
-    pub fn new(executor: usize, phases: Vec<Phase>, started_at: f64, speculative: bool) -> Self {
+    pub(crate) fn new(
+        executor: usize,
+        phases: Vec<Phase>,
+        started_at: f64,
+        speculative: bool,
+    ) -> Self {
         Self {
             executor,
             phases,
@@ -318,7 +323,7 @@ pub(crate) struct TaskState {
 
 impl TaskState {
     /// Creates an unassigned task.
-    pub fn new(stage: usize, preferred_nodes: Arc<Vec<usize>>) -> Self {
+    pub(crate) fn new(stage: usize, preferred_nodes: Arc<Vec<usize>>) -> Self {
         Self {
             stage,
             preferred_nodes,
@@ -332,7 +337,7 @@ impl TaskState {
     }
 
     /// Indices of attempts that are still running.
-    pub fn live_attempts(&self) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn live_attempts(&self) -> impl Iterator<Item = usize> + '_ {
         self.attempts
             .iter()
             .enumerate()
@@ -341,7 +346,7 @@ impl TaskState {
     }
 
     /// Whether any attempt is currently running.
-    pub fn has_live_attempt(&self) -> bool {
+    pub(crate) fn has_live_attempt(&self) -> bool {
         self.attempts.iter().any(|a| a.live)
     }
 }

@@ -220,14 +220,6 @@ impl ExecutionTrace {
             .count()
     }
 
-    /// Number of speculative wins in the trace.
-    pub fn speculative_wins(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::SpeculativeWon { .. }))
-            .count()
-    }
-
     /// Executors the driver blacklisted, in order.
     pub fn blacklisted_executors(&self) -> Vec<usize> {
         self.events
@@ -493,7 +485,6 @@ mod tests {
         });
         assert_eq!(t.retried_tasks(), vec![3, 5]);
         assert_eq!(t.failed_attempts(), 1);
-        assert_eq!(t.speculative_wins(), 1);
         assert_eq!(t.blacklisted_executors(), vec![0]);
         // The failed attempt closes its duration slice in the export.
         let json = t.to_chrome_trace();

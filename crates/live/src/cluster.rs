@@ -18,7 +18,7 @@
 //! Give [`ClusterConfig::fault_plan`] a seeded [`FaultPlan`] and the
 //! cluster arms the full live fault model:
 //!
-//! * `plan.wire` interposes a [`Nemesis`] proxy between the executors and
+//! * `plan.wire` interposes a `Nemesis` proxy between the executors and
 //!   the driver, perturbing scheduled frames (delay, throttle, drop,
 //!   duplicate, mid-frame reset, partition);
 //! * `plan.crashes` drives a chaos-agent thread that flips executor kill
@@ -242,7 +242,7 @@ pub struct LiveCluster {
 
 impl LiveCluster {
     /// Binds a driver and launches `cfg.executors` executors against it
-    /// (through a [`Nemesis`] proxy when the fault plan has wire faults).
+    /// (through a `Nemesis` proxy when the fault plan has wire faults).
     pub fn launch(cfg: ClusterConfig) -> io::Result<Self> {
         let scratch = TempDir::new("sae-live")?;
         // One recorder, one registry, one clock for the whole cluster.
@@ -420,17 +420,6 @@ impl LiveCluster {
             }
         }
         result
-    }
-
-    /// Makes executor `id` go silent (see [`LiveExecutor::kill`]).
-    ///
-    /// In-thread mode only: a process-mode child is beyond the parent's
-    /// reach, so its chaos arrives through the fault plan's crash
-    /// schedule (`--crash-at-ms` arguments) instead.
-    pub fn kill_executor(&self, id: usize) {
-        if let Some(ex) = self.executors.get(id) {
-            ex.kill();
-        }
     }
 
     /// Writes the merged Chrome trace to [`ClusterConfig::trace_out`] (or

@@ -44,7 +44,7 @@ struct Entry {
 /// # Examples
 ///
 /// ```
-/// use sae_live::epochs::{Admission, EpochRegistry};
+/// use sae_live::{Admission, EpochRegistry};
 ///
 /// let mut reg = EpochRegistry::new(2);
 /// let first = reg.register(0, 7);

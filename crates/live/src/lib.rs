@@ -43,10 +43,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod cluster;
 pub mod driver;
-pub mod epochs;
+mod epochs;
 pub mod executor;
 mod fleet;
 pub mod job;
@@ -66,7 +67,6 @@ pub use driver::{
 pub use epochs::{Admission, EpochRegistry, Registration};
 pub use executor::{LiveExecutor, LiveExecutorConfig, RespawnConfig};
 pub use job::{terasort, LiveJob, LiveStageKind, LiveStageSpec};
-pub use log::{LogLevel, Logger};
-pub use nemesis::Nemesis;
+pub use log::LogLevel;
 pub use recorder::{chrome_trace, FlightRecorder, LiveEvent};
 pub use server::{JobServer, JobStatus, JobSummary, ServerConfig, ServerReport};

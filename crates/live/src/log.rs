@@ -48,7 +48,7 @@ impl LogLevel {
 }
 
 /// The process-wide level from `SAE_LOG`, read once.
-pub fn env_level() -> LogLevel {
+pub(crate) fn env_level() -> LogLevel {
     static LEVEL: OnceLock<LogLevel> = OnceLock::new();
     *LEVEL.get_or_init(|| {
         std::env::var("SAE_LOG")
@@ -60,7 +60,7 @@ pub fn env_level() -> LogLevel {
 /// A scoped logger: a level threshold, a component name, and the event
 /// bus it mirrors into.
 #[derive(Debug, Clone)]
-pub struct Logger {
+pub(crate) struct Logger {
     level: LogLevel,
     scope: String,
     recorder: FlightRecorder,
@@ -68,12 +68,16 @@ pub struct Logger {
 
 impl Logger {
     /// A logger at the `SAE_LOG` level, mirroring into `recorder`.
-    pub fn new(scope: impl Into<String>, recorder: FlightRecorder) -> Self {
+    pub(crate) fn new(scope: impl Into<String>, recorder: FlightRecorder) -> Self {
         Self::with_level(scope, recorder, env_level())
     }
 
     /// A logger with an explicit threshold (tests, mostly).
-    pub fn with_level(scope: impl Into<String>, recorder: FlightRecorder, level: LogLevel) -> Self {
+    pub(crate) fn with_level(
+        scope: impl Into<String>,
+        recorder: FlightRecorder,
+        level: LogLevel,
+    ) -> Self {
         Self {
             level,
             scope: scope.into(),
@@ -82,13 +86,13 @@ impl Logger {
     }
 
     /// Whether `level` would print to stderr.
-    pub fn prints(&self, level: LogLevel) -> bool {
+    pub(crate) fn prints(&self, level: LogLevel) -> bool {
         level != LogLevel::Off && level <= self.level
     }
 
     /// Logs lazily: `msg` runs only if the line goes to stderr or the
     /// flight recorder.
-    pub fn log(&self, level: LogLevel, msg: impl FnOnce() -> String) {
+    pub(crate) fn log(&self, level: LogLevel, msg: impl FnOnce() -> String) {
         let prints = self.prints(level);
         if !prints && !self.recorder.enabled() {
             return;
@@ -106,17 +110,17 @@ impl Logger {
     }
 
     /// Logs at [`LogLevel::Error`].
-    pub fn error(&self, msg: impl FnOnce() -> String) {
+    pub(crate) fn error(&self, msg: impl FnOnce() -> String) {
         self.log(LogLevel::Error, msg);
     }
 
     /// Logs at [`LogLevel::Info`].
-    pub fn info(&self, msg: impl FnOnce() -> String) {
+    pub(crate) fn info(&self, msg: impl FnOnce() -> String) {
         self.log(LogLevel::Info, msg);
     }
 
     /// Logs at [`LogLevel::Debug`].
-    pub fn debug(&self, msg: impl FnOnce() -> String) {
+    pub(crate) fn debug(&self, msg: impl FnOnce() -> String) {
         self.log(LogLevel::Debug, msg);
     }
 }

@@ -1,7 +1,7 @@
 //! The nemesis: a seeded, frame-aware wire-fault proxy.
 //!
 //! The nemesis sits between the executors and the driver as an in-process
-//! TCP proxy. Executors connect to [`Nemesis::addr`] instead of the
+//! TCP proxy. Executors connect to `Nemesis::addr` instead of the
 //! driver; each accepted connection is paired with a fresh upstream
 //! connection to the real driver, and two pump threads relay bytes in
 //! both directions. The pumps are *frame-aware*: they reassemble the
@@ -81,7 +81,7 @@ struct Shared {
 /// plan covers. Dropping (or [`Nemesis::shutdown`]) stops the accept loop;
 /// in-flight sessions drain on their own when either endpoint hangs up.
 #[derive(Debug)]
-pub struct Nemesis {
+pub(crate) struct Nemesis {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
@@ -89,7 +89,7 @@ pub struct Nemesis {
 
 impl Nemesis {
     /// Binds a loopback proxy in front of the driver at `upstream`.
-    pub fn launch(
+    pub(crate) fn launch(
         upstream: SocketAddr,
         plan: &FaultPlan,
         recorder: FlightRecorder,
@@ -140,12 +140,12 @@ impl Nemesis {
     }
 
     /// The address executors should connect to instead of the driver's.
-    pub fn addr(&self) -> SocketAddr {
+    pub(crate) fn addr(&self) -> SocketAddr {
         self.addr
     }
 
     /// Stops accepting new sessions and joins the accept loop.
-    pub fn shutdown(&mut self) {
+    pub(crate) fn shutdown(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(h) = self.accept.take() {
             let _ = h.join();

@@ -44,7 +44,7 @@ pub enum LiveEvent {
         /// Executor the frame concerns (the sender for executor→driver
         /// traffic, the destination for driver→executor traffic).
         executor: usize,
-        /// Frame kind (see [`crate::wire::Frame::kind_str`]).
+        /// Frame kind (see `crate::wire::Frame::kind_str`).
         kind: &'static str,
         /// Encoded size in bytes, length prefix included.
         bytes: usize,
@@ -55,7 +55,7 @@ pub enum LiveEvent {
     FrameReceived {
         /// Executor the frame concerns.
         executor: usize,
-        /// Frame kind (see [`crate::wire::Frame::kind_str`]).
+        /// Frame kind (see `crate::wire::Frame::kind_str`).
         kind: &'static str,
         /// Encoded size in bytes, length prefix included.
         bytes: usize,
@@ -106,7 +106,7 @@ pub enum LiveEvent {
     EpochFenced {
         /// The executor whose stale incarnation sent the frame.
         executor: usize,
-        /// Frame kind (see [`crate::wire::Frame::kind_str`]).
+        /// Frame kind (see `crate::wire::Frame::kind_str`).
         kind: &'static str,
         /// Seconds since the recorder epoch.
         at: f64,
@@ -128,7 +128,7 @@ pub enum LiveEvent {
         /// Seconds since the recorder epoch.
         at: f64,
     },
-    /// A log line emitted through [`crate::log::Logger`].
+    /// A log line emitted through `crate::log::Logger`.
     Log {
         /// Severity.
         level: LogLevel,
@@ -145,7 +145,7 @@ pub enum LiveEvent {
     /// events merge into one causally-ordered trace during the run.
     TaskSpan {
         /// The wire job id the task ran under (the single-job driver's
-        /// job is [`crate::task::SINGLE_JOB`]).
+        /// job is `crate::task::SINGLE_JOB`).
         job: u64,
         /// Stage index within the job.
         stage: usize,
@@ -339,7 +339,7 @@ impl FlightRecorder {
     /// Hand the same recorder (or at least the same epoch) to every
     /// component of a cluster: clock alignment of the merged trace is
     /// exactly "everyone measures seconds since this one instant".
-    pub fn with_epoch(capacity: usize, epoch: Instant) -> Self {
+    pub(crate) fn with_epoch(capacity: usize, epoch: Instant) -> Self {
         Self {
             inner: Arc::new(Inner {
                 slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
@@ -464,13 +464,13 @@ impl FlightRecorder {
 
     /// Cumulative events lost across all subscriber queues, including
     /// queues whose subscribers have since disconnected.
-    pub fn subscriber_dropped(&self) -> u64 {
+    pub(crate) fn subscriber_dropped(&self) -> u64 {
         self.inner.sub_dropped.load(Ordering::Relaxed)
     }
 
     /// Notes that one streamed ζ sample from `executor` was pushed onto
     /// this recorder, so the shutdown-time journal replay skips it.
-    pub fn note_zeta_streamed(&self, executor: usize) {
+    pub(crate) fn note_zeta_streamed(&self, executor: usize) {
         let mut counts = self.inner.zeta_streamed.lock();
         if counts.len() <= executor {
             counts.resize(executor + 1, 0);
@@ -480,7 +480,7 @@ impl FlightRecorder {
 
     /// How many of `executor`'s ζ decision records already reached this
     /// recorder via live `ZetaSample` frames.
-    pub fn zeta_streamed(&self, executor: usize) -> u64 {
+    pub(crate) fn zeta_streamed(&self, executor: usize) -> u64 {
         self.inner
             .zeta_streamed
             .lock()

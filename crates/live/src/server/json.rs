@@ -63,7 +63,7 @@ impl Value {
     }
 
     /// The array items, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Value]> {
+    pub(crate) fn as_arr(&self) -> Option<&[Value]> {
         match self {
             Value::Arr(v) => Some(v),
             _ => None,

@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 /// Pass advance for a weight-1 job per dispatched task. Large enough
 /// that integer division by any sane weight keeps fine-grained ratios:
 /// weights up to ~10⁴ stay exact to <0.01%.
-pub const STRIDE1: u64 = 1 << 20;
+pub(crate) const STRIDE1: u64 = 1 << 20;
 
 #[derive(Debug, Clone, Copy)]
 struct Entry {
@@ -100,7 +100,7 @@ impl FairShare {
     /// to inspect per-executor state between selection and dispatch use
     /// [`FairShare::peek`] then `charge` only once the dispatch actually
     /// happens, so a job the executor cannot serve is never billed.
-    pub fn charge(&mut self, job: u64) -> Option<Dispatch> {
+    pub(crate) fn charge(&mut self, job: u64) -> Option<Dispatch> {
         let e = self.entries.get_mut(&job)?;
         let dispatch = Dispatch {
             seq: self.dispatches,
@@ -112,7 +112,7 @@ impl FairShare {
         Some(dispatch)
     }
 
-    /// [`FairShare::peek`] + [`FairShare::charge`] in one step.
+    /// [`FairShare::peek`] + `FairShare::charge` in one step.
     pub fn pick(&mut self, runnable: impl FnMut(u64) -> bool) -> Option<Dispatch> {
         let job = self.peek(runnable)?;
         self.charge(job)

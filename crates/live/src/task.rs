@@ -22,7 +22,7 @@ use crate::job::LiveStageKind;
 
 /// Job id the single-job driver runs its job under, on the wire and in
 /// the spill dir: its artifacts live in the `j0-` namespace.
-pub const SINGLE_JOB: u64 = 0;
+pub(crate) const SINGLE_JOB: u64 = 0;
 
 /// Path of job `job` task `task`'s spill partition inside `dir`.
 ///

@@ -13,7 +13,7 @@
 //! job server: [`Frame::JobStageStart`] installs a stage,
 //! [`Frame::AssignJobTask`] assigns one of its tasks and
 //! [`Frame::JobTaskOutcome`] reports the attempt (the driver's job is
-//! [`crate::task::SINGLE_JOB`]). The driver alone follows each stage
+//! `crate::task::SINGLE_JOB`). The driver alone follows each stage
 //! announcement with [`Frame::StageStart`], which opens a MAPE-K episode.
 //! `Message::AssignTask` and `Message::TaskFailed` still decode, so
 //! decoding stays total, but only the simulator sends them.
@@ -94,7 +94,7 @@ pub enum Frame {
     /// (that is [`Frame::StageStart`]'s job, which only the driver sends).
     JobStageStart {
         /// Job id: server-assigned, or the driver's
-        /// [`crate::task::SINGLE_JOB`].
+        /// `crate::task::SINGLE_JOB`.
         job: u64,
         /// Stage index within the job.
         stage: usize,
@@ -174,7 +174,7 @@ pub enum Frame {
 impl Frame {
     /// A short static name for the frame kind, used as the label of
     /// wire-level flight-recorder events and metrics.
-    pub fn kind_str(&self) -> &'static str {
+    pub(crate) fn kind_str(&self) -> &'static str {
         match self {
             Frame::Core(Message::AssignTask { .. }) => "assign-task",
             Frame::Core(Message::PoolSizeChanged { .. }) => "pool-size-changed",
@@ -500,7 +500,7 @@ impl FrameCursor {
 
     /// Wire size (length prefix included) of the frame the most recent
     /// [`FrameCursor::next`] returned; 0 before any frame.
-    pub fn last_frame_len(&self) -> usize {
+    pub(crate) fn last_frame_len(&self) -> usize {
         self.last_len
     }
 
@@ -552,7 +552,7 @@ impl FrameReader {
 
     /// Wire size (length prefix included) of the frame the most recent
     /// [`FrameReader::next_frame`] returned; 0 before any frame.
-    pub fn last_frame_len(&self) -> usize {
+    pub(crate) fn last_frame_len(&self) -> usize {
         self.cursor.last_frame_len()
     }
 

@@ -46,7 +46,7 @@ const GROWTH: f64 = 1.15;
 
 impl Histogram {
     /// Smallest distinguishable value; everything below lands in bucket 0.
-    pub const MIN_TRACKED: f64 = 1e-6;
+    pub(crate) const MIN_TRACKED: f64 = 1e-6;
 
     /// Creates an empty histogram.
     pub fn new() -> Self {

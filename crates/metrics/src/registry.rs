@@ -90,7 +90,7 @@ impl MetricRegistry {
     /// Full snapshots of every histogram, in name order. The coarse
     /// [`MetricRegistry::snapshot`] keeps only observation counts; the
     /// Prometheus renderer wants the sums too.
-    pub fn histogram_snapshots(&self) -> Vec<(String, HistogramSnapshot)> {
+    pub(crate) fn histogram_snapshots(&self) -> Vec<(String, HistogramSnapshot)> {
         let inner = self.inner.lock().expect("metric registry poisoned");
         inner
             .histograms

@@ -38,8 +38,6 @@ pub struct StageSummary {
     pub bytes_read: u64,
     /// Total bytes written to storage during the stage.
     pub bytes_written: u64,
-    /// Total bytes moved over the network (shuffle) during the stage.
-    pub bytes_shuffled: u64,
 }
 
 impl StageSummary {
@@ -73,7 +71,6 @@ pub struct StageSummaryBuilder {
     sum_disk: f64,
     bytes_read: u64,
     bytes_written: u64,
-    bytes_shuffled: u64,
 }
 
 impl StageSummaryBuilder {
@@ -103,11 +100,6 @@ impl StageSummaryBuilder {
         self.bytes_written += bytes;
     }
 
-    /// Accumulates shuffled (network) bytes.
-    pub fn add_shuffled_bytes(&mut self, bytes: u64) {
-        self.bytes_shuffled += bytes;
-    }
-
     /// Finalises the summary with the stage's wall-clock `duration`.
     ///
     /// With zero samples the utilisation averages are reported as `0.0`.
@@ -133,7 +125,6 @@ impl StageSummaryBuilder {
             },
             bytes_read: self.bytes_read,
             bytes_written: self.bytes_written,
-            bytes_shuffled: self.bytes_shuffled,
         }
     }
 }
@@ -186,11 +177,9 @@ mod tests {
         b.add_read_bytes(10);
         b.add_read_bytes(20);
         b.add_written_bytes(5);
-        b.add_shuffled_bytes(7);
         let s = b.finish(1.0);
         assert_eq!(s.bytes_read, 30);
         assert_eq!(s.bytes_written, 5);
-        assert_eq!(s.bytes_shuffled, 7);
         assert_eq!(s.io_bytes(), 35);
     }
 

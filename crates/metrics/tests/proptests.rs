@@ -1,7 +1,7 @@
 //! Property-based tests for the metric primitives.
 
 use proptest::prelude::*;
-use sae_metrics::{Ewma, Histogram, TimeSeries};
+use sae_metrics::Histogram;
 
 proptest! {
     /// Histogram min/max/mean are consistent with the recorded values and
@@ -43,38 +43,5 @@ proptest! {
             (est - exact).abs() / exact < 0.30,
             "p50 estimate {est} vs exact {exact}"
         );
-    }
-
-    /// Step integration over the full span equals the sum of value×width
-    /// segments (non-negative values → non-negative integral).
-    #[test]
-    fn timeseries_integral_matches_manual(
-        values in prop::collection::vec(0.0f64..100.0, 1..50),
-    ) {
-        let mut ts = TimeSeries::new();
-        for (i, &v) in values.iter().enumerate() {
-            ts.push(i as f64, v);
-        }
-        let end = values.len() as f64;
-        let manual: f64 = values.iter().sum(); // unit-width steps
-        let integral = ts.integrate(0.0, end);
-        prop_assert!((integral - manual).abs() < 1e-6 * manual.max(1.0));
-        prop_assert!(integral >= 0.0);
-    }
-
-    /// EWMA output is always within the range of its inputs.
-    #[test]
-    fn ewma_stays_in_input_hull(
-        alpha in 0.01f64..1.0,
-        values in prop::collection::vec(-1e3f64..1e3, 1..100),
-    ) {
-        let mut e = Ewma::new(alpha);
-        let min = values.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        for &v in &values {
-            e.observe(v);
-            let current = e.value().unwrap();
-            prop_assert!(current >= min - 1e-9 && current <= max + 1e-9);
-        }
     }
 }

@@ -306,7 +306,7 @@ fn parse_request_line(line: &str) -> Result<(Method, String), HttpError> {
 }
 
 /// The standard reason phrase for the status codes the server emits.
-pub fn status_reason(status: u16) -> &'static str {
+pub(crate) fn status_reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
         201 => "Created",

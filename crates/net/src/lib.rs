@@ -29,6 +29,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod http;
 pub mod sse;
@@ -73,19 +74,8 @@ impl FabricConfig {
         }
     }
 
-    /// A slower 10 GbE fabric (~1100 MB/s line rate, ~950 usable).
-    pub fn ten_gbe() -> Self {
-        Self {
-            ingress_bandwidth: 950.0,
-            per_stream_cap: 500.0,
-            incast_free_streams: 48.0,
-            incast_alpha: 0.02,
-            incast_beta: 2.0,
-        }
-    }
-
     /// Effective ingress goodput with `n` concurrent streams, MB/s.
-    pub fn goodput(&self, n: usize) -> f64 {
+    pub(crate) fn goodput(&self, n: usize) -> f64 {
         if n == 0 {
             return 0.0;
         }

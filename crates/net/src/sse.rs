@@ -49,13 +49,10 @@ use crate::http::{status_reason, HttpError};
 /// Upper bound on a single chunk's declared size. Far above anything the
 /// server emits (SSE frames are small JSON objects); a larger declaration
 /// is a corrupt or hostile size line and is rejected before allocation.
-pub const MAX_CHUNK_LEN: usize = 4 * 1024 * 1024;
+pub(crate) const MAX_CHUNK_LEN: usize = 4 * 1024 * 1024;
 
 /// Upper bound on one SSE frame's accumulated size in [`SseParser`].
-pub const MAX_SSE_FRAME: usize = 1024 * 1024;
-
-/// The `Content-Type` of an SSE stream.
-pub const SSE_CONTENT_TYPE: &str = "text/event-stream";
+pub(crate) const MAX_SSE_FRAME: usize = 1024 * 1024;
 
 /// Encoder for one streaming (chunked) HTTP/1.1 response.
 ///

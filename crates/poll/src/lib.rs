@@ -21,6 +21,7 @@
 //! shim itself cannot be.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use std::io;
 use std::time::Duration;

@@ -12,7 +12,7 @@ use crate::dynamic::DynamicThreadPool;
 ///
 /// In production this reads `/proc/<pid>/io` and aggregates socket wait
 /// times; tests and examples supply synthetic probes.
-pub type IoProbe = Arc<dyn Fn() -> (f64, f64) + Send + Sync>;
+pub(crate) type IoProbe = Arc<dyn Fn() -> (f64, f64) + Send + Sync>;
 
 /// A [`DynamicThreadPool`] managed by the paper's MAPE-K controller.
 ///

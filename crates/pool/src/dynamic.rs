@@ -108,7 +108,7 @@ impl DynamicThreadPool {
     /// # Panics
     ///
     /// Panics if `max_size` is zero.
-    pub fn with_registry(max_size: usize, registry: &MetricRegistry) -> Self {
+    pub(crate) fn with_registry(max_size: usize, registry: &MetricRegistry) -> Self {
         assert!(max_size > 0, "pool size must be positive");
         let (queue_tx, queue_rx) = unbounded::<Job>();
         let shared = Arc::new(Shared {

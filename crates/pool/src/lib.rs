@@ -35,12 +35,13 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod adaptive;
 mod dynamic;
 pub mod probe;
 pub mod procfs;
 
-pub use adaptive::{AdaptivePool, IoProbe};
+pub use adaptive::AdaptivePool;
 pub use dynamic::{DynamicThreadPool, PoolMetrics};
 pub use probe::{combined_probe, CounterProbe};

@@ -1,7 +1,7 @@
 //! Shared I/O probe helpers: one code path for examples, tests, and the
 //! live runtime.
 //!
-//! An [`IoProbe`] hands the MAPE-K monitor cumulative
+//! An `IoProbe` hands the MAPE-K monitor cumulative
 //! `(epoll_wait_seconds, io_megabytes)` counters. Two sources exist in
 //! practice:
 //!
@@ -24,7 +24,7 @@ use crate::adaptive::IoProbe;
 /// themselves.
 ///
 /// Cloning shares the counters; [`CounterProbe::as_probe`] adapts the
-/// counters to the [`IoProbe`] shape the
+/// counters to the `IoProbe` shape the
 /// [`AdaptivePool`](crate::AdaptivePool) consumes.
 ///
 /// # Examples

@@ -13,7 +13,7 @@ use crate::adaptive::IoProbe;
 
 /// Parsed counters from `/proc/<pid>/io`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProcIo {
+pub(crate) struct ProcIo {
     /// Bytes fetched from the storage layer.
     pub read_bytes: u64,
     /// Bytes sent to the storage layer.
@@ -32,7 +32,7 @@ impl ProcIo {
     /// ```
     ///
     /// Unknown lines are ignored; missing fields default to zero.
-    pub fn parse(content: &str) -> Self {
+    pub(crate) fn parse(content: &str) -> Self {
         let mut io = Self::default();
         for line in content.lines() {
             let mut parts = line.split(':');
@@ -52,23 +52,8 @@ impl ProcIo {
     }
 
     /// Total block-device traffic in MB.
-    pub fn total_mb(&self) -> f64 {
+    pub(crate) fn total_mb(&self) -> f64 {
         (self.read_bytes + self.write_bytes) as f64 / (1024.0 * 1024.0)
-    }
-
-    /// The traffic accumulated since `earlier`, clamped at zero.
-    ///
-    /// Kernel counters can be observed going backwards — `/proc/<pid>/io`
-    /// subtracts `cancelled_write_bytes` on truncation, and a probe may be
-    /// rebased across a process restart. A negative delta must not reach
-    /// the controller: negative µ would flip the sign of the congestion
-    /// index ζ and corrupt the hill climb, so each field saturates at zero
-    /// independently.
-    pub fn saturating_delta(&self, earlier: &ProcIo) -> ProcIo {
-        ProcIo {
-            read_bytes: self.read_bytes.saturating_sub(earlier.read_bytes),
-            write_bytes: self.write_bytes.saturating_sub(earlier.write_bytes),
-        }
     }
 }
 
@@ -76,7 +61,7 @@ impl ProcIo {
 /// converts it to seconds, given the kernel tick rate.
 ///
 /// Returns `None` if the field is missing or malformed.
-pub fn parse_blkio_delay_seconds(stat_line: &str, ticks_per_second: f64) -> Option<f64> {
+pub(crate) fn parse_blkio_delay_seconds(stat_line: &str, ticks_per_second: f64) -> Option<f64> {
     // The comm field (2) may contain spaces; skip past the closing paren.
     let after_comm = stat_line.rfind(')')?;
     let rest = &stat_line[after_comm + 1..];
@@ -90,7 +75,7 @@ pub fn parse_blkio_delay_seconds(stat_line: &str, ticks_per_second: f64) -> Opti
 /// On non-Linux platforms (or when `/proc` is unavailable) the probe
 /// returns zeros, which makes the controller treat the workload as
 /// CPU-bound — a safe default.
-pub fn proc_self_probe() -> IoProbe {
+pub(crate) fn proc_self_probe() -> IoProbe {
     Arc::new(|| {
         let io = std::fs::read_to_string("/proc/self/io")
             .map(|s| ProcIo::parse(&s))
@@ -235,26 +220,6 @@ mod tests {
         let io = ProcIo::parse("write_bytes: 4096\n");
         assert_eq!(io.read_bytes, 0);
         assert_eq!(io.write_bytes, 4096);
-    }
-
-    #[test]
-    fn wraparound_delta_is_clamped() {
-        // Counters observed going backwards (cancelled writes, rebased
-        // process) must produce a zero delta, not an underflowed huge one.
-        let earlier = ProcIo {
-            read_bytes: 1000,
-            write_bytes: 5000,
-        };
-        let later = ProcIo {
-            read_bytes: 1500,
-            write_bytes: 4000, // went backwards
-        };
-        let delta = later.saturating_delta(&earlier);
-        assert_eq!(delta.read_bytes, 500);
-        assert_eq!(delta.write_bytes, 0);
-        // Full wraparound in both fields.
-        let zero = ProcIo::default().saturating_delta(&later);
-        assert_eq!(zero, ProcIo::default());
     }
 
     #[test]

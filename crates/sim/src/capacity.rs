@@ -5,7 +5,7 @@
 /// Classes let a capacity curve react to the *mix* of traffic (e.g. a disk
 /// that slows down when reads and writes interleave). The storage layer uses
 /// class 0 for reads, 1 for writes, 2 for shuffle-serving reads.
-pub const MAX_FLOW_CLASSES: usize = 4;
+pub(crate) const MAX_FLOW_CLASSES: usize = 4;
 
 /// The number of active flows on a resource, broken down by class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -33,11 +33,6 @@ impl ClassCounts {
         self.counts[class as usize]
     }
 
-    /// Number of classes with at least one active flow.
-    pub fn distinct_classes(&self) -> usize {
-        self.counts.iter().filter(|&&c| c > 0).count()
-    }
-
     pub(crate) fn add(&mut self, class: u8) {
         self.counts[class as usize] += 1;
     }
@@ -59,12 +54,18 @@ impl ClassCounts {
 /// # Examples
 ///
 /// ```
-/// use sae_sim::{CapacityCurve, ClassCounts};
+/// use sae_sim::{CapacityCurve, Kernel, Occurrence};
 ///
 /// // A 16-core CPU: aggregate capacity 16 core-seconds/s, but one flow
 /// // (thread) can never use more than 1 core.
-/// let cpu = CapacityCurve::constant(16.0).with_per_flow_cap(1.0);
-/// assert_eq!(cpu.per_flow_cap(), 1.0);
+/// let mut kernel = Kernel::new();
+/// let cpu = kernel.add_resource(CapacityCurve::constant(16.0).with_per_flow_cap(1.0));
+/// kernel.start_flow(cpu, 0, 2.0, "task");
+/// // Alone on 16 cores, 2 core-seconds of work still take 2 s.
+/// match kernel.next() {
+///     Some(Occurrence::FlowCompleted { at, .. }) => assert_eq!(at.seconds(), 2.0),
+///     other => panic!("expected a completion, got {other:?}"),
+/// }
 /// ```
 #[derive(Clone)]
 pub struct CapacityCurve {
@@ -174,17 +175,12 @@ impl CapacityCurve {
     }
 
     /// Per-flow service rate for the given class mix (equal sharing, capped).
-    pub fn per_flow_rate(&self, counts: &ClassCounts) -> f64 {
+    pub(crate) fn per_flow_rate(&self, counts: &ClassCounts) -> f64 {
         let n = counts.total();
         if n == 0 {
             return 0.0;
         }
         (self.aggregate(counts) / n as f64).min(self.per_flow_cap)
-    }
-
-    /// The per-flow cap (`f64::INFINITY` when unlimited).
-    pub fn per_flow_cap(&self) -> f64 {
-        self.per_flow_cap
     }
 }
 
@@ -249,7 +245,6 @@ mod tests {
         assert_eq!(c.total(), 3);
         assert_eq!(c.of(0), 2);
         assert_eq!(c.of(2), 1);
-        assert_eq!(c.distinct_classes(), 2);
         c.remove(0);
         assert_eq!(c.of(0), 1);
     }

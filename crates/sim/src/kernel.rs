@@ -198,32 +198,9 @@ impl<P> Kernel<P> {
         removed.map(|f| f.payload)
     }
 
-    /// Remaining work of a flow, or `None` if it is no longer active.
-    pub fn flow_remaining(&mut self, resource: ResourceId, flow: FlowId) -> Option<f64> {
-        let now = self.now.seconds();
-        self.resources[resource.0].advance(now);
-        self.resources[resource.0].flow_remaining(flow.0)
-    }
-
     /// Number of active flows on `resource`.
     pub fn active_flows(&self, resource: ResourceId) -> usize {
         self.resources[resource.0].active_flows()
-    }
-
-    /// Current per-flow service rate on `resource` (0.0 when idle).
-    pub fn per_flow_rate(&self, resource: ResourceId) -> f64 {
-        self.resources[resource.0].per_flow_rate()
-    }
-
-    /// Current class mix of active flows on `resource`.
-    pub fn class_counts(&self, resource: ResourceId) -> crate::ClassCounts {
-        self.resources[resource.0].class_counts()
-    }
-
-    /// Current aggregate service rate on `resource` (0.0 when idle).
-    pub fn aggregate_rate(&self, resource: ResourceId) -> f64 {
-        let res = &self.resources[resource.0];
-        res.per_flow_rate() * res.active_flows() as f64
     }
 
     /// Cumulative usage accounting for `resource`, up to the current time.

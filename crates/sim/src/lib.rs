@@ -65,6 +65,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod capacity;
 mod kernel;
@@ -76,6 +77,6 @@ pub(crate) mod resource;
 #[cfg(any(test, feature = "reference-impl"))]
 pub mod reference;
 
-pub use capacity::{CapacityCurve, ClassCounts, MAX_FLOW_CLASSES};
+pub use capacity::{CapacityCurve, ClassCounts};
 pub use kernel::{FlowId, Kernel, Occurrence, ResourceId, ResourceUsage, TimerId};
 pub use time::SimTime;

@@ -137,10 +137,6 @@ impl<P> Resource<P> {
             .collect()
     }
 
-    fn flow_remaining(&self, id: u64) -> Option<f64> {
-        self.flows.get(&id).map(|f| f.remaining)
-    }
-
     fn is_empty(&self) -> bool {
         self.flows.is_empty()
     }
@@ -300,13 +296,6 @@ impl<P> ReferenceKernel<P> {
         let removed = self.resources[rid].remove(flow.0);
         self.push_completion(rid);
         removed.map(|f| f.payload)
-    }
-
-    /// Remaining work of a flow, or `None` if it is no longer active.
-    pub fn flow_remaining(&mut self, resource: RefResourceId, flow: RefFlowId) -> Option<f64> {
-        let now = self.now.seconds();
-        self.resources[resource.0].advance(now);
-        self.resources[resource.0].flow_remaining(flow.0)
     }
 
     /// Cumulative usage accounting for `resource`, up to the current time.
@@ -576,21 +565,6 @@ mod equivalence {
                     let nc = new_k.cancel_flow(new_res[r], nf);
                     let oc = old_k.cancel_flow(old_res[r], of);
                     prop_assert_eq!(nc, oc, "cancel of {} diverged", p);
-                    // Remaining-work queries must agree too.
-                    for &(q, qr, qnf, qof) in &live {
-                        let nr = new_k.flow_remaining(new_res[qr], qnf);
-                        let or = old_k.flow_remaining(old_res[qr], qof);
-                        match (nr, or) {
-                            (Some(a), Some(b)) => prop_assert!(
-                                rel_close(a, b),
-                                "remaining of {} diverged: {} vs {}",
-                                q,
-                                a,
-                                b
-                            ),
-                            (a, b) => prop_assert_eq!(a.is_some(), b.is_some()),
-                        }
-                    }
                 }
                 Some(Op::Timer { dt }) => {
                     let at = new_k.now() + crate::SimTime::from_seconds(dt);

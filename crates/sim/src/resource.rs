@@ -78,7 +78,7 @@ pub(crate) struct Resource<P> {
 }
 
 impl<P> Resource<P> {
-    pub fn new(curve: CapacityCurve) -> Self {
+    pub(crate) fn new(curve: CapacityCurve) -> Self {
         Self {
             curve,
             flows: HashMap::new(),
@@ -94,7 +94,7 @@ impl<P> Resource<P> {
 
     /// Integrates flow progress up to time `now` — O(1): only the
     /// cumulative-service counter and the usage integrals move.
-    pub fn advance(&mut self, now: f64) {
+    pub(crate) fn advance(&mut self, now: f64) {
         let dt = now - self.last_update;
         debug_assert!(dt >= -1e-9, "time went backwards: {dt}");
         if dt > 0.0 {
@@ -123,7 +123,7 @@ impl<P> Resource<P> {
 
     /// Recomputes the shared rate after a population change and returns the
     /// absolute time of the next completion (if any flow is active).
-    pub fn recompute(&mut self, now: f64) -> Option<f64> {
+    pub(crate) fn recompute(&mut self, now: f64) -> Option<f64> {
         self.generation += 1;
         if self.flows.is_empty() {
             self.rate = 0.0;
@@ -147,7 +147,7 @@ impl<P> Resource<P> {
         Some(now + min_remaining / self.rate)
     }
 
-    pub fn insert(&mut self, id: u64, class: u8, work: f64, payload: P) {
+    pub(crate) fn insert(&mut self, id: u64, class: u8, work: f64, payload: P) {
         self.counts.add(class);
         let credit = self.service + work;
         debug_assert!(credit.is_finite() && credit >= 0.0);
@@ -162,7 +162,7 @@ impl<P> Resource<P> {
         );
     }
 
-    pub fn remove(&mut self, id: u64) -> Option<Flow<P>> {
+    pub(crate) fn remove(&mut self, id: u64) -> Option<Flow<P>> {
         // The heap entry stays behind; it is skipped lazily once its id no
         // longer resolves in the flow table.
         let flow = self.flows.remove(&id)?;
@@ -175,7 +175,7 @@ impl<P> Resource<P> {
     /// to `out` in flow-id order. Must be called after `advance` to the
     /// completion time, with an empty `out` buffer (caller-owned so the hot
     /// path allocates nothing per event).
-    pub fn drain_completed_into(&mut self, out: &mut Vec<(u64, P)>) {
+    pub(crate) fn drain_completed_into(&mut self, out: &mut Vec<(u64, P)>) {
         debug_assert!(out.is_empty(), "completion buffer must be drained");
         let Some(min) = self.peek_min_remaining() else {
             return;
@@ -200,29 +200,15 @@ impl<P> Resource<P> {
         out.sort_unstable_by_key(|&(id, _)| id);
     }
 
-    pub fn flow_remaining(&self, id: u64) -> Option<f64> {
-        self.flows
-            .get(&id)
-            .map(|f| (f.credit - self.service).max(0.0))
-    }
-
-    pub fn active_flows(&self) -> usize {
+    pub(crate) fn active_flows(&self) -> usize {
         self.flows.len()
     }
 
-    pub fn class_counts(&self) -> ClassCounts {
-        self.counts
-    }
-
-    pub fn per_flow_rate(&self) -> f64 {
-        self.rate
-    }
-
-    pub fn usage(&self) -> UsageAccum {
+    pub(crate) fn usage(&self) -> UsageAccum {
         self.usage
     }
 
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.flows.is_empty()
     }
 }

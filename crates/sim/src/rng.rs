@@ -35,13 +35,6 @@ impl DeterministicRng {
         }
     }
 
-    /// Derives an independent child generator; children with different
-    /// `stream` values are decorrelated.
-    pub fn fork(&mut self, stream: u64) -> Self {
-        let base: u64 = self.inner.random();
-        Self::seed(base ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
-
     /// Uniform sample in `[0, 1)`.
     pub fn uniform(&mut self) -> f64 {
         self.inner.random()
@@ -68,7 +61,7 @@ impl DeterministicRng {
     }
 
     /// Standard normal sample (Box–Muller).
-    pub fn standard_normal(&mut self) -> f64 {
+    pub(crate) fn standard_normal(&mut self) -> f64 {
         if let Some(z) = self.spare_normal.take() {
             return z;
         }
@@ -91,7 +84,7 @@ impl DeterministicRng {
     /// # Panics
     ///
     /// Panics if `std_dev` is negative.
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
+    pub(crate) fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
         assert!(std_dev >= 0.0, "standard deviation must be non-negative");
         mean + std_dev * self.standard_normal()
     }
@@ -151,14 +144,6 @@ mod tests {
         let mut a = DeterministicRng::seed(1);
         let mut b = DeterministicRng::seed(2);
         assert_ne!(a.uniform().to_bits(), b.uniform().to_bits());
-    }
-
-    #[test]
-    fn forked_streams_are_decorrelated() {
-        let mut parent = DeterministicRng::seed(3);
-        let mut c1 = parent.fork(1);
-        let mut c2 = parent.fork(2);
-        assert_ne!(c1.uniform().to_bits(), c2.uniform().to_bits());
     }
 
     #[test]

@@ -70,7 +70,7 @@ impl ContentionCurve {
     /// # Panics
     ///
     /// Panics if `floor` is outside `(0, 1]`.
-    pub fn with_floor(mut self, floor: f64) -> Self {
+    pub(crate) fn with_floor(mut self, floor: f64) -> Self {
         assert!(floor > 0.0 && floor <= 1.0, "floor must be in (0, 1]");
         self.floor = floor;
         self
@@ -93,18 +93,6 @@ impl ContentionCurve {
         let over = (n - self.free_streams).max(0.0);
         let thrash = 1.0 / (1.0 + self.thrash_alpha * over.powf(self.thrash_beta));
         (ramp * thrash).clamp(self.floor, 1.0)
-    }
-
-    /// The concurrency level (within 1..=512) at which efficiency × n —
-    /// i.e. aggregate device throughput under processor sharing — peaks.
-    pub fn peak_concurrency(&self) -> usize {
-        (1..=512usize)
-            .max_by(|&a, &b| {
-                let fa = self.efficiency(a);
-                let fb = self.efficiency(b);
-                fa.partial_cmp(&fb).expect("efficiency is never NaN")
-            })
-            .expect("non-empty range")
     }
 }
 
@@ -150,16 +138,6 @@ mod tests {
     fn zero_streams_is_idle_convention() {
         let c = ContentionCurve::new(0.9, 2.0, 4.0, 0.05, 1.5);
         assert_eq!(c.efficiency(0), 1.0);
-    }
-
-    #[test]
-    fn peak_concurrency_finds_interior_maximum() {
-        let c = ContentionCurve::new(0.6, 2.0, 4.0, 0.05, 1.5);
-        let peak = c.peak_concurrency();
-        assert!(
-            (2..=16).contains(&peak),
-            "expected interior peak, got {peak}"
-        );
     }
 
     #[test]

@@ -99,43 +99,6 @@ impl DeviceProfile {
         }
     }
 
-    /// Builds a custom profile (for tests and ablations).
-    #[allow(clippy::too_many_arguments)]
-    pub fn custom(
-        name: &'static str,
-        read_peak: f64,
-        write_peak: f64,
-        read_curve: ContentionCurve,
-        write_curve: ContentionCurve,
-        mix_penalty: f64,
-        fragment_penalty: f64,
-        per_stream_cap: f64,
-    ) -> Self {
-        assert!(
-            read_peak > 0.0 && write_peak > 0.0,
-            "peaks must be positive"
-        );
-        assert!(
-            mix_penalty > 0.0 && mix_penalty <= 1.0,
-            "mix penalty must be in (0, 1]"
-        );
-        assert!(
-            fragment_penalty > 0.0 && fragment_penalty <= 1.0,
-            "fragment penalty must be in (0, 1]"
-        );
-        assert!(per_stream_cap > 0.0, "per-stream cap must be positive");
-        Self {
-            name,
-            read_peak,
-            write_peak,
-            read_curve,
-            write_curve,
-            mix_penalty,
-            fragment_penalty,
-            per_stream_cap,
-        }
-    }
-
     /// Maximum service rate of a single stream, MB/s.
     pub fn per_stream_cap(&self) -> f64 {
         self.per_stream_cap
@@ -149,7 +112,7 @@ impl DeviceProfile {
     /// platter speeds. The path still saturates: when the fan-in of
     /// fetchers grows with cluster size (Figure 9), per-stream service
     /// collapses below [`DeviceProfile::serve_stream_cap`].
-    pub fn serve_path_peak(&self) -> f64 {
+    pub(crate) fn serve_path_peak(&self) -> f64 {
         match self.name {
             "ssd-sata" => 2400.0,
             _ => 2000.0,
@@ -228,17 +191,6 @@ impl DeviceProfile {
         }
         blended
     }
-
-    /// The read-stream concurrency that maximises aggregate bandwidth.
-    pub fn read_peak_concurrency(&self) -> usize {
-        (1..=512usize)
-            .max_by(|&a, &b| {
-                let fa = self.bandwidth(&[(DiskClass::Read, a)]);
-                let fb = self.bandwidth(&[(DiskClass::Read, b)]);
-                fa.partial_cmp(&fb).expect("bandwidth is never NaN")
-            })
-            .expect("non-empty range")
-    }
 }
 
 #[cfg(test)]
@@ -248,14 +200,19 @@ mod tests {
     #[test]
     fn hdd_reads_peak_at_low_concurrency() {
         let hdd = DeviceProfile::hdd_7200();
-        let peak = hdd.read_peak_concurrency();
+        let bandwidth = |n| hdd.bandwidth(&[(DiskClass::Read, n)]);
+        let peak = (1..=512usize)
+            .max_by(|&a, &b| bandwidth(a).total_cmp(&bandwidth(b)))
+            .unwrap();
         assert!((1..=8).contains(&peak), "HDD read peak at {peak} streams");
     }
 
     #[test]
     fn hdd_collapses_under_many_streams() {
         let hdd = DeviceProfile::hdd_7200();
-        let at_peak = hdd.bandwidth(&[(DiskClass::Read, hdd.read_peak_concurrency())]);
+        let at_peak = (1..=8)
+            .map(|n| hdd.bandwidth(&[(DiskClass::Read, n)]))
+            .fold(0.0, f64::max);
         let at_128 = hdd.bandwidth(&[(DiskClass::Read, 128)]);
         assert!(
             at_128 < at_peak * 0.5,

@@ -55,7 +55,7 @@ impl WorkloadKind {
     }
 
     /// HiBench category (Table 3's "Type" column).
-    pub fn hibench_category(self) -> &'static str {
+    pub(crate) fn hibench_category(self) -> &'static str {
         match self {
             WorkloadKind::Terasort => "micro",
             WorkloadKind::Scan | WorkloadKind::Aggregation | WorkloadKind::Join => "sql",
@@ -66,7 +66,7 @@ impl WorkloadKind {
     }
 
     /// HiBench problem-size label (Table 3's "Size" column).
-    pub fn problem_size(self) -> &'static str {
+    pub(crate) fn problem_size(self) -> &'static str {
         match self {
             WorkloadKind::Terasort => "120 GiB",
             WorkloadKind::PageRank => "gigantic",
@@ -178,7 +178,7 @@ impl Workload {
     }
 
     /// Predicted I/O amplification relative to input.
-    pub fn expected_amplification(&self, nodes: usize) -> f64 {
+    pub(crate) fn expected_amplification(&self, nodes: usize) -> f64 {
         self.expected_io_mb(nodes) / self.input_mb
     }
 

@@ -9,9 +9,9 @@
 use sae_sim::rng::DeterministicRng;
 
 /// Key width of a Terasort record.
-pub const KEY_BYTES: usize = 10;
+pub(crate) const KEY_BYTES: usize = 10;
 /// Payload width of a Terasort record.
-pub const VALUE_BYTES: usize = 90;
+pub(crate) const VALUE_BYTES: usize = 90;
 
 /// One 100-byte Terasort record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]

@@ -7,7 +7,7 @@ use sae_dag::{JobSpec, Operator, StageSpec};
 ///
 /// Tokenisation, TF aggregation, and model write-out:
 /// `1 + 2·0.55 + 2·0.30 + 0.10 = 2.8x`.
-pub fn bayes(input_mb: f64) -> JobSpec {
+pub(crate) fn bayes(input_mb: f64) -> JobSpec {
     JobSpec::builder("bayes")
         .stage(
             StageSpec::read("tokenize", input_mb)
@@ -33,7 +33,7 @@ pub fn bayes(input_mb: f64) -> JobSpec {
 /// 3.83 GiB activity — +508 %). Four Gibbs-sampling iterations shuffle the
 /// topic assignments repeatedly:
 /// `1 + 10·0.5 + 0.08 = 6.08x`.
-pub fn lda(input_mb: f64) -> JobSpec {
+pub(crate) fn lda(input_mb: f64) -> JobSpec {
     let topics = 0.5 * input_mb;
     let mut builder = JobSpec::builder("lda").stage(
         StageSpec::read("load-corpus", input_mb)
@@ -62,7 +62,7 @@ pub fn lda(input_mb: f64) -> JobSpec {
 /// Table 2: 1.9x). Gradient iterations run mostly on cached data with
 /// small gradient shuffles:
 /// `1 + 2·0.25 + 2·0.10 + 2·0.08 + 0.04 = 1.9x`.
-pub fn svm(input_mb: f64) -> JobSpec {
+pub(crate) fn svm(input_mb: f64) -> JobSpec {
     JobSpec::builder("svm")
         .stage(
             StageSpec::read("load+cache", input_mb)

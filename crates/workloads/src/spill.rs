@@ -22,12 +22,12 @@ use crate::datagen::{TeraRecord, KEY_BYTES, VALUE_BYTES};
 pub const RECORD_BYTES: usize = KEY_BYTES + VALUE_BYTES;
 
 /// On-disk size of the checksum footer: a big-endian IEEE CRC-32 of the
-/// record bytes followed by [`SPILL_MAGIC`].
+/// record bytes followed by `SPILL_MAGIC`.
 pub const FOOTER_BYTES: usize = 8;
 
 /// Trailing magic marking a complete spill file. A file without it was
 /// truncated (or predates the checksummed format) and is rejected.
-pub const SPILL_MAGIC: [u8; 4] = *b"SAEs";
+pub(crate) const SPILL_MAGIC: [u8; 4] = *b"SAEs";
 
 /// IEEE 802.3 CRC-32 lookup table, built at compile time (the workspace
 /// carries no checksum dependency).
@@ -105,7 +105,7 @@ pub fn write_records(path: &Path, records: &[TeraRecord]) -> io::Result<u64> {
 /// Rejected with [`io::ErrorKind::InvalidData`]:
 /// * a file too short for the footer or whose record region is not a
 ///   multiple of [`RECORD_BYTES`] — a spill interrupted mid-record;
-/// * a file without the trailing [`SPILL_MAGIC`] — truncated at a record
+/// * a file without the trailing `SPILL_MAGIC` — truncated at a record
 ///   boundary, which length arithmetic alone cannot catch;
 /// * a CRC mismatch — bit rot or an overwrite torn mid-file.
 ///

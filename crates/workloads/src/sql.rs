@@ -12,7 +12,7 @@ use sae_dag::{JobSpec, Operator, StageSpec};
 ///
 /// Modelled amplification: `1 + 2·0.33 + 0.435 = 2.1x` (Table 2:
 /// 37.44 / 17.87).
-pub fn aggregation(input_mb: f64) -> JobSpec {
+pub(crate) fn aggregation(input_mb: f64) -> JobSpec {
     let partials = 0.33 * input_mb;
     JobSpec::builder("aggregation")
         .stage(
@@ -43,7 +43,7 @@ pub fn aggregation(input_mb: f64) -> JobSpec {
 /// is why neither solution gains much (Figure 8d: 2.54 %).
 ///
 /// Modelled amplification: `1 + 2·0.05 + 2·0.03 + 0.019 = 1.18x`.
-pub fn join(input_mb: f64) -> JobSpec {
+pub(crate) fn join(input_mb: f64) -> JobSpec {
     let hashed = 0.05 * input_mb;
     let joined = 0.03 * input_mb;
     JobSpec::builder("join")

@@ -17,7 +17,7 @@ use sae_dag::{JobSpec, Operator, StageSpec};
 ///
 /// Modelled I/O amplification: `1 + (1 + 0.42) + (0.42 + 1) = 3.84x`,
 /// matching Table 2's 429.35 / 111.75.
-pub fn terasort(input_mb: f64) -> JobSpec {
+pub(crate) fn terasort(input_mb: f64) -> JobSpec {
     let spill = 0.42 * input_mb;
     JobSpec::builder("terasort")
         .stage(
@@ -43,7 +43,7 @@ pub fn terasort(input_mb: f64) -> JobSpec {
 /// table and writes the (uncompressed, hence larger) selection, replicated
 /// 4x by the DFS — which is how a "scan" reaches Table 2's 6.3x I/O
 /// amplification.
-pub fn scan(input_mb: f64) -> JobSpec {
+pub(crate) fn scan(input_mb: f64) -> JobSpec {
     JobSpec::builder("scan")
         .stage(
             StageSpec::read("scan", input_mb)

@@ -18,7 +18,7 @@ use sae_dag::{JobSpec, Operator, StageSpec};
 /// 8.7x` (Table 2 measures 6.9x; the iteration volumes are weighted up to
 /// match the paper's stage-time composition — stages 1–4 read 65.5 GB and
 /// write 59.4 GB, and iterations also re-read memory-spilled cache).
-pub fn pagerank(input_mb: f64) -> JobSpec {
+pub(crate) fn pagerank(input_mb: f64) -> JobSpec {
     let iter = 0.62 * input_mb;
     let cache_spill = 0.35 * input_mb;
     JobSpec::builder("pagerank")
@@ -71,7 +71,7 @@ pub fn pagerank(input_mb: f64) -> JobSpec {
 /// each hop.
 ///
 /// Modelled amplification: `1 + 2·(3 + 6 + 8.5) + 0.5 = 36.5x`.
-pub fn nweight(input_mb: f64) -> JobSpec {
+pub(crate) fn nweight(input_mb: f64) -> JobSpec {
     JobSpec::builder("nweight")
         .stage(
             StageSpec::read("load-graph", input_mb)
