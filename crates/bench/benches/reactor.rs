@@ -292,12 +292,9 @@ fn run_scale(executors: usize, tasks_per_exec: usize) -> ScalePoint {
         executors,
         heartbeat_timeout: Duration::from_secs(60),
         check_interval: Duration::from_millis(5),
-        max_task_attempts: 4,
         blacklist_after: 1_000_000,
         probation: Duration::from_secs(2),
         deadline: Duration::from_secs(150),
-        task_deadline: None,
-        min_live_executors: 1,
         degraded_wait: Duration::from_secs(5),
         shutdown_drain: Duration::from_millis(500),
         recorder: FlightRecorder::disabled(),

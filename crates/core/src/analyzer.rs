@@ -192,12 +192,12 @@ impl HillClimbAnalyzer {
     /// against, if any interval has been accepted this stage. Exposed so
     /// the controller can phrase its decision rationale in terms of the
     /// actual comparison.
-    pub fn previous(&self) -> Option<(usize, f64)> {
+    pub(crate) fn previous(&self) -> Option<(usize, f64)> {
         self.previous
     }
 
     /// Resets the climb for a new stage.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.previous = None;
         self.settled = false;
     }

@@ -16,7 +16,7 @@ impl IntervalMeasurement {
     /// I/O throughput `µ` over the interval in MB/s.
     ///
     /// Returns `0.0` for a zero-length interval.
-    pub fn throughput(&self) -> f64 {
+    pub(crate) fn throughput(&self) -> f64 {
         if self.duration <= 0.0 {
             0.0
         } else {

@@ -13,10 +13,6 @@ pub struct MapeConfig {
     pub c_min: usize,
     /// Maximum thread count, typically the node's virtual core count.
     pub c_max: usize,
-    /// Stages with fewer total tasks than this cannot complete even two
-    /// monitoring intervals; the controller skips adaptation and runs them
-    /// at `c_max` (the default behaviour).
-    pub min_stage_tasks: usize,
     /// Regression tolerance for the hill climb: an interval only rolls
     /// back when `ζ_j > ζ_{j/2} · (1 + rollback_tolerance)`. Absorbs
     /// measurement noise and keeps CPU-bound stages (flat ζ) climbing.
@@ -47,7 +43,6 @@ impl MapeConfig {
         Self {
             c_min,
             c_max,
-            min_stage_tasks: c_min * 3,
             rollback_tolerance: 0.50,
             min_io_fraction: 0.25,
             direction: ClimbDirection::Ascend,
@@ -58,6 +53,13 @@ impl MapeConfig {
     /// The paper's setting for a DAS-5 node: explore 2..=32 threads.
     pub fn das5() -> Self {
         Self::new(2, 32)
+    }
+
+    /// Stages with fewer tasks than `3 · c_min` cannot complete even two
+    /// monitoring intervals; the controller skips adaptation and runs them
+    /// at `c_max` (the default behaviour).
+    pub(crate) fn min_stage_tasks(&self) -> usize {
+        self.c_min * 3
     }
 }
 
@@ -163,7 +165,7 @@ impl AdaptiveController {
         self.stage = self.stages_started;
         self.stages_started += 1;
         self.interval_idx = 0;
-        if let Some(tasks) = task_hint.filter(|t| *t < self.config.min_stage_tasks) {
+        if let Some(tasks) = task_hint.filter(|t| *t < self.config.min_stage_tasks()) {
             let pool_before = self.current_threads;
             self.adapting = false;
             self.current_threads = self.config.c_max;
@@ -183,7 +185,8 @@ impl AdaptiveController {
                 rationale: format!(
                     "stage of {tasks} tasks is below min_stage_tasks={}: too short to \
                      complete two monitoring intervals, run unadapted at c_max={}",
-                    self.config.min_stage_tasks, self.config.c_max
+                    self.config.min_stage_tasks(),
+                    self.config.c_max
                 ),
             });
             return self.current_threads;

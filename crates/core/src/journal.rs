@@ -47,7 +47,7 @@ impl DecisionAction {
     }
 
     /// Stable lower-case name used in the JSONL encoding.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             DecisionAction::Ascend => "ascend",
             DecisionAction::RollBack => "rollback",
@@ -57,7 +57,7 @@ impl DecisionAction {
     }
 
     /// Parses the name produced by [`DecisionAction::as_str`].
-    pub fn parse(s: &str) -> Option<Self> {
+    pub(crate) fn parse(s: &str) -> Option<Self> {
         match s {
             "ascend" => Some(DecisionAction::Ascend),
             "rollback" => Some(DecisionAction::RollBack),

@@ -148,7 +148,7 @@ impl Monitor {
     }
 
     /// Stops monitoring (e.g. after the analyzer settles for the stage).
-    pub fn stop(&mut self) {
+    pub(crate) fn stop(&mut self) {
         self.current = None;
     }
 }

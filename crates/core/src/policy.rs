@@ -57,7 +57,7 @@ pub struct BestFitTable {
 
 impl BestFitTable {
     /// Creates an empty table (all stages fall back to the default).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -66,13 +66,13 @@ impl BestFitTable {
     /// # Panics
     ///
     /// Panics if `threads` is zero.
-    pub fn set(&mut self, stage_id: usize, threads: usize) {
+    pub(crate) fn set(&mut self, stage_id: usize, threads: usize) {
         assert!(threads > 0, "thread count must be positive");
         self.threads_by_stage.insert(stage_id, threads);
     }
 
     /// The thread count for `stage_id`, if the table has one.
-    pub fn get(&self, stage_id: usize) -> Option<usize> {
+    pub(crate) fn get(&self, stage_id: usize) -> Option<usize> {
         self.threads_by_stage.get(&stage_id).copied()
     }
 
@@ -132,7 +132,7 @@ impl ThreadPolicy {
             },
             ThreadPolicy::BestFit(table) => table.get(stage.stage_id).unwrap_or(cores).min(cores),
             ThreadPolicy::Adaptive(cfg) => {
-                if task_hint.is_some_and(|t| t < cfg.min_stage_tasks) {
+                if task_hint.is_some_and(|t| t < cfg.min_stage_tasks()) {
                     cfg.c_max.min(cores)
                 } else {
                     cfg.c_min

@@ -27,27 +27,10 @@ pub struct EngineConfig {
     pub input_replication: usize,
     /// DFS replication factor for job output files.
     pub output_replication: usize,
-    /// Number of reduce partitions per cluster core for shuffle stages.
-    pub shuffle_partitions_per_core: f64,
     /// Chunks each task's work is split into for CPU/I/O interleaving.
     pub chunks_per_task: usize,
-    /// Maximum concurrent fetch sources per reduce task
-    /// (`spark.reducer.maxReqsInFlight` analogue). Fan-in to each serving
-    /// disk grows with `min(nodes, this)` — the mechanism behind the poor
-    /// default scaling of Figure 9.
-    pub fetch_parallelism: usize,
-    /// Incoming fetch requests a node's serve path absorbs without incast
-    /// stalls. Fan-in above this (≈ cluster reducers × fetch parallelism /
-    /// nodes) triggers TCP-incast-style retransmission stalls — the
-    /// mechanism behind the poor default scaling of Figure 9.
-    pub incast_free_requests: usize,
-    /// Base incast stall in seconds; the stall grows as
-    /// `base · ((pressure - free)/16)^1.5`.
-    pub incast_stall_base: f64,
     /// One-way driver↔executor RPC latency in seconds.
     pub rpc_latency: f64,
-    /// Metrics sampling interval in seconds (the paper samples at 1 Hz).
-    pub sample_interval: f64,
     /// Master RNG seed.
     pub seed: u64,
     /// Optional fault injection: a deterministic, seeded schedule of
@@ -55,8 +38,8 @@ pub struct EngineConfig {
     /// heartbeat loss. `None` runs fault-free (and bit-identical to a run
     /// without the fault subsystem).
     pub fault_plan: Option<FaultPlan>,
-    /// Driver-side fault-tolerance knobs: retry budget, backoff,
-    /// heartbeat timing, blacklisting, and speculation.
+    /// Driver-side fault-tolerance thresholds: retry backoff and
+    /// speculation.
     pub fault_tolerance: FaultToleranceConfig,
     /// Route driver scheduling through the pre-index O(pending)-scan
     /// reference ([`crate::sched::ReferenceQueue`]) instead of the indexed
@@ -451,30 +434,16 @@ impl FaultPlan {
     }
 }
 
-/// Driver-side fault-tolerance configuration, mirroring Spark's
-/// `spark.task.maxFailures` / blacklisting / speculation knobs.
+/// Driver-side fault-tolerance configuration: the retry backoff and the
+/// straggler thresholds of speculative execution (Spark's
+/// `spark.speculation.*`). The retry budget, heartbeat timing and
+/// blacklist threshold are engine constants (DESIGN.md §7), and runs
+/// speculate exactly when they have a fault plan.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultToleranceConfig {
-    /// Maximum attempts per task (first run + retries). When a task fails
-    /// this many times the job aborts with
-    /// [`JobError::MaxAttemptsExceeded`](crate::JobError::MaxAttemptsExceeded).
-    pub max_task_attempts: usize,
     /// Base of the exponential retry backoff in seconds: attempt `k`
     /// (zero-based) is delayed by `base · 2^(k-1)` after its failure.
     pub retry_backoff_base: f64,
-    /// Executor-side heartbeat period in seconds.
-    pub heartbeat_interval: f64,
-    /// Silence after which the driver declares an executor lost, in
-    /// seconds. Should comfortably exceed the interval so occasional
-    /// heartbeat loss does not trigger false positives.
-    pub heartbeat_timeout: f64,
-    /// Task failures on one executor *within a single stage* after which
-    /// the driver blacklists it for the rest of the job (no further
-    /// assignments) — unless it is the last usable executor.
-    pub blacklist_after: usize,
-    /// Whether stragglers are speculatively re-executed even in fault-free
-    /// runs. Runs with a fault plan always speculate.
-    pub speculation: bool,
     /// A running attempt is a straggler when it has run longer than this
     /// multiple of the median completed-attempt duration of the stage.
     pub speculation_multiplier: f64,
@@ -486,12 +455,7 @@ pub struct FaultToleranceConfig {
 impl Default for FaultToleranceConfig {
     fn default() -> Self {
         Self {
-            max_task_attempts: 4,
             retry_backoff_base: 0.5,
-            heartbeat_interval: 2.0,
-            heartbeat_timeout: 6.0,
-            blacklist_after: 3,
-            speculation: false,
             speculation_multiplier: 1.5,
             speculation_quantile: 0.75,
         }
@@ -503,25 +467,13 @@ impl FaultToleranceConfig {
     ///
     /// # Panics
     ///
-    /// Panics on a zero retry budget, non-positive timings, or a heartbeat
-    /// timeout not exceeding the interval.
-    pub fn validate(&self) {
-        assert!(self.max_task_attempts > 0, "need at least one task attempt");
+    /// Panics on a negative or non-finite backoff or out-of-range
+    /// speculation thresholds.
+    pub(crate) fn validate(&self) {
         assert!(
             self.retry_backoff_base.is_finite() && self.retry_backoff_base >= 0.0,
             "retry backoff must be finite and >= 0"
         );
-        assert!(
-            self.heartbeat_interval > 0.0,
-            "heartbeat interval must be positive"
-        );
-        assert!(
-            self.heartbeat_timeout > self.heartbeat_interval,
-            "heartbeat timeout ({}) must exceed the interval ({})",
-            self.heartbeat_timeout,
-            self.heartbeat_interval
-        );
-        assert!(self.blacklist_after > 0, "blacklist threshold must be > 0");
         assert!(
             self.speculation_multiplier >= 1.0,
             "speculation multiplier must be >= 1"
@@ -544,13 +496,8 @@ impl EngineConfig {
             block_size_mb: 128,
             input_replication: 4,
             output_replication: 1,
-            shuffle_partitions_per_core: 2.5,
             chunks_per_task: 4,
-            fetch_parallelism: 8,
-            incast_free_requests: 64,
-            incast_stall_base: 0.25,
             rpc_latency: 0.0005,
-            sample_interval: 1.0,
             seed: 42,
             fault_plan: None,
             fault_tolerance: FaultToleranceConfig::default(),
@@ -597,7 +544,7 @@ impl EngineConfig {
     }
 
     /// Total virtual cores across the cluster.
-    pub fn total_cores(&self) -> usize {
+    pub(crate) fn total_cores(&self) -> usize {
         self.nodes * self.node_spec.cores
     }
 
@@ -605,9 +552,9 @@ impl EngineConfig {
     ///
     /// # Panics
     ///
-    /// Panics on inconsistent settings (zero nodes/chunks, non-positive
-    /// intervals, zero replication).
-    pub fn validate(&self) {
+    /// Panics on inconsistent settings (zero nodes/chunks, negative RPC
+    /// latency, zero replication).
+    pub(crate) fn validate(&self) {
         assert!(self.nodes > 0, "need at least one node");
         assert!(self.block_size_mb > 0, "block size must be positive");
         assert!(self.input_replication > 0, "input replication must be > 0");
@@ -616,13 +563,7 @@ impl EngineConfig {
             "output replication must be > 0"
         );
         assert!(self.chunks_per_task > 0, "chunks per task must be > 0");
-        assert!(self.fetch_parallelism > 0, "fetch parallelism must be > 0");
-        assert!(
-            self.shuffle_partitions_per_core > 0.0,
-            "shuffle partitions per core must be positive"
-        );
         assert!(self.rpc_latency >= 0.0, "rpc latency must be >= 0");
-        assert!(self.sample_interval > 0.0, "sample interval must be > 0");
         self.fault_tolerance.validate();
         if let Some(plan) = &self.fault_plan {
             plan.validate(self.nodes);
@@ -812,7 +753,7 @@ impl ParameterCatalog {
     }
 
     /// Number of parameters in `category`.
-    pub fn count(&self, category: ConfigCategory) -> usize {
+    pub(crate) fn count(&self, category: ConfigCategory) -> usize {
         self.parameters
             .iter()
             .filter(|p| p.category == category)
@@ -820,7 +761,7 @@ impl ParameterCatalog {
     }
 
     /// Total parameter count.
-    pub fn total(&self) -> usize {
+    pub(crate) fn total(&self) -> usize {
         self.parameters.len()
     }
 
@@ -1036,18 +977,6 @@ mod tests {
     #[test]
     fn fault_tolerance_defaults_validate() {
         let ft = FaultToleranceConfig::default();
-        ft.validate();
-        assert_eq!(ft.max_task_attempts, 4);
-        assert!(ft.heartbeat_timeout > ft.heartbeat_interval);
-    }
-
-    #[test]
-    #[should_panic(expected = "must exceed the interval")]
-    fn heartbeat_timeout_below_interval_rejected() {
-        let ft = FaultToleranceConfig {
-            heartbeat_timeout: 1.0,
-            ..FaultToleranceConfig::default()
-        };
         ft.validate();
     }
 }

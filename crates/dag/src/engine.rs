@@ -22,14 +22,52 @@ use std::collections::BTreeSet;
 /// node slowdown — effectively infinite; the flow only ends by cancellation.
 const ANTAGONIST_WORK: f64 = 1e15;
 
+/// Reduce partitions per cluster core for shuffle stages.
+const SHUFFLE_PARTITIONS_PER_CORE: f64 = 2.5;
+
+/// Maximum concurrent fetch sources per reduce task
+/// (`spark.reducer.maxReqsInFlight` analogue). Fan-in to each serving disk
+/// grows with `min(nodes, this)` — the mechanism behind the poor default
+/// scaling of Figure 9.
+const FETCH_PARALLELISM: usize = 8;
+
+/// Incoming fetch requests a node's serve path absorbs without incast
+/// stalls. Fan-in above this (≈ cluster reducers × fetch parallelism /
+/// nodes) triggers TCP-incast-style retransmission stalls — the mechanism
+/// behind the poor default scaling of Figure 9.
+const INCAST_FREE_REQUESTS: usize = 64;
+
+/// Base incast stall in seconds; the stall grows as
+/// `base · ((pressure - free)/16)^1.5`.
+const INCAST_STALL_BASE: f64 = 0.25;
+
+/// Metrics sampling interval in seconds (the paper samples at 1 Hz).
+const SAMPLE_INTERVAL: f64 = 1.0;
+
+/// Maximum attempts per task (first run + retries); the job aborts with
+/// [`JobError::MaxAttemptsExceeded`] when a task fails this many times.
+const MAX_TASK_ATTEMPTS: usize = 4;
+
+/// Executor-side heartbeat period in seconds.
+const HEARTBEAT_INTERVAL: f64 = 2.0;
+
+/// Silence after which the driver declares an executor lost, in seconds.
+/// Comfortably exceeds the interval so occasional heartbeat loss does not
+/// trigger false positives.
+const HEARTBEAT_TIMEOUT: f64 = 6.0;
+
+/// Task failures on one executor *within a single stage* after which the
+/// driver blacklists it for the rest of the job (no further assignments) —
+/// unless it is the last usable executor.
+const BLACKLIST_AFTER: usize = 3;
+
 /// A structured, clean job failure.
 ///
 /// Fault-tolerant runs either complete or fail with one of these — never a
 /// hang or a panic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobError {
-    /// A task exhausted its retry budget
-    /// ([`FaultToleranceConfig::max_task_attempts`](crate::FaultToleranceConfig::max_task_attempts)).
+    /// A task exhausted its retry budget.
     MaxAttemptsExceeded {
         /// The task that gave up.
         task: usize,
@@ -409,7 +447,7 @@ impl<'a> Run<'a> {
                 self.schedule_heartbeat_tick(e);
             }
             let t = self.kernel.schedule_after(
-                SimTime::from_seconds(self.cfg.fault_tolerance.heartbeat_interval),
+                SimTime::from_seconds(HEARTBEAT_INTERVAL),
                 Event::HeartbeatCheck,
             );
             self.heartbeat_check_timer = Some(t);
@@ -549,7 +587,7 @@ impl<'a> Run<'a> {
 
     fn schedule_heartbeat_tick(&mut self, executor: usize) {
         let t = self.kernel.schedule_after(
-            SimTime::from_seconds(self.cfg.fault_tolerance.heartbeat_interval),
+            SimTime::from_seconds(HEARTBEAT_INTERVAL),
             Event::HeartbeatTick { executor },
         );
         self.heartbeat_timers[executor] = Some(t);
@@ -574,9 +612,8 @@ impl<'a> Run<'a> {
 
     fn on_heartbeat_check(&mut self, now: f64) {
         self.heartbeat_check_timer = None;
-        let timeout = self.cfg.fault_tolerance.heartbeat_timeout;
         for e in 0..self.cfg.nodes {
-            if self.driver_sees_alive[e] && now - self.last_heartbeat[e] > timeout {
+            if self.driver_sees_alive[e] && now - self.last_heartbeat[e] > HEARTBEAT_TIMEOUT {
                 self.on_executor_lost_detected(e, now);
                 if self.error.is_some() {
                     return;
@@ -584,7 +621,7 @@ impl<'a> Run<'a> {
             }
         }
         let t = self.kernel.schedule_after(
-            SimTime::from_seconds(self.cfg.fault_tolerance.heartbeat_interval),
+            SimTime::from_seconds(HEARTBEAT_INTERVAL),
             Event::HeartbeatCheck,
         );
         self.heartbeat_check_timer = Some(t);
@@ -660,7 +697,7 @@ impl<'a> Run<'a> {
                 if !self.tasks[t].failed_on.contains(&e) {
                     self.tasks[t].failed_on.push(e);
                 }
-                if self.tasks[t].failures >= self.cfg.fault_tolerance.max_task_attempts {
+                if self.tasks[t].failures >= MAX_TASK_ATTEMPTS {
                     let err = JobError::MaxAttemptsExceeded {
                         task: t,
                         stage: self.current_stage,
@@ -933,8 +970,7 @@ impl<'a> Run<'a> {
                 .expect("input file created at run start");
             return file.blocks.len();
         }
-        ((self.cfg.total_cores() as f64 * self.cfg.shuffle_partitions_per_core).round() as usize)
-            .max(1)
+        ((self.cfg.total_cores() as f64 * SHUFFLE_PARTITIONS_PER_CORE).round() as usize).max(1)
     }
 
     fn finish_stage(&mut self, now: f64) {
@@ -1180,7 +1216,7 @@ impl<'a> Run<'a> {
         // Reused scratch: one fetch-source buffer serves every assignment.
         self.fetch_sources_buf.clear();
         if spec.shuffle_in_mb > 0.0 {
-            let f = self.cfg.fetch_parallelism.min(self.cfg.nodes);
+            let f = FETCH_PARALLELISM.min(self.cfg.nodes);
             self.fetch_sources_buf
                 .extend((0..f).map(|k| (task_id + k) % self.cfg.nodes));
         }
@@ -1259,9 +1295,9 @@ impl<'a> Run<'a> {
             }
         }
         a.pressure_registered = registered;
-        if max_pressure > self.cfg.incast_free_requests {
-            let over = (max_pressure - self.cfg.incast_free_requests) as f64;
-            let stall = self.cfg.incast_stall_base * (over / 16.0).powf(1.5);
+        if max_pressure > INCAST_FREE_REQUESTS {
+            let over = (max_pressure - INCAST_FREE_REQUESTS) as f64;
+            let stall = INCAST_STALL_BASE * (over / 16.0).powf(1.5);
             if stall > 0.0 {
                 let timer = self.kernel.schedule_after(
                     SimTime::from_seconds(stall),
@@ -1408,9 +1444,7 @@ impl<'a> Run<'a> {
             self.tasks[task_id].failed_on.push(executor);
         }
         self.executor_task_failures[executor] += 1;
-        if !self.tasks[task_id].completed
-            && self.tasks[task_id].failures >= self.cfg.fault_tolerance.max_task_attempts
-        {
+        if !self.tasks[task_id].completed && self.tasks[task_id].failures >= MAX_TASK_ATTEMPTS {
             let err = JobError::MaxAttemptsExceeded {
                 task: task_id,
                 stage: self.tasks[task_id].stage,
@@ -1445,7 +1479,7 @@ impl<'a> Run<'a> {
         if self.blacklisted[executor] {
             return;
         }
-        if self.executor_task_failures[executor] < self.cfg.fault_tolerance.blacklist_after {
+        if self.executor_task_failures[executor] < BLACKLIST_AFTER {
             return;
         }
         let usable_elsewhere = (0..self.cfg.nodes)
@@ -1460,7 +1494,8 @@ impl<'a> Run<'a> {
         self.record(TraceEvent::ExecutorBlacklisted { executor, at: now });
     }
 
-    /// Speculative re-execution, evaluated at each metrics tick: once most
+    /// Speculative re-execution, evaluated at each metrics tick of a run
+    /// with a fault plan: once most
     /// of the stage has completed, any attempt running far beyond the
     /// median duration is cloned onto another executor; first finisher
     /// wins, the loser is cancelled.
@@ -1470,8 +1505,7 @@ impl<'a> Run<'a> {
     /// over every task, and clone targets come from the same free-slot
     /// worklist the assignment sweep uses.
     fn maybe_speculate(&mut self, now: f64) {
-        let enabled = self.faults_enabled() || self.cfg.fault_tolerance.speculation;
-        if !enabled || self.job_done || self.tasks.is_empty() {
+        if !self.faults_enabled() || self.job_done || self.tasks.is_empty() {
             return;
         }
         let total = self.tasks.len();
@@ -1660,10 +1694,9 @@ impl<'a> Run<'a> {
     }
 
     fn schedule_sample(&mut self) {
-        let timer = self.kernel.schedule_after(
-            SimTime::from_seconds(self.cfg.sample_interval),
-            Event::Sample,
-        );
+        let timer = self
+            .kernel
+            .schedule_after(SimTime::from_seconds(SAMPLE_INTERVAL), Event::Sample);
         self.sample_timer = Some(timer);
     }
 
@@ -2025,8 +2058,7 @@ mod tests {
         // failure signal: it fires strictly after the crash, once the gap
         // since the last pre-crash heartbeat exceeds the timeout.
         assert!(failed_at > 3.0, "detected at {failed_at}");
-        let earliest =
-            3.0 + cfg.fault_tolerance.heartbeat_timeout - cfg.fault_tolerance.heartbeat_interval;
+        let earliest = 3.0 + HEARTBEAT_TIMEOUT - HEARTBEAT_INTERVAL;
         assert!(
             failed_at >= earliest,
             "detected at {failed_at}, before silence could exceed the timeout"

@@ -193,7 +193,7 @@ impl StageSpec {
     }
 
     /// The [`StageInfo`] handed to thread policies.
-    pub fn info(&self, stage_id: usize) -> StageInfo {
+    pub(crate) fn info(&self, stage_id: usize) -> StageInfo {
         StageInfo {
             stage_id,
             kind: self.kind(),
@@ -216,7 +216,7 @@ impl StageSpec {
     ///
     /// Panics if any volume is negative/NaN, costs are negative, or the
     /// stage does no work at all.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         for (label, v) in [
             ("read_mb", self.read_mb),
             ("shuffle_in_mb", self.shuffle_in_mb),

@@ -141,7 +141,7 @@ pub struct ExecutionTrace {
 
 impl ExecutionTrace {
     /// Creates an empty trace.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 

@@ -63,22 +63,14 @@ pub struct ClusterConfig {
     pub heartbeat_timeout: Duration,
     /// Driver event-loop wakeup period.
     pub check_interval: Duration,
-    /// Per-task attempt budget.
-    pub max_task_attempts: usize,
     /// Per-stage executor failure budget before blacklisting.
     pub blacklist_after: usize,
     /// How long a blacklisted executor sits out before probation ends.
     pub probation: Duration,
     /// Wall-clock bound on the whole job.
     pub deadline: Duration,
-    /// Per-task wall-clock bound; overrunning assignments are revoked and
-    /// retried. `None` disables the check.
-    pub task_deadline: Option<Duration>,
-    /// Fleet floor for graceful degradation: below this many usable
-    /// executors the driver parks in `Degraded` instead of failing fast.
-    pub min_live_executors: usize,
-    /// How long the driver tolerates being below the floor before the job
-    /// fails.
+    /// How long the driver tolerates having no usable executor (parked in
+    /// `Degraded`) before the job fails.
     pub degraded_wait: Duration,
     /// The driver's drain budget for queued frames on exit.
     pub shutdown_drain: Duration,
@@ -132,12 +124,9 @@ impl Default for ClusterConfig {
             heartbeat_interval: Duration::from_millis(100),
             heartbeat_timeout: Duration::from_millis(800),
             check_interval: Duration::from_millis(50),
-            max_task_attempts: 4,
             blacklist_after: 3,
             probation: Duration::from_secs(2),
             deadline: Duration::from_secs(120),
-            task_deadline: None,
-            min_live_executors: 1,
             degraded_wait: Duration::from_secs(5),
             shutdown_drain: Duration::from_millis(500),
             process_executors: false,
@@ -254,12 +243,9 @@ impl LiveCluster {
             executors: cfg.executors,
             heartbeat_timeout: cfg.heartbeat_timeout,
             check_interval: cfg.check_interval,
-            max_task_attempts: cfg.max_task_attempts,
             blacklist_after: cfg.blacklist_after,
             probation: cfg.probation,
             deadline: cfg.deadline,
-            task_deadline: cfg.task_deadline,
-            min_live_executors: cfg.min_live_executors,
             degraded_wait: cfg.degraded_wait,
             shutdown_drain: cfg.shutdown_drain,
             recorder: recorder.clone(),

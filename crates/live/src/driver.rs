@@ -11,14 +11,13 @@
 //!   [`DriverConfig::heartbeat_timeout`], its socket broken, or superseded
 //!   by a reincarnation — with the failure recorded against it, and give
 //!   up with [`LiveError::MaxAttemptsExceeded`] when a task keeps dying;
-//! * requeue attempts that overrun [`DriverConfig::task_deadline`];
 //! * blacklist executors that fail too many tasks in one stage (while at
 //!   least one other usable executor remains), un-blacklisting them after
 //!   a probation interval;
-//! * degrade gracefully: when the usable-executor count falls below
-//!   [`DriverConfig::min_live_executors`], the job parks in a `Degraded`
-//!   state for up to [`DriverConfig::degraded_wait`] — giving respawning
-//!   executors a window to rejoin — instead of failing fast.
+//! * degrade gracefully: when no usable executor is left, the job parks
+//!   in a `Degraded` state for up to [`DriverConfig::degraded_wait`] —
+//!   giving respawning executors a window to rejoin — instead of failing
+//!   fast.
 //!
 //! Executor membership — the `Register` handshake, registration epochs
 //! that fence stale incarnations and resurrect lost executors showing
@@ -26,8 +25,8 @@
 //! registry and the `FaultNotice` broadcast on loss — is the fleet
 //! ledger's (`fleet.rs`), and the stage's attempts — queue, holders,
 //! failures, requeues — are the task ledger's (`ledger.rs`); the job
-//! server shares both. Blacklisting, probation, task deadlines and the
-//! degraded floor are policies only the driver applies.
+//! server shares both. Blacklisting, probation and graceful degradation
+//! are policies only the driver applies.
 //!
 //! Executors hear the job server's task dialect from the driver too: its
 //! one job runs under the wire id `SINGLE_JOB`, each stage is announced
@@ -55,7 +54,7 @@ use sae_metrics::{Counter, Gauge, MetricRegistry, RegistrySnapshot};
 pub use crate::fleet::SlotInfo;
 use crate::fleet::{Admit, Fleet, Joined};
 use crate::job::LiveJob;
-use crate::ledger::{Outcome, TaskLedger};
+use crate::ledger::{Outcome, TaskLedger, MAX_TASK_ATTEMPTS};
 use crate::log::Logger;
 use crate::recorder::{FlightRecorder, LiveEvent};
 use crate::task::SINGLE_JOB;
@@ -70,10 +69,8 @@ pub struct DriverConfig {
     pub executors: usize,
     /// Silence longer than this declares an executor lost.
     pub heartbeat_timeout: Duration,
-    /// Event-loop wakeup period for heartbeat and deadline checks.
+    /// Event-loop wakeup period for heartbeat and degradation checks.
     pub check_interval: Duration,
-    /// A task failing this many attempts aborts the job.
-    pub max_task_attempts: usize,
     /// An executor failing this many tasks in one stage is blacklisted
     /// (unless it is the last usable executor).
     pub blacklist_after: usize,
@@ -82,15 +79,8 @@ pub struct DriverConfig {
     pub probation: Duration,
     /// Wall-clock bound on the whole job.
     pub deadline: Duration,
-    /// Wall-clock bound on a single task attempt; an overrunning attempt
-    /// counts as failed and the task is requeued. `None` disables the
-    /// per-task deadline.
-    pub task_deadline: Option<Duration>,
-    /// The graceful-degradation floor: with fewer usable executors than
-    /// this (and work pending) the job parks in a `Degraded` state rather
-    /// than failing fast.
-    pub min_live_executors: usize,
-    /// How long the job may stay `Degraded` before giving up with
+    /// How long the job may stay `Degraded` (no usable executor, work
+    /// pending) before giving up with
     /// [`LiveError::NoUsableExecutors`].
     pub degraded_wait: Duration,
     /// On exit, how long the event loop may keep flushing queued frames
@@ -110,12 +100,9 @@ impl Default for DriverConfig {
             executors: 2,
             heartbeat_timeout: Duration::from_millis(800),
             check_interval: Duration::from_millis(50),
-            max_task_attempts: 4,
             blacklist_after: 3,
             probation: Duration::from_secs(2),
             deadline: Duration::from_secs(120),
-            task_deadline: None,
-            min_live_executors: 1,
             degraded_wait: Duration::from_secs(5),
             shutdown_drain: Duration::from_millis(500),
             recorder: FlightRecorder::disabled(),
@@ -177,7 +164,7 @@ pub enum LiveError {
     Io(io::Error),
     /// The job exceeded [`DriverConfig::deadline`].
     DeadlineExceeded,
-    /// A task failed [`DriverConfig::max_task_attempts`] times.
+    /// A task exhausted its retry budget.
     MaxAttemptsExceeded {
         /// The task that kept dying.
         task: usize,
@@ -276,7 +263,7 @@ impl Driver {
     /// Like [`Driver::run`], calling `observer` with each [`PoolDecision`]
     /// and the slot registry as updated by it — the hook the
     /// `live_cluster` example uses to print registry evolution.
-    pub fn run_with_observer(
+    pub(crate) fn run_with_observer(
         self,
         job: &LiveJob,
         observer: impl FnMut(&PoolDecision, &[SlotInfo]),
@@ -523,7 +510,7 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Run<'j, Obs> {
                 if !self.execs.has_free_slot(e) {
                     continue;
                 }
-                if let Some(task) = self.tasks.pick(e, Instant::now()) {
+                if let Some(task) = self.tasks.pick(e) {
                     self.execs.book(e);
                     self.metrics.tasks_started[e].inc();
                     self.recorder
@@ -554,39 +541,24 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Run<'j, Obs> {
         }
     }
 
-    /// The periodic sweep: heartbeat timeouts, task deadlines, probation
-    /// and the degraded floor.
+    /// The periodic sweep: heartbeat timeouts, probation and the degraded
+    /// floor.
     fn tick(&mut self, now: Instant) -> Result<(), LiveError> {
         for e in self.execs.sweep(now) {
             self.recover(e)?;
         }
-        self.check_task_deadlines(now)?;
         self.execs.lift_probation(self.cfg.probation, now);
         self.check_degraded(now)
     }
 
-    /// Requeues task attempts that overran [`DriverConfig::task_deadline`],
-    /// charging the overrun to the slow executor like any other failure.
-    fn check_task_deadlines(&mut self, now: Instant) -> Result<(), LiveError> {
-        let Some(deadline) = self.cfg.task_deadline else {
-            return Ok(());
-        };
-        for (task, e) in self.tasks.overdue(now, deadline) {
-            self.log.error(|| {
-                format!("task {task} overran its {deadline:?} deadline on executor {e}; requeueing")
-            });
-            self.settle(e, task, false, now)?;
-        }
-        Ok(())
-    }
-
-    /// Graceful degradation: below the usable-executor floor the job parks
+    /// Graceful degradation: with no usable executor left the job parks
     /// (bounded by [`DriverConfig::degraded_wait`]) instead of failing
     /// fast, giving reincarnating executors a window to rejoin.
     fn check_degraded(&mut self, now: Instant) -> Result<(), LiveError> {
+        /// Usable executors below which the job parks.
+        const FLOOR: usize = 1;
         let live = self.execs.usable_count();
-        let floor = self.cfg.min_live_executors.max(1);
-        let below = self.execs.any_registered() && live < floor && self.tasks.remaining() > 0;
+        let below = self.execs.any_registered() && live < FLOOR && self.tasks.remaining() > 0;
         if below {
             match self.degraded_since {
                 None => {
@@ -594,12 +566,12 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Run<'j, Obs> {
                     self.metrics.degraded.set(1.0);
                     self.recorder.push(LiveEvent::Degraded {
                         live,
-                        floor,
+                        floor: FLOOR,
                         at: self.recorder.now(),
                     });
                     self.log.error(|| {
                         format!(
-                            "degraded: {live} usable executors < floor {floor}; \
+                            "degraded: {live} usable executors < floor {FLOOR}; \
                              parking the job for up to {:?}",
                             self.cfg.degraded_wait
                         )
@@ -640,16 +612,16 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Run<'j, Obs> {
     /// Requeues every unfinished attempt `e` holds, booking a failure
     /// against it.
     fn requeue_from(&mut self, e: usize) -> Result<(), LiveError> {
-        for (task, outcome) in self.tasks.requeue_from(e, self.cfg.max_task_attempts) {
+        for (task, outcome) in self.tasks.requeue_from(e, MAX_TASK_ATTEMPTS) {
             self.record_failure(task, e, outcome)?;
         }
         Ok(())
     }
 
-    /// Settles the attempt of `task` that `e` reported (or overran). A
+    /// Settles the attempt of `task` that `e` reported. A
     /// failure also counts toward blacklisting `e`.
     fn settle(&mut self, e: usize, task: usize, ok: bool, now: Instant) -> Result<(), LiveError> {
-        let outcome = self.tasks.settle(task, e, ok, self.cfg.max_task_attempts);
+        let outcome = self.tasks.settle(task, e, ok, MAX_TASK_ATTEMPTS);
         if outcome == Outcome::Stale {
             return Ok(()); // stale or duplicate report
         }

@@ -66,6 +66,7 @@ use sae_dag::codec::TraceKey;
 
 use crate::job::LiveStageKind;
 use crate::log::Logger;
+use crate::nemesis::uniform;
 use crate::recorder::{FlightRecorder, LiveEvent};
 use crate::task::run_task;
 use crate::wire::{Frame, FrameReader, FrameWriter, Next};
@@ -248,16 +249,6 @@ fn connect_with_retry(addr: SocketAddr, timeout: Duration) -> io::Result<TcpStre
     }
 }
 
-/// xorshift64*: the workspace's stock tiny deterministic RNG.
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    *state = x;
-    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-}
-
 /// Reconnects with jittered exponential backoff, capped. A refused
 /// connection means the driver is gone — give up immediately rather than
 /// hammering a dead address.
@@ -278,7 +269,7 @@ fn connect_with_backoff(
             Err(_) => {
                 // Sleep 50–100% of the current backoff: jitter decorrelates
                 // a fleet of executors respawning off the same fault.
-                let frac = 0.5 + (xorshift(&mut rng) >> 11) as f64 / (1u64 << 53) as f64 * 0.5;
+                let frac = 0.5 + uniform(&mut rng) * 0.5;
                 std::thread::sleep(backoff.mul_f64(frac));
                 backoff = (backoff * 2).min(respawn.backoff_cap);
             }

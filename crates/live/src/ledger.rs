@@ -1,13 +1,14 @@
 //! The task ledger: one stage's attempts, as the single-job driver and
 //! each job of the job server book them — the stage's [`PendingQueue`]
 //! (seeded with the `task % executors` locality preference) and, per task,
-//! whether it is done, who holds its attempt since when, and where it
-//! failed. [`TaskLedger`] reads no clock (calls take `now`) and records no
-//! telemetry: each call answers with what happened — picked, stale, done,
-//! requeued, exhausted — and the caller records metrics and trace events
-//! and applies its own policies (blacklisting, giving up on the job).
+//! whether it is done, who holds its attempt, and where it failed.
+//! [`TaskLedger`] reads no clock (the caller passes the stage start) and
+//! records no telemetry: each call answers with what happened — picked,
+//! stale, done, requeued, exhausted — and the caller records metrics and
+//! trace events and applies its own policies (blacklisting, giving up on
+//! the job).
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use sae_dag::sched::PendingQueue;
 
@@ -30,13 +31,17 @@ pub(crate) enum Outcome {
 #[derive(Debug, Clone, Default)]
 struct Task {
     done: bool,
-    /// The executor running the current attempt, and when it was assigned.
-    holder: Option<(usize, Instant)>,
+    /// The executor running the current attempt.
+    holder: Option<usize>,
     /// Failed attempts so far: the index of the next attempt.
     failures: usize,
     /// Executors an attempt of this task failed on.
     failed_on: Vec<usize>,
 }
+
+/// Attempts a task gets (first run + retries) before its job gives up —
+/// the budget both the driver and the job server settle against.
+pub(crate) const MAX_TASK_ATTEMPTS: usize = 4;
 
 /// One stage's attempts. See the module docs.
 pub(crate) struct TaskLedger {
@@ -77,12 +82,12 @@ impl TaskLedger {
     }
 
     /// Dequeues the task executor `e` should run next, steering retries
-    /// away from executors they failed on, and books the attempt on `e` at
-    /// `now`. `None` only when nothing is queued.
-    pub(crate) fn pick(&mut self, e: usize, now: Instant) -> Option<usize> {
+    /// away from executors they failed on, and books the attempt on `e`.
+    /// `None` only when nothing is queued.
+    pub(crate) fn pick(&mut self, e: usize) -> Option<usize> {
         let tasks = &self.tasks;
         let task = self.queue.pick(e, |t| tasks[t].failed_on.contains(&e))?;
-        self.tasks[task].holder = Some((e, now));
+        self.tasks[task].holder = Some(e);
         self.attempts += 1;
         Some(task)
     }
@@ -95,7 +100,7 @@ impl TaskLedger {
         let Some(t) = self.tasks.get_mut(task) else {
             return Outcome::Stale;
         };
-        if t.holder.map(|(e, _)| e) != Some(from) {
+        if t.holder != Some(from) {
             return Outcome::Stale;
         }
         t.holder = None;
@@ -123,10 +128,7 @@ impl TaskLedger {
     pub(crate) fn requeue_from(&mut self, e: usize, budget: usize) -> Vec<(usize, Outcome)> {
         let mut failed = Vec::new();
         for task in 0..self.tasks.len() {
-            if self.tasks[task]
-                .holder
-                .is_some_and(|(holder, _)| holder == e)
-            {
+            if self.tasks[task].holder == Some(e) {
                 let outcome = self.settle(task, e, false, budget);
                 failed.push((task, outcome));
                 if let Outcome::Exhausted { .. } = outcome {
@@ -135,17 +137,6 @@ impl TaskLedger {
             }
         }
         failed
-    }
-
-    /// Every attempt assigned before `now - deadline`, as
-    /// `(task, executor)` in task order.
-    pub(crate) fn overdue(&self, now: Instant, deadline: Duration) -> Vec<(usize, usize)> {
-        (self.tasks.iter().enumerate())
-            .filter_map(|(task, t)| match t.holder {
-                Some((e, at)) if now.duration_since(at) > deadline => Some((task, e)),
-                _ => None,
-            })
-            .collect()
     }
 
     /// The index of `task`'s current (or next) attempt: its failures so
@@ -189,7 +180,7 @@ impl TaskLedger {
 impl TaskLedger {
     /// The executor holding `task`'s current attempt.
     pub(crate) fn holder(&self, task: usize) -> Option<usize> {
-        self.tasks[task].holder.map(|(e, _)| e)
+        self.tasks[task].holder
     }
 
     /// Whether `task` is done.
@@ -203,11 +194,10 @@ mod tests {
     use super::*;
 
     const MAX: usize = 3;
-    const SECOND: Duration = Duration::from_secs(1);
 
-    /// Picks up to `n` tasks for `executor` at `now`.
-    fn pick_n(ledger: &mut TaskLedger, executor: usize, n: usize, now: Instant) -> Vec<usize> {
-        (0..n).map_while(|_| ledger.pick(executor, now)).collect()
+    /// Picks up to `n` tasks for `executor`.
+    fn pick_n(ledger: &mut TaskLedger, executor: usize, n: usize) -> Vec<usize> {
+        (0..n).map_while(|_| ledger.pick(executor)).collect()
     }
 
     #[test]
@@ -215,7 +205,7 @@ mod tests {
         let t0 = Instant::now();
         let mut l = TaskLedger::new(4, 2, t0);
         assert_eq!((l.len(), l.queued(), l.remaining()), (4, 4, 4));
-        assert_eq!(pick_n(&mut l, 1, 3, t0), [1, 3, 0], "local tasks first");
+        assert_eq!(pick_n(&mut l, 1, 3), [1, 3, 0], "local tasks first");
         assert_eq!(l.holder(3), Some(1));
         assert_eq!((l.attempts(), l.queued(), l.started()), (3, 1, t0));
     }
@@ -224,7 +214,7 @@ mod tests {
     fn a_stale_report_changes_nothing() {
         let t0 = Instant::now();
         let mut l = TaskLedger::new(2, 2, t0);
-        assert_eq!(l.pick(0, t0), Some(0));
+        assert_eq!(l.pick(0), Some(0));
         // From a non-holder, for a queued task, for a task out of range.
         for (task, from, ok) in [(0, 1, true), (0, 1, false), (1, 0, false), (9, 0, true)] {
             assert_eq!(l.settle(task, from, ok, MAX), Outcome::Stale);
@@ -243,7 +233,7 @@ mod tests {
     fn a_duplicate_success_counts_once() {
         let t0 = Instant::now();
         let mut l = TaskLedger::new(2, 1, t0);
-        assert_eq!(pick_n(&mut l, 0, 2, t0), [0, 1]);
+        assert_eq!(pick_n(&mut l, 0, 2), [0, 1]);
         let done = Outcome::Done { stage_done: false };
         assert_eq!(l.settle(1, 0, true, MAX), done);
         assert_eq!(l.settle(1, 0, true, MAX), Outcome::Stale);
@@ -259,10 +249,10 @@ mod tests {
         let t0 = Instant::now();
         let mut l = TaskLedger::new(1, 2, t0);
         for (attempt, e) in [(0, 0), (1, 1)] {
-            assert_eq!(l.pick(e, t0), Some(0));
+            assert_eq!(l.pick(e), Some(0));
             assert_eq!(l.settle(0, e, false, MAX), Outcome::Requeued { attempt });
         }
-        assert_eq!(l.pick(0, t0), Some(0), "failed everywhere: still runs");
+        assert_eq!(l.pick(0), Some(0), "failed everywhere: still runs");
         assert_eq!(
             l.settle(0, 0, false, MAX),
             Outcome::Exhausted { attempt: 2 }
@@ -272,10 +262,10 @@ mod tests {
         // Through `requeue_from`, the exhausted task is named and the
         // sweep stops there.
         let mut l = TaskLedger::new(3, 1, t0);
-        assert_eq!(pick_n(&mut l, 0, 3, t0), [0, 1, 2]);
+        assert_eq!(pick_n(&mut l, 0, 3), [0, 1, 2]);
         for attempt in 0..MAX - 1 {
             assert_eq!(l.settle(1, 0, false, MAX), Outcome::Requeued { attempt });
-            assert_eq!(l.pick(0, t0), Some(1));
+            assert_eq!(l.pick(0), Some(1));
         }
         assert_eq!(
             l.requeue_from(0, MAX),
@@ -293,9 +283,9 @@ mod tests {
         let mut l = TaskLedger::new(6, 3, t0);
         // Executor 0 holds tasks 0 and 3, executor 1 holds 1 and 4,
         // executor 2 holds 2; task 5 waits. Executor 0 finishes task 3.
-        assert_eq!(pick_n(&mut l, 0, 2, t0), [0, 3]);
-        assert_eq!(pick_n(&mut l, 1, 2, t0), [1, 4]);
-        assert_eq!(pick_n(&mut l, 2, 1, t0), [2]);
+        assert_eq!(pick_n(&mut l, 0, 2), [0, 3]);
+        assert_eq!(pick_n(&mut l, 1, 2), [1, 4]);
+        assert_eq!(pick_n(&mut l, 2, 1), [2]);
         let done = Outcome::Done { stage_done: false };
         assert_eq!(l.settle(3, 0, true, MAX), done);
         let requeued = Outcome::Requeued { attempt: 0 };
@@ -306,28 +296,9 @@ mod tests {
         assert_eq!((l.failed_attempts(), l.queued(), l.remaining()), (3, 4, 5));
         // Each failure is booked against its executor: retries steer away
         // from it while another task is eligible.
-        assert_eq!(pick_n(&mut l, 0, 2, t0), [5, 1], "task 0 failed here");
-        assert_eq!(l.pick(1, t0), Some(0));
-        assert_eq!(l.pick(0, t0), Some(4));
-    }
-
-    #[test]
-    fn overdue_is_exactly_the_attempts_assigned_before_now_minus_the_deadline() {
-        let t0 = Instant::now();
-        let mut l = TaskLedger::new(4, 4, t0);
-        for e in 0..3 {
-            assert_eq!(l.pick(e, t0 + SECOND * e as u32), Some(e));
-        }
-        let now = t0 + 3 * SECOND;
-        assert_eq!(l.overdue(now, SECOND), [(0, 0), (1, 1)]);
-        assert_eq!(l.overdue(now, 3 * SECOND), []);
-        assert_eq!(l.overdue(now, Duration::ZERO), [(0, 0), (1, 1), (2, 2)]);
-        // Settled attempts are nobody's to overrun.
-        let done = Outcome::Done { stage_done: false };
-        assert_eq!(l.settle(0, 0, true, MAX), done);
-        assert_eq!(l.settle(1, 1, false, MAX), Outcome::Requeued { attempt: 0 });
-        assert_eq!(l.overdue(now, SECOND), []);
-        assert_eq!(l.overdue(now, Duration::ZERO), [(2, 2)]);
+        assert_eq!(pick_n(&mut l, 0, 2), [5, 1], "task 0 failed here");
+        assert_eq!(l.pick(1), Some(0));
+        assert_eq!(l.pick(0), Some(4));
     }
 
     #[test]
@@ -342,11 +313,10 @@ mod tests {
             rng ^= rng << 17;
             (rng % n) as usize
         };
-        for step in 0..2_000 {
-            let now = t0 + Duration::from_millis(step);
+        for _ in 0..2_000 {
             let e = next(executors as u64);
             match next(8) {
-                0..=3 => picks += usize::from(l.pick(e, now).is_some()),
+                0..=3 => picks += usize::from(l.pick(e).is_some()),
                 4..=6 => match l.settle(next(18), e, next(4) > 0, usize::MAX) {
                     Outcome::Done { .. } => done += 1,
                     Outcome::Requeued { .. } => failed += 1,

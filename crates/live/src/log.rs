@@ -27,7 +27,7 @@ pub enum LogLevel {
 
 impl LogLevel {
     /// The level's lowercase name.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             LogLevel::Off => "off",
             LogLevel::Error => "error",
@@ -37,7 +37,7 @@ impl LogLevel {
     }
 
     /// Parses an `SAE_LOG` value; unknown values fall back to `Off`.
-    pub fn parse(value: &str) -> Self {
+    pub(crate) fn parse(value: &str) -> Self {
         match value.trim().to_ascii_lowercase().as_str() {
             "error" => LogLevel::Error,
             "info" => LogLevel::Info,

@@ -234,7 +234,9 @@ fn run_session(
     Ok(())
 }
 
-/// xorshift64* — deterministic per (plan seed, executor, direction).
+/// xorshift64*, the live runtime's one small deterministic RNG: fault
+/// streams seed it per (plan seed, executor, direction), reconnect jitter
+/// per (respawn seed, incarnation).
 fn xorshift(state: &mut u64) -> u64 {
     let mut x = *state;
     x ^= x >> 12;
@@ -245,7 +247,7 @@ fn xorshift(state: &mut u64) -> u64 {
 }
 
 /// Uniform draw in `[0, 1)` from the stream.
-fn uniform(state: &mut u64) -> f64 {
+pub(crate) fn uniform(state: &mut u64) -> f64 {
     (xorshift(state) >> 11) as f64 / (1u64 << 53) as f64
 }
 

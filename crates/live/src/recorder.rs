@@ -111,12 +111,12 @@ pub enum LiveEvent {
         /// Seconds since the recorder epoch.
         at: f64,
     },
-    /// The live-executor count fell below the configured floor: the
-    /// driver parked the job instead of failing fast.
+    /// The usable-executor count fell below the floor (no usable
+    /// executor left): the driver parked the job instead of failing fast.
     Degraded {
         /// Usable executors at the moment of entry.
         live: usize,
-        /// The configured `min_live_executors` floor.
+        /// The usable-executor floor (1).
         floor: usize,
         /// Seconds since the recorder epoch.
         at: f64,
@@ -192,7 +192,7 @@ pub enum LiveEvent {
 
 impl LiveEvent {
     /// The event's timestamp in seconds since the recorder epoch.
-    pub fn at(&self) -> f64 {
+    pub(crate) fn at(&self) -> f64 {
         match self {
             LiveEvent::Trace(e) => e.at(),
             LiveEvent::FrameSent { at, .. }
@@ -265,7 +265,7 @@ impl std::fmt::Debug for Subscription {
 
 impl Subscription {
     /// Events currently queued.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.shared.queue.lock().len()
     }
 
@@ -281,7 +281,7 @@ impl Subscription {
 
     /// Removes and returns the oldest queued event with its global
     /// sequence number.
-    pub fn pop(&self) -> Option<(u64, LiveEvent)> {
+    pub(crate) fn pop(&self) -> Option<(u64, LiveEvent)> {
         self.shared.queue.lock().pop_front()
     }
 
@@ -360,17 +360,17 @@ impl FlightRecorder {
     }
 
     /// Whether pushes are recorded at all.
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         !self.inner.slots.is_empty()
     }
 
     /// Ring capacity in events.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.inner.slots.len()
     }
 
     /// The epoch all timestamps count from.
-    pub fn epoch(&self) -> Instant {
+    pub(crate) fn epoch(&self) -> Instant {
         self.inner.epoch
     }
 
@@ -490,7 +490,7 @@ impl FlightRecorder {
     }
 
     /// Total events ever pushed (recorded or overwritten).
-    pub fn recorded(&self) -> u64 {
+    pub(crate) fn recorded(&self) -> u64 {
         self.inner.cursor.load(Ordering::Relaxed)
     }
 

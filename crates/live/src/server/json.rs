@@ -177,11 +177,18 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, &'static str> {
             }
             Some(&c) if c < 0x20 => return Err("control byte in string"),
             Some(_) => {
-                // Copy one UTF-8 scalar (already validated: input is &str).
-                let s = std::str::from_utf8(&b[*pos..]).map_err(|_| "invalid utf-8")?;
-                let ch = s.chars().next().ok_or("unterminated string")?;
-                out.push(ch);
-                *pos += ch.len_utf8();
+                // Copy the whole run of plain bytes in one step. It ends
+                // on a quote, a backslash, a control byte or the end of
+                // the `&str` input — all char boundaries — so it is valid
+                // UTF-8, and each byte is validated once.
+                let start = *pos;
+                while b
+                    .get(*pos)
+                    .is_some_and(|&c| c >= 0x20 && c != b'"' && c != b'\\')
+                {
+                    *pos += 1;
+                }
+                out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|_| "invalid utf-8")?);
             }
         }
     }
@@ -290,6 +297,23 @@ mod tests {
         }
         let deep = "[".repeat(40) + &"]".repeat(40);
         assert!(parse(&deep).is_err(), "depth cap missing");
+    }
+
+    #[test]
+    fn a_one_mebibyte_string_parses_in_linear_time() {
+        let unit = "plain ascii, then é and 𝄞: ";
+        let run = unit.repeat((1 << 19) / unit.len());
+        let body = format!("{{\"s\":\"{run}\\n{run}\"}}");
+        let started = std::time::Instant::now();
+        let v = parse(&body).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(
+            v.get("s").and_then(Value::as_str),
+            Some(&*format!("{run}\n{run}"))
+        );
+        // Linear work is milliseconds even unoptimised; re-validating the
+        // rest of the body per character took seconds.
+        assert!(elapsed.as_secs_f64() < 1.0, "took {elapsed:?}");
     }
 
     #[test]

@@ -101,7 +101,7 @@ use sae_poll::{Event, Poller, TimerWheel};
 
 use crate::fleet::{Admit, Fleet};
 use crate::job::{LiveJob, LiveStageKind, LiveStageSpec};
-use crate::ledger::{Outcome, TaskLedger};
+use crate::ledger::{Outcome, TaskLedger, MAX_TASK_ATTEMPTS};
 use crate::log::Logger;
 use crate::recorder::{FlightRecorder, LiveEvent, Subscription};
 use crate::shell::{self, Conns, Flush, Listener, OutQueue, HIGH_WATER, READ_CHUNK};
@@ -141,8 +141,6 @@ pub struct ServerConfig {
     /// Queued (admitted, not yet started) jobs beyond `max_active`;
     /// past this depth submissions are rejected with `429`.
     pub max_queued: usize,
-    /// A task failing this many attempts fails its job.
-    pub max_task_attempts: usize,
     /// Executor silence longer than this declares it lost.
     pub heartbeat_timeout: Duration,
     /// Period of the heartbeat/drain sweep timer.
@@ -167,7 +165,6 @@ impl Default for ServerConfig {
             executors: 2,
             max_active: 8,
             max_queued: 16,
-            max_task_attempts: 4,
             heartbeat_timeout: Duration::from_millis(800),
             check_interval: Duration::from_millis(50),
             shutdown_drain: Duration::from_secs(2),
@@ -968,7 +965,7 @@ impl ServerLoop {
         let Some(js) = self.jobs.live_mut(job) else {
             return;
         };
-        match js.tasks.settle(task, e, ok, self.cfg.max_task_attempts) {
+        match js.tasks.settle(task, e, ok, MAX_TASK_ATTEMPTS) {
             Outcome::Stale => {}
             Outcome::Done { stage_done } => {
                 self.metrics.tenant(&js.tenant).tasks.inc();
@@ -1112,7 +1109,6 @@ impl ServerLoop {
     /// Hands free slots to queued tasks, fair-share order, until nothing
     /// more can move.
     fn try_assign(&mut self) {
-        let now = Instant::now();
         for e in 0..self.execs.len() {
             while self.execs.has_free_slot(e) {
                 let jobs = &self.jobs;
@@ -1124,7 +1120,7 @@ impl ServerLoop {
                 // every executor one (a task that failed everywhere still
                 // runs), so the winner is never charged for nothing.
                 let js = self.jobs.live_mut(job).expect("picked job is live");
-                let task = js.tasks.pick(e, now).expect("a runnable job has a task");
+                let task = js.tasks.pick(e).expect("a runnable job has a task");
                 js.total_attempts += 1;
                 self.inflight.insert((job, task), e);
                 self.execs.book(e);
@@ -1950,7 +1946,7 @@ mod tests {
 
         // Fail: task 0 of `b` burns its attempt budget (task 1 stays in
         // flight throughout).
-        for _ in 0..sl.cfg.max_task_attempts {
+        for _ in 0..MAX_TASK_ATTEMPTS {
             let e = sl.inflight[&(b, 0)];
             sl.handle_outcome(b, 0, e, false);
             sl.jobs.assert_consistent();

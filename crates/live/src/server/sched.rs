@@ -10,7 +10,7 @@
 //!
 //! The scheduler is a pure state machine: no clocks, no randomness, ties
 //! broken by job id. Given the same sequence of [`FairShare::admit`],
-//! [`FairShare::retire`] and [`FairShare::pick`] calls it produces the
+//! `FairShare::retire` and [`FairShare::pick`] calls it produces the
 //! same dispatch sequence, which is what makes the server's accounting
 //! journal replayable — [`replay`] re-runs a recorded schedule and
 //! byte-identical journals out of two runs prove the allocator
@@ -70,7 +70,7 @@ impl FairShare {
     }
 
     /// Removes `job` from contention (completed, failed, or cancelled).
-    pub fn retire(&mut self, job: u64) {
+    pub(crate) fn retire(&mut self, job: u64) {
         self.entries.remove(&job);
     }
 
@@ -88,7 +88,7 @@ impl FairShare {
     /// `runnable` filters jobs that could actually use the slot (current
     /// stage has queued tasks); jobs it rejects keep their pass, so a job
     /// blocked on stragglers is not penalised for slots it could not take.
-    pub fn peek(&self, mut runnable: impl FnMut(u64) -> bool) -> Option<u64> {
+    pub(crate) fn peek(&self, mut runnable: impl FnMut(u64) -> bool) -> Option<u64> {
         self.entries
             .iter()
             .filter(|(id, _)| runnable(**id))
@@ -112,7 +112,7 @@ impl FairShare {
         Some(dispatch)
     }
 
-    /// [`FairShare::peek`] + `FairShare::charge` in one step.
+    /// `FairShare::peek` + `FairShare::charge` in one step.
     pub fn pick(&mut self, runnable: impl FnMut(u64) -> bool) -> Option<Dispatch> {
         let job = self.peek(runnable)?;
         self.charge(job)

@@ -293,7 +293,7 @@ impl Frame {
 
     /// Decodes the first complete frame in `buf`, returning it and the
     /// bytes consumed, or `Ok(None)` when more bytes are needed.
-    pub fn decode(buf: &[u8]) -> Result<Option<(Frame, usize)>, FrameError> {
+    pub(crate) fn decode(buf: &[u8]) -> Result<Option<(Frame, usize)>, FrameError> {
         match codec::split_frame(buf)? {
             Some((body, consumed)) => Ok(Some((Self::decode_body(body)?, consumed))),
             None => Ok(None),

@@ -34,7 +34,6 @@ fn test_cfg(executors: usize) -> ClusterConfig {
         heartbeat_interval: Duration::from_millis(50),
         heartbeat_timeout: Duration::from_millis(600),
         check_interval: Duration::from_millis(25),
-        max_task_attempts: 4,
         blacklist_after: 3,
         deadline: Duration::from_secs(90),
         ..ClusterConfig::default()

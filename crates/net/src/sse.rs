@@ -70,7 +70,7 @@ pub struct StreamEncoder {
 
 impl StreamEncoder {
     /// An encoder for a chunked response with `content_type`.
-    pub fn new(status: u16, content_type: &'static str) -> Self {
+    pub(crate) fn new(status: u16, content_type: &'static str) -> Self {
         Self {
             status,
             content_type,
@@ -252,7 +252,7 @@ impl ChunkedDecoder {
     }
 
     /// Bytes buffered but not yet decoded.
-    pub fn pending_bytes(&self) -> usize {
+    pub(crate) fn pending_bytes(&self) -> usize {
         self.buf.len() - self.start
     }
 

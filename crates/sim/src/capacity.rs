@@ -15,7 +15,7 @@ pub struct ClassCounts {
 
 impl ClassCounts {
     /// Creates an empty count set.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -162,7 +162,7 @@ impl CapacityCurve {
     }
 
     /// Aggregate capacity for the given class mix.
-    pub fn aggregate(&self, counts: &ClassCounts) -> f64 {
+    pub(crate) fn aggregate(&self, counts: &ClassCounts) -> f64 {
         let n = counts.total();
         if n == 0 {
             return 0.0;

@@ -87,7 +87,7 @@ impl RangePartitioner {
     }
 
     /// Number of output partitions.
-    pub fn partitions(&self) -> usize {
+    pub(crate) fn partitions(&self) -> usize {
         self.boundaries.len() + 1
     }
 
