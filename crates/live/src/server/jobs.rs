@@ -1,11 +1,12 @@
 //! Job bookkeeping for the serve loop: a slot table whose per-job and
-//! per-wakeup costs do not depend on how many jobs have already finished.
+//! per-wakeup costs do not depend on how many jobs have already finished,
+//! and whose memory does not grow with them either.
 //!
-//! Job ids are dense (`1, 2, 3, …`) and a job is never forgotten, so the
-//! table is one `Vec` indexed by `id − 1`. A slot starts out
-//! [`Slot::Live`] — a queued or running job's full scheduling state, its
-//! current stage's task ledger (`ledger.rs`, as in the driver) included —
-//! and is converted in place to [`Slot::Retired`] the moment the job turns
+//! Job ids are dense (`1, 2, 3, …`), so the table is one `VecDeque` of
+//! slots indexed by `id − 1 − base`. A slot starts out [`Slot::Live`] — a
+//! queued or running job's full scheduling state, its current stage's
+//! task ledger (`ledger.rs`, as in the driver) included — and is
+//! converted in place to [`Slot::Retired`] the moment the job turns
 //! terminal: ledger and spec are dropped, and only what terminal reads
 //! need stays (the [`JobSummary`], the per-stage rows of
 //! `/jobs/:id/report`, and the now-immutable status line, rendered
@@ -13,15 +14,24 @@
 //! and a small ordered set of non-terminal ids (bounded by
 //! `max_active + max_queued`) instead of walking history.
 //!
+//! At most [`RETAINED_JOBS`] retired jobs are kept. When one more
+//! retires, the oldest retired job's slot becomes [`Slot::Evicted`],
+//! which owns nothing, and evicted slots at the front of the table are
+//! popped; its id then answers `410 Gone`, while an id never admitted
+//! stays `404`. A live job is never evicted, however old it is; the
+//! evicted slots behind it stay in the table, owning nothing, until it
+//! retires.
+//!
 //! [`JobState::status`] is private to this module: the only transitions
 //! are [`JobTable::admit`], [`JobTable::start`] and [`JobTable::retire`],
-//! which is what keeps the counter and the live set exact.
+//! which is what keeps the counter, the live set and the retirement
+//! order exact.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use sae_net::http;
+use sae_net::http::{self, Response};
 
 use super::{kind_name, JobStatus, JobSummary};
 use crate::job::{LiveJob, LiveStageSpec};
@@ -135,40 +145,79 @@ impl RetiredJob {
 enum Slot {
     Live(Box<JobState>),
     Retired(Box<RetiredJob>),
+    /// Retired, then dropped to keep [`RETAINED_JOBS`]: its id answers 410.
+    Evicted,
 }
 
-/// Every job the server ever admitted, by id.
+/// Retired jobs the table keeps; retiring one more evicts the oldest.
+pub(super) const RETAINED_JOBS: usize = 4096;
+
+/// Why an id names no job the table holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Missing {
+    /// Never admitted: `404`.
+    Unknown,
+    /// Admitted, retired, then evicted: `410`.
+    Evicted,
+}
+
+impl Missing {
+    /// The response every `/jobs/:id…` route answers for this id.
+    pub(super) fn response(self) -> Response {
+        match self {
+            Missing::Unknown => Response::error(404, "no such job"),
+            Missing::Evicted => Response::error(410, "job evicted from the retained history"),
+        }
+    }
+}
+
+/// The live jobs and the last [`RETAINED_JOBS`] retired ones, by id.
 #[derive(Default)]
 pub(super) struct JobTable {
-    slots: Vec<Slot>,
+    /// Slots of ids `base + 1 ..`; the front slot is never `Evicted`.
+    slots: VecDeque<Slot>,
+    /// Ids popped off the front: every id up to `base` was evicted.
+    base: u64,
     /// Jobs in [`JobStatus::Running`].
     running: usize,
     /// Ids of the `Live` slots, ascending.
     live: BTreeSet<u64>,
-    /// Bytes of every retired status line, to size `GET /jobs` in one go.
+    /// Ids of the `Retired` slots, in retirement order.
+    retired: VecDeque<u64>,
+    /// Bytes of every retained status line, to size `GET /jobs` in one go.
     retired_line_bytes: usize,
 }
 
 impl JobTable {
-    /// Slot index of job `id` (ids start at 1).
-    fn index(id: u64) -> Option<usize> {
-        usize::try_from(id.checked_sub(1)?).ok()
+    /// Slot index of job `id`, or why it has none.
+    fn index(&self, id: u64) -> Result<usize, Missing> {
+        if id == 0 || id > self.base + self.slots.len() as u64 {
+            return Err(Missing::Unknown);
+        }
+        if id <= self.base {
+            return Err(Missing::Evicted);
+        }
+        let idx = (id - self.base - 1) as usize;
+        match self.slots[idx] {
+            Slot::Evicted => Err(Missing::Evicted),
+            _ => Ok(idx),
+        }
     }
 
-    fn slot(&self, id: u64) -> Option<&Slot> {
-        self.slots.get(Self::index(id)?)
+    fn slot(&self, id: u64) -> Result<&Slot, Missing> {
+        Ok(&self.slots[self.index(id)?])
     }
 
-    /// Whether `id` was ever admitted.
-    pub(super) fn contains(&self, id: u64) -> bool {
-        self.slot(id).is_some()
+    /// `Ok(id)` if the table holds job `id`, or why it does not.
+    pub(super) fn find(&self, id: u64) -> Result<u64, Missing> {
+        self.index(id).map(|_| id)
     }
 
     /// Admits a job as [`JobStatus::Queued`] under the next dense id.
     pub(super) fn admit(&mut self, job: LiveJob, tenant: String, weight: u64) -> &mut JobState {
-        let id = self.slots.len() as u64 + 1;
+        let id = self.base + self.slots.len() as u64 + 1;
         self.live.insert(id);
-        self.slots.push(Slot::Live(Box::new(JobState {
+        self.slots.push_back(Slot::Live(Box::new(JobState {
             id,
             job,
             tenant,
@@ -183,7 +232,7 @@ impl JobTable {
             journal: String::new(),
             journal_lines: 0,
         })));
-        match self.slots.last_mut() {
+        match self.slots.back_mut() {
             Some(Slot::Live(js)) => js,
             _ => unreachable!("a live slot was just pushed"),
         }
@@ -192,17 +241,18 @@ impl JobTable {
     /// The scheduling state of a queued or running job; `None` once the
     /// job is terminal (or was never admitted).
     pub(super) fn live(&self, id: u64) -> Option<&JobState> {
-        match self.slot(id)? {
+        match self.slot(id).ok()? {
             Slot::Live(js) => Some(js),
-            Slot::Retired(_) => None,
+            _ => None,
         }
     }
 
     /// Mutable twin of [`JobTable::live`].
     pub(super) fn live_mut(&mut self, id: u64) -> Option<&mut JobState> {
-        match self.slots.get_mut(Self::index(id)?)? {
+        let idx = self.index(id).ok()?;
+        match &mut self.slots[idx] {
             Slot::Live(js) => Some(js),
-            Slot::Retired(_) => None,
+            _ => None,
         }
     }
 
@@ -218,7 +268,8 @@ impl JobTable {
 
     /// Moves a queued job to [`JobStatus::Running`].
     pub(super) fn start(&mut self, id: u64) -> Option<&mut JobState> {
-        match self.slots.get_mut(Self::index(id)?)? {
+        let idx = self.index(id).ok()?;
+        match &mut self.slots[idx] {
             Slot::Live(js) if js.status == JobStatus::Queued => {
                 js.status = JobStatus::Running;
                 js.started_at = Some(Instant::now());
@@ -230,13 +281,15 @@ impl JobTable {
     }
 
     /// Moves a queued or running job to the terminal `status` and strips
-    /// its slot down to a [`RetiredJob`]. No-op on a job already terminal.
+    /// its slot down to a [`RetiredJob`], evicting the oldest retired job
+    /// if that leaves more than [`RETAINED_JOBS`]. No-op on a job already
+    /// terminal.
     pub(super) fn retire(&mut self, id: u64, status: JobStatus) {
         debug_assert!(status.terminal());
-        let Some(idx) = Self::index(id) else {
+        let Ok(idx) = self.index(id) else {
             return;
         };
-        let Some(Slot::Live(js)) = self.slots.get_mut(idx) else {
+        let Slot::Live(js) = &mut self.slots[idx] else {
             return;
         };
         if js.status == JobStatus::Running {
@@ -247,43 +300,60 @@ impl JobTable {
         self.retired_line_bytes += retired.status_line.len();
         self.slots[idx] = Slot::Retired(retired);
         self.live.remove(&id);
+        self.retired.push_back(id);
+        if self.retired.len() > RETAINED_JOBS {
+            let oldest = self.retired.pop_front().expect("more than zero retired");
+            let idx = (oldest - self.base - 1) as usize;
+            if let Slot::Retired(r) = std::mem::replace(&mut self.slots[idx], Slot::Evicted) {
+                self.retired_line_bytes -= r.status_line.len();
+            }
+            while matches!(self.slots.front(), Some(Slot::Evicted)) {
+                self.slots.pop_front();
+                self.base += 1;
+            }
+        }
     }
 
     /// A job's status and journal so far, from either slot kind — what a
     /// `/jobs/:id/events` stream follows across retirement.
-    pub(super) fn view(&self, id: u64) -> Option<(JobStatus, &str)> {
-        Some(match self.slot(id)? {
+    pub(super) fn view(&self, id: u64) -> Result<(JobStatus, &str), Missing> {
+        Ok(match self.slot(id)? {
             Slot::Live(js) => (js.status, js.journal.as_str()),
             Slot::Retired(r) => (r.summary.status, r.summary.journal.as_str()),
+            Slot::Evicted => unreachable!("index() skips evicted slots"),
         })
     }
 
     /// The `GET /jobs/:id` body.
-    pub(super) fn status_line(&self, id: u64) -> Option<String> {
-        Some(match self.slot(id)? {
+    pub(super) fn status_line(&self, id: u64) -> Result<String, Missing> {
+        Ok(match self.slot(id)? {
             Slot::Live(js) => {
                 let mut line = String::new();
                 js.write_status_line(&mut line);
                 line
             }
             Slot::Retired(r) => r.status_line.to_string(),
+            Slot::Evicted => unreachable!("index() skips evicted slots"),
         })
     }
 
     /// The `GET /jobs` body: cached lines of retired jobs and fresh lines
-    /// of live ones, concatenated into one buffer.
+    /// of live ones, in id order, concatenated into one buffer. Evicted
+    /// jobs are not listed.
     pub(super) fn list(&self) -> String {
         let mut out = String::with_capacity(
             self.retired_line_bytes + self.slots.len() + 256 * self.live.len() + 16,
         );
         out.push_str("{\"jobs\":[");
-        for (i, slot) in self.slots.iter().enumerate() {
+        let retained = self.slots.iter().filter(|s| !matches!(s, Slot::Evicted));
+        for (i, slot) in retained.enumerate() {
             if i > 0 {
                 out.push(',');
             }
             match slot {
                 Slot::Live(js) => js.write_status_line(&mut out),
                 Slot::Retired(r) => out.push_str(&r.status_line),
+                Slot::Evicted => {}
             }
         }
         out.push_str("]}");
@@ -291,7 +361,7 @@ impl JobTable {
     }
 
     /// The `GET /jobs/:id/report` body.
-    pub(super) fn report(&self, id: u64) -> Option<String> {
+    pub(super) fn report(&self, id: u64) -> Result<String, Missing> {
         let report = match self.slot(id)? {
             Slot::Live(js) => Report {
                 id,
@@ -313,18 +383,20 @@ impl JobTable {
                 stages: &r.stages,
                 stage_durations: &r.stage_durations,
             },
+            Slot::Evicted => unreachable!("index() skips evicted slots"),
         };
-        Some(report.render())
+        Ok(report.render())
     }
 
-    /// Every job's summary, by id. The serve loop retires whatever is
-    /// still live before it reports; a job it missed is left out.
+    /// Every retained job's summary, by id. The serve loop retires
+    /// whatever is still live before it reports; a job it missed is left
+    /// out, as is every evicted one.
     pub(super) fn into_summaries(self) -> Vec<JobSummary> {
         self.slots
             .into_iter()
             .filter_map(|slot| match slot {
                 Slot::Retired(r) => Some(r.summary),
-                Slot::Live(_) => None,
+                Slot::Live(_) | Slot::Evicted => None,
             })
             .collect()
     }
@@ -382,9 +454,14 @@ impl JobTable {
     pub(super) fn assert_consistent(&self) {
         let mut running = 0;
         let mut live = Vec::new();
+        let mut retired = Vec::new();
         let mut line_bytes = 0;
+        assert!(
+            !matches!(self.slots.front(), Some(Slot::Evicted)),
+            "an evicted slot was left at the front"
+        );
         for (i, slot) in self.slots.iter().enumerate() {
-            let id = i as u64 + 1;
+            let id = self.base + i as u64 + 1;
             match slot {
                 Slot::Live(js) => {
                     assert_eq!(js.id, id);
@@ -399,18 +476,28 @@ impl JobTable {
                     assert!(r.summary.status.terminal(), "job {id} retired early");
                     assert_eq!(r.summary.journal.capacity(), r.summary.journal.len());
                     line_bytes += r.status_line.len();
+                    retired.push(id);
                 }
+                Slot::Evicted => assert_eq!(self.find(id), Err(Missing::Evicted)),
             }
+        }
+        for id in 1..=self.base {
+            assert_eq!(self.find(id), Err(Missing::Evicted));
         }
         assert_eq!(self.running, running);
         assert_eq!(self.live.iter().copied().collect::<Vec<_>>(), live);
+        // Retirement order is not id order, but it holds the same ids.
+        let mut order: Vec<u64> = self.retired.iter().copied().collect();
+        order.sort_unstable();
+        assert_eq!(order, retired);
+        assert!(self.retired.len() <= RETAINED_JOBS);
         assert_eq!(self.retired_line_bytes, line_bytes);
     }
 
     /// Bytes a retired job keeps: its slot, its record and every heap
     /// block behind it (allocator headers not counted).
     pub(super) fn retained_bytes(&self, id: u64) -> usize {
-        let Some(Slot::Retired(r)) = self.slot(id) else {
+        let Ok(Slot::Retired(r)) = self.slot(id) else {
             panic!("job {id} is not retired");
         };
         std::mem::size_of::<Slot>()
@@ -451,7 +538,9 @@ mod tests {
             assert_eq!((js.id, js.status()), (want, JobStatus::Queued));
             table.assert_consistent();
         }
-        assert!(!table.contains(0) && table.contains(3) && !table.contains(4));
+        assert_eq!(table.find(0), Err(Missing::Unknown));
+        assert_eq!(table.find(3), Ok(3));
+        assert_eq!(table.find(4), Err(Missing::Unknown));
         assert!(table.start(1).is_some() && table.start(2).is_some());
         assert!(table.start(2).is_none(), "already running");
         assert!(table.start(9).is_none(), "never admitted");
@@ -471,7 +560,7 @@ mod tests {
         assert!(table.live(2).is_none() && table.live_mut(2).is_none());
         assert_eq!(
             table.view(2),
-            Some((JobStatus::Failed, "{\"event\":\"x\"}\n"))
+            Ok((JobStatus::Failed, "{\"event\":\"x\"}\n"))
         );
         let line = table.status_line(2).unwrap();
         assert!(
@@ -489,7 +578,7 @@ mod tests {
         table.retire(3, JobStatus::Completed);
         table.assert_consistent();
         assert_eq!(table.running(), 1);
-        assert_eq!(table.view(3).map(|v| v.0), Some(JobStatus::Cancelled));
+        assert_eq!(table.view(3).map(|v| v.0), Ok(JobStatus::Cancelled));
 
         let list = table.list();
         assert_eq!(

@@ -120,15 +120,41 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Value) -> Result<Value, &'
     }
 }
 
+/// Advances past a run of ASCII digits and returns its length.
+fn digits(b: &[u8], pos: &mut usize) -> usize {
+    let start = *pos;
+    while b.get(*pos).is_some_and(u8::is_ascii_digit) {
+        *pos += 1;
+    }
+    *pos - start
+}
+
+/// RFC 8259's `number`: `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
 fn parse_num(b: &[u8], pos: &mut usize) -> Result<Value, &'static str> {
     let start = *pos;
     if b.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    while *pos < b.len()
-        && (b[*pos].is_ascii_digit() || matches!(b[*pos], b'.' | b'e' | b'E' | b'+' | b'-'))
-    {
+    let int_start = *pos;
+    match digits(b, pos) {
+        0 => return Err("malformed number"),
+        n if n > 1 && b[int_start] == b'0' => return Err("leading zero in number"),
+        _ => {}
+    }
+    if b.get(*pos) == Some(&b'.') {
         *pos += 1;
+        if digits(b, pos) == 0 {
+            return Err("malformed number");
+        }
+    }
+    if matches!(b.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(b.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        if digits(b, pos) == 0 {
+            return Err("malformed number");
+        }
     }
     std::str::from_utf8(&b[start..*pos])
         .ok()
@@ -160,10 +186,14 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, &'static str> {
                     Some(b'r') => out.push('\r'),
                     Some(b't') => out.push('\t'),
                     Some(b'u') => {
+                        // Exactly four hex digits: no sign, no shorter run.
                         let hex = b
                             .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
+                            .and_then(|h| {
+                                h.iter().try_fold(0u32, |acc, &c| {
+                                    Some(acc << 4 | (c as char).to_digit(16)?)
+                                })
+                            })
                             .ok_or("malformed \\u escape")?;
                         // Surrogates are rejected rather than paired: job
                         // specs have no business encoding astral-plane
@@ -314,6 +344,36 @@ mod tests {
         // Linear work is milliseconds even unoptimised; re-validating the
         // rest of the body per character took seconds.
         assert!(elapsed.as_secs_f64() < 1.0, "took {elapsed:?}");
+    }
+
+    #[test]
+    fn numbers_and_escapes_follow_rfc_8259() {
+        for bad in [
+            "01",
+            "-01",
+            "1.",
+            "-",
+            "1e",
+            "1e+",
+            ".5",
+            "+1",
+            "1.e5",
+            "\"\\u+041\"",
+            "\"\\u04\"",
+        ] {
+            assert!(parse(bad).is_err(), "accepted {bad:?}");
+        }
+        for (good, want) in [
+            ("0", Value::Num(0.0)),
+            ("-0.5", Value::Num(-0.5)),
+            ("1e5", Value::Num(1e5)),
+            ("2E-2", Value::Num(0.02)),
+            ("10", Value::Num(10.0)),
+            ("\"A\"", Value::Str("A".into())),
+            ("\"\\u0041\\u00e9\"", Value::Str("A\u{e9}".into())),
+        ] {
+            assert_eq!(parse(good), Ok(want), "{good:?}");
+        }
     }
 
     #[test]

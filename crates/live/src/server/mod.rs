@@ -24,7 +24,7 @@
 //! | Route                  | Meaning                                    |
 //! |------------------------|--------------------------------------------|
 //! | `POST /jobs`           | submit a job spec (JSON), `201` + id       |
-//! | `GET /jobs`            | list all jobs with status                  |
+//! | `GET /jobs`            | list retained jobs with status             |
 //! | `GET /jobs/:id`        | one job's live status                      |
 //! | `DELETE /jobs/:id`     | cancel (`409` once terminal)               |
 //! | `GET /jobs/:id/report` | per-stage report (attempts, durations)     |
@@ -75,10 +75,14 @@
 //! fault-free runs of the same submission schedule produce byte-identical
 //! journals — the determinism the `jobserver` bench asserts.
 //!
-//! Jobs are never forgotten, so what the server keeps per job lives in a
-//! slot table (`jobs.rs`) built so that no submit, dispatch, outcome or
-//! tick walks the jobs already finished: a terminal job's slot is
-//! stripped in place to the few hundred bytes its reads still need.
+//! What the server keeps per job lives in a slot table (`jobs.rs`) built
+//! so that no submit, dispatch, outcome or tick walks the jobs already
+//! finished: a terminal job's slot is stripped in place to the few
+//! hundred bytes its reads still need, and only the last 4096 terminal
+//! jobs are kept at all. An older terminal job is evicted: its id
+//! answers `410 Gone` on every `/jobs/:id…` route, where an id never
+//! admitted answers `404`. A job still queued or running is never
+//! evicted, and eviction changes no journal byte.
 
 mod jobs;
 pub mod json;
@@ -107,7 +111,7 @@ use crate::recorder::{FlightRecorder, LiveEvent, Subscription};
 use crate::shell::{self, Conns, Flush, Listener, OutQueue, HIGH_WATER, READ_CHUNK};
 use crate::wire::{Frame, FrameCursor};
 
-use jobs::{JobState, JobTable};
+use jobs::{JobState, JobTable, Missing};
 use json::Value;
 use sched::FairShare;
 
@@ -239,7 +243,9 @@ pub struct JobSummary {
 /// What [`JobServer::serve`] returns once the server drains.
 #[derive(Debug, Clone)]
 pub struct ServerReport {
-    /// Every job the server ever admitted, by id.
+    /// Every job the server still retains when it drains, by id: the
+    /// last 4096 to turn terminal (older ones were evicted), the jobs the
+    /// drain cancelled or waited for among them.
     pub jobs: Vec<JobSummary>,
     /// Final snapshot of the shared metric registry.
     pub metrics: RegistrySnapshot,
@@ -1228,7 +1234,7 @@ impl ServerLoop {
                 )))
             }
             (Method::Get, ["jobs", id, "events"]) => match self.parse_id(id) {
-                Some(job) => {
+                Ok(job) => {
                     let mut head = Vec::new();
                     StreamEncoder::sse(200).head(&mut head);
                     // `Last-Event-ID: n` means line n was delivered;
@@ -1251,7 +1257,7 @@ impl ServerLoop {
                         },
                     )))
                 }
-                None => Some(Err(Response::error(404, "no such job"))),
+                Err(missing) => Some(Err(missing.response())),
             },
             _ => None,
         }
@@ -1286,7 +1292,14 @@ impl ServerLoop {
             }
             let mut buf = Vec::new();
             if let Some(job) = st.job {
-                let Some((job_status, journal)) = self.jobs.view(job) else {
+                let Ok((job_status, journal)) = self.jobs.view(job) else {
+                    // Evicted while this consumer lagged: the rest of its
+                    // journal is gone, so the stream ends here (the tick
+                    // flush sends the last chunk).
+                    StreamEncoder::sse(200).finish(&mut buf);
+                    out.extend(&buf);
+                    st.done = true;
+                    *close = true;
                     return;
                 };
                 let status = job_status.as_str();
@@ -1357,9 +1370,9 @@ impl ServerLoop {
         }
     }
 
-    fn parse_id(&self, s: &str) -> Option<u64> {
-        let id = s.parse::<u64>().ok()?;
-        self.jobs.contains(id).then_some(id)
+    fn parse_id(&self, s: &str) -> Result<u64, Missing> {
+        let id = s.parse::<u64>().map_err(|_| Missing::Unknown)?;
+        self.jobs.find(id)
     }
 
     fn submit(&mut self, req: &Request) -> Response {
@@ -1415,9 +1428,10 @@ impl ServerLoop {
     }
 }
 
-/// `resp`, or the `404` every `/jobs/:id…` route answers for an unknown id.
-fn found(resp: Option<Response>) -> Response {
-    resp.unwrap_or_else(|| Response::error(404, "no such job"))
+/// `resp`, or the `404` (never admitted) or `410` (evicted) every
+/// `/jobs/:id…` route answers for an id the table does not hold.
+fn found(resp: Result<Response, Missing>) -> Response {
+    resp.unwrap_or_else(Missing::response)
 }
 
 /// Appends one line to a job's journal and mirrors it to the recorder as
@@ -2068,6 +2082,118 @@ mod tests {
         assert!(
             loaded < fresh * 10,
             "submit over 50k retired jobs costs {loaded:?}, over none {fresh:?}"
+        );
+    }
+
+    /// Status of `method path` through the real routers.
+    fn status_of(sl: &mut ServerLoop, method: Method, path: &str) -> u16 {
+        let req = Request {
+            method,
+            target: path.into(),
+            headers: Vec::new(),
+            body: Vec::new(),
+        };
+        match sl.route_events(&req) {
+            Some(Ok(_)) => 200,
+            Some(Err(resp)) => resp.status,
+            None => sl.route(&req).status,
+        }
+    }
+
+    /// Status of every `GET /jobs/:id…` route for `id`.
+    fn job_get_statuses(sl: &mut ServerLoop, id: u64) -> Vec<u16> {
+        ["", "/report", "/journal", "/trace", "/events"]
+            .iter()
+            .map(|route| status_of(sl, Method::Get, &format!("/jobs/{id}{route}")))
+            .collect()
+    }
+
+    /// Status of every `/jobs/:id…` route for `id`, `DELETE` last.
+    fn job_route_statuses(sl: &mut ServerLoop, id: u64) -> Vec<u16> {
+        let mut got = job_get_statuses(sl, id);
+        got.push(status_of(sl, Method::Delete, &format!("/jobs/{id}")));
+        got
+    }
+
+    const SMALL_JOB: &str = r#"{"stages":[{"kind":"spill","tasks":1,"records_per_task":500}]}"#;
+
+    #[test]
+    fn evicted_ids_answer_410_and_unknown_ids_404() {
+        let mut sl = test_loop(ServerConfig::default(), 1);
+        let mut last = 0;
+        for _ in 0..jobs::RETAINED_JOBS + 3 {
+            let (status, id) = post(&mut sl, SMALL_JOB);
+            assert_eq!(status, 201);
+            sl.cancel_job(id);
+            last = id;
+        }
+        sl.jobs.assert_consistent();
+        for id in 1..=3 {
+            assert_eq!(job_route_statuses(&mut sl, id), [410; 6], "job {id}");
+        }
+        assert_eq!(job_route_statuses(&mut sl, last + 1), [404; 6]);
+        assert_eq!(job_route_statuses(&mut sl, 0), [404; 6]);
+        // The oldest retained job answers; DELETE on it is a 409.
+        assert_eq!(
+            job_route_statuses(&mut sl, 4),
+            [200, 200, 200, 200, 200, 409]
+        );
+
+        // `GET /jobs` and the final report hold exactly the retained
+        // ids, in order.
+        let retained: Vec<u64> = (4..=last).collect();
+        let doc = json::parse(&sl.jobs.list()).unwrap();
+        let listed: Vec<u64> = doc
+            .get("jobs")
+            .and_then(Value::as_arr)
+            .unwrap()
+            .iter()
+            .map(|j| j.get("job").and_then(Value::as_u64).unwrap())
+            .collect();
+        assert_eq!(listed, retained);
+        let report = sl.finish().unwrap();
+        let reported: Vec<u64> = report.jobs.iter().map(|j| j.id).collect();
+        assert_eq!(reported, retained);
+    }
+
+    #[test]
+    fn a_live_job_outlasts_any_number_of_retirements() {
+        let mut sl = test_loop(ServerConfig::default(), 1);
+        let (_, old) = post(&mut sl, SMALL_JOB);
+        let journal = sl.jobs.view(old).unwrap().1.to_string();
+        assert!(journal.starts_with("{\"event\":\"submitted\""), "{journal}");
+        for _ in 0..jobs::RETAINED_JOBS + 5 {
+            let (_, id) = post(&mut sl, SMALL_JOB);
+            sl.cancel_job(id);
+        }
+        sl.jobs.assert_consistent();
+        // Still running, its journal untouched; the five jobs retired
+        // first behind it are gone.
+        assert_eq!(
+            sl.jobs.live(old).map(JobState::status),
+            Some(JobStatus::Running)
+        );
+        assert_eq!(
+            sl.jobs.view(old),
+            Ok((JobStatus::Running, journal.as_str()))
+        );
+        assert_eq!(job_get_statuses(&mut sl, old), [200; 5]);
+        for id in old + 1..=old + 5 {
+            assert_eq!(sl.jobs.find(id), Err(Missing::Evicted), "job {id}");
+        }
+        assert_eq!(sl.jobs.find(old + 6), Ok(old + 6));
+
+        // Once it retires it is the newest retired job, so it stays and
+        // the next-oldest goes.
+        sl.cancel_job(old);
+        sl.jobs.assert_consistent();
+        assert_eq!(sl.jobs.find(old), Ok(old));
+        assert_eq!(sl.jobs.find(old + 6), Err(Missing::Evicted));
+        let (status, journal_after) = sl.jobs.view(old).unwrap();
+        assert_eq!(status, JobStatus::Cancelled);
+        assert_eq!(
+            journal_after,
+            format!("{journal}{{\"event\":\"cancelled\",\"stage\":0}}\n")
         );
     }
 

@@ -48,8 +48,10 @@ fn quarantine_path(dir: &Path, job: u64, task: usize) -> PathBuf {
     dir.join(format!("j{job}-t{task}.spill.corrupt"))
 }
 
-/// Reads task `task`'s spill partition, recovering from the two spill
-/// failure modes:
+/// Reads task `task`'s spill partition, charging `io_probe` with exactly
+/// the I/O that happened — the read, or on regeneration the re-spill
+/// (not the generator's CPU) — and recovering from the two spill failure
+/// modes:
 ///
 /// * **Corrupt** (checksum/format mismatch): the file is quarantined under
 ///   `t<task>.spill.corrupt` and the error propagates, so the driver sees
@@ -67,8 +69,12 @@ fn read_or_regenerate(
     seed: u64,
     io_probe: &CounterProbe,
 ) -> io::Result<Vec<sae_workloads::datagen::TeraRecord>> {
+    let started = Instant::now();
     match read_records(&spill_path(dir, job, task)) {
-        Ok(records) => Ok(records),
+        Ok(records) => {
+            io_probe.record((records.len() * RECORD_BYTES) as u64, started.elapsed());
+            Ok(records)
+        }
         Err(e) if e.kind() == io::ErrorKind::InvalidData => {
             let _ = std::fs::rename(spill_path(dir, job, task), quarantine_path(dir, job, task));
             Err(e)
@@ -107,12 +113,7 @@ pub fn run_task(
             io_probe.record(bytes, started.elapsed());
         }
         LiveStageKind::Sort => {
-            let read_started = Instant::now();
             let mut records = read_or_regenerate(dir, job, task, records_per_task, seed, io_probe)?;
-            io_probe.record(
-                (records.len() * RECORD_BYTES) as u64,
-                read_started.elapsed(),
-            );
             records.sort_unstable_by_key(|r| r.key);
             if records.windows(2).any(|w| w[0].key > w[1].key) {
                 return Err(io::Error::new(
@@ -171,6 +172,21 @@ mod tests {
         let mut expected = teragen(10, task_seed(1, 0));
         expected.sort_unstable_by_key(|r| r.key);
         assert_eq!(read_records(&sorted_path(&dir, 0, 0)).unwrap(), expected);
+        // Regeneration charges the re-spill it wrote and nothing else:
+        // no read happened, and the generator's CPU is not blocked I/O.
+        // With the sorted run's write, the task moved two files' bytes.
+        let one_write_mb = (10 * RECORD_BYTES + FOOTER_BYTES) as f64 / (1024.0 * 1024.0);
+        let (_, mb) = probe.sample();
+        assert!((mb - 2.0 * one_write_mb).abs() < 1e-12, "got {mb}");
+        let fresh = CounterProbe::new();
+        let records = read_or_regenerate(&dir, 1, 0, 10, 1, &fresh).unwrap();
+        assert_eq!(records, teragen(10, task_seed(1, 0)));
+        assert_eq!(read_records(&spill_path(&dir, 1, 0)).unwrap(), records);
+        let (_, mb) = fresh.sample();
+        assert!(
+            (mb - one_write_mb).abs() < 1e-12,
+            "got {mb}, want {one_write_mb}"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -207,6 +223,32 @@ mod tests {
         run_task(LiveStageKind::Spill, 0, 2, 50, 3, &dir, &probe).unwrap();
         run_task(LiveStageKind::Sort, 0, 2, 50, 3, &dir, &probe).unwrap();
         assert_eq!(read_records(&sorted_path(&dir, 0, 2)).unwrap().len(), 50);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn spill_and_sorted_files_are_pinned() {
+        // Digests recorded before staged I/O and the sliced CRC landed:
+        // the same (job, task, records, seed) writes the same bytes.
+        let fnv1a = |path: PathBuf| {
+            let bytes = std::fs::read(path).unwrap();
+            let digest = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+            });
+            (bytes.len(), digest)
+        };
+        let dir = temp_dir("pinned");
+        let probe = CounterProbe::new();
+        run_task(LiveStageKind::Spill, 7, 4, 3000, 11, &dir, &probe).unwrap();
+        run_task(LiveStageKind::Sort, 7, 4, 3000, 11, &dir, &probe).unwrap();
+        assert_eq!(
+            fnv1a(spill_path(&dir, 7, 4)),
+            (300_008, 0x8b68_fdee_4a82_84c0)
+        );
+        assert_eq!(
+            fnv1a(sorted_path(&dir, 7, 4)),
+            (300_008, 0x98db_093c_0672_adbe)
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

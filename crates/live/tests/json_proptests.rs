@@ -1,7 +1,7 @@
 //! Property tests for the job server's JSON reader (`POST /jobs` bodies
 //! arrive from the network): any input is answered with a value or an
-//! error, never a panic, and a flat object of string and integer members
-//! reads back exactly as written.
+//! error, never a panic, every `u32` reads back as itself, and a flat
+//! object of string and integer members reads back exactly as written.
 
 use std::collections::BTreeMap;
 
@@ -67,6 +67,12 @@ proptest! {
     #[test]
     fn arbitrary_input_never_panics(input in text(64)) {
         let _ = parse(&input);
+    }
+
+    #[test]
+    fn every_u32_parses_back_to_itself(n in any::<u32>()) {
+        let text = n.to_string();
+        prop_assert_eq!(parse(&text).ok().and_then(|v| v.as_u64()), Some(u64::from(n)));
     }
 
     #[test]

@@ -55,6 +55,7 @@ impl DeterministicRng {
     /// # Panics
     ///
     /// Panics if `n == 0`.
+    #[inline]
     pub fn index(&mut self, n: usize) -> usize {
         assert!(n > 0, "index requires a non-empty range");
         self.inner.random_range(0..n)
