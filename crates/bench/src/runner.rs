@@ -125,6 +125,7 @@ pub fn derive_bestfit(config: &EngineConfig, workload: &Workload) -> BestFitTabl
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sae_core::StageInfo;
     use sae_workloads::WorkloadKind;
 
     fn tiny_terasort() -> Workload {
@@ -144,8 +145,15 @@ mod tests {
     #[test]
     fn bestfit_table_has_entry_per_stage() {
         let cfg = EngineConfig::four_node_hdd();
-        let table = derive_bestfit(&cfg, &tiny_terasort());
-        assert_eq!(table.len(), 3);
+        let workload = tiny_terasort();
+        let policy = ThreadPolicy::BestFit(derive_bestfit(&cfg, &workload));
+        assert_eq!(workload.job.stages.len(), 3);
+        // A stage without an entry would fall back to the core count.
+        for (stage_id, stage) in workload.job.stages.iter().enumerate() {
+            let kind = stage.kind();
+            let threads = policy.initial_threads(StageInfo { stage_id, kind }, usize::MAX, None);
+            assert!(threads < usize::MAX, "no entry for stage {stage_id}");
+        }
     }
 
     #[test]

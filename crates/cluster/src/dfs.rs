@@ -70,16 +70,6 @@ impl Dfs {
         }
     }
 
-    /// Block size in MB.
-    pub fn block_size_mb(&self) -> f64 {
-        self.block_size_mb
-    }
-
-    /// Replication factor.
-    pub fn replication(&self) -> usize {
-        self.replication
-    }
-
     /// Effective replication on a cluster of `nodes` nodes (capped, since a
     /// node stores at most one replica of a block).
     pub(crate) fn effective_replication(&self, nodes: usize) -> usize {
@@ -140,11 +130,6 @@ impl Dfs {
     /// Looks up a file by name.
     pub fn file(&self, name: &str) -> Option<&FileInfo> {
         self.files.get(name)
-    }
-
-    /// Iterates over all files in name order.
-    pub fn iter(&self) -> impl Iterator<Item = &FileInfo> {
-        self.files.values()
     }
 }
 

@@ -21,8 +21,11 @@
 //! let mut kernel: Kernel<u32> = Kernel::new();
 //! let cluster = ClusterBuilder::new(4).build(&mut kernel);
 //! let mut dfs = Dfs::new(128, 4, 42);
-//! dfs.create_file("input", 1024.0, cluster.nodes());
-//! assert_eq!(dfs.file("input").unwrap().blocks.len(), 8);
+//! let file = dfs.create_file("input", 1024.0, 4);
+//! assert_eq!(file.blocks.len(), 8);
+//! // Replicas name node ids, which index the cluster's nodes.
+//! let primary = cluster.node(file.blocks[0].replicas[0]);
+//! assert_eq!(primary.id, 0);
 //! ```
 
 #![forbid(unsafe_code)]

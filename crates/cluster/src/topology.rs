@@ -77,7 +77,7 @@ pub struct Node {
 ///     .variability(VariabilityConfig::das5())
 ///     .seed(7)
 ///     .build(&mut kernel);
-/// assert_eq!(cluster.nodes(), 4);
+/// assert_eq!(cluster.node(3).spec.disk.name(), "ssd-sata");
 /// ```
 #[derive(Debug, Clone)]
 pub struct ClusterBuilder {
@@ -159,7 +159,7 @@ impl ClusterBuilder {
                 }
             })
             .collect();
-        Cluster { nodes, fabric }
+        Cluster { nodes }
     }
 }
 
@@ -167,15 +167,9 @@ impl ClusterBuilder {
 #[derive(Debug, Clone)]
 pub struct Cluster {
     nodes: Vec<Node>,
-    fabric: Fabric,
 }
 
 impl Cluster {
-    /// Number of nodes.
-    pub fn nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// The node with index `id`.
     ///
     /// # Panics
@@ -183,21 +177,6 @@ impl Cluster {
     /// Panics if `id` is out of range.
     pub fn node(&self, id: usize) -> &Node {
         &self.nodes[id]
-    }
-
-    /// Iterates over all nodes.
-    pub fn iter(&self) -> impl Iterator<Item = &Node> {
-        self.nodes.iter()
-    }
-
-    /// The network fabric.
-    pub fn fabric(&self) -> &Fabric {
-        &self.fabric
-    }
-
-    /// Total virtual cores across the cluster.
-    pub fn total_cores(&self) -> usize {
-        self.nodes.iter().map(|n| n.spec.cores).sum()
     }
 }
 
@@ -209,9 +188,10 @@ mod tests {
     fn builder_defaults_to_das5_hdd() {
         let mut kernel: Kernel<u32> = Kernel::new();
         let cluster = ClusterBuilder::new(4).build(&mut kernel);
-        assert_eq!(cluster.nodes(), 4);
+        assert_eq!(cluster.nodes.len(), 4);
         assert_eq!(cluster.node(0).spec.cores, 32);
-        assert_eq!(cluster.total_cores(), 128);
+        let cores: usize = cluster.nodes.iter().map(|n| n.spec.cores).sum();
+        assert_eq!(cores, 128);
         assert_eq!(cluster.node(0).spec.disk.name(), "hdd-7200rpm");
     }
 
@@ -219,7 +199,7 @@ mod tests {
     fn homogeneous_cluster_has_unit_factors() {
         let mut kernel: Kernel<u32> = Kernel::new();
         let cluster = ClusterBuilder::new(3).build(&mut kernel);
-        for node in cluster.iter() {
+        for node in &cluster.nodes {
             assert_eq!(node.speed_factor, 1.0);
         }
     }
@@ -231,7 +211,7 @@ mod tests {
             .variability(VariabilityConfig::das5())
             .seed(42)
             .build(&mut kernel);
-        let factors: Vec<f64> = cluster.iter().map(|n| n.speed_factor).collect();
+        let factors: Vec<f64> = cluster.nodes.iter().map(|n| n.speed_factor).collect();
         let min = factors.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = factors.iter().cloned().fold(0.0, f64::max);
         assert!(max > min, "variability must spread factors");
@@ -242,7 +222,7 @@ mod tests {
         let mut kernel: Kernel<u32> = Kernel::new();
         let cluster = ClusterBuilder::new(3).build(&mut kernel);
         let mut seen = std::collections::HashSet::new();
-        for node in cluster.iter() {
+        for node in &cluster.nodes {
             assert!(seen.insert(node.cpu));
             assert!(seen.insert(node.disk.resource()));
             assert!(seen.insert(node.nic));

@@ -173,16 +173,6 @@ impl HillClimbAnalyzer {
         self
     }
 
-    /// The lower exploration bound.
-    pub fn c_min(&self) -> usize {
-        self.c_min
-    }
-
-    /// The upper exploration bound.
-    pub fn c_max(&self) -> usize {
-        self.c_max
-    }
-
     /// Whether the climb has terminated for this stage.
     pub fn settled(&self) -> bool {
         self.settled

@@ -50,11 +50,6 @@ impl MapeConfig {
         }
     }
 
-    /// The paper's setting for a DAS-5 node: explore 2..=32 threads.
-    pub fn das5() -> Self {
-        Self::new(2, 32)
-    }
-
     /// Stages with fewer tasks than `3 · c_min` cannot complete even two
     /// monitoring intervals; the controller skips adaptation and runs them
     /// at `c_max` (the default behaviour).
@@ -144,11 +139,6 @@ impl AdaptiveController {
     /// one shared journal. Call before the first stage starts.
     pub fn set_journal(&mut self, journal: DecisionJournal) {
         self.journal = journal;
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> MapeConfig {
-        self.config
     }
 
     /// Starts a new stage at time `now` and returns the thread count to run
@@ -454,11 +444,6 @@ impl AdaptiveController {
         self.interval_disturbed(now, snapshot);
     }
 
-    /// The thread count currently in effect.
-    pub fn current_threads(&self) -> usize {
-        self.current_threads
-    }
-
     /// Whether the controller has finished adapting for the current stage.
     pub fn settled(&self) -> bool {
         !self.adapting
@@ -588,7 +573,7 @@ mod tests {
             assert_eq!(last.pool_after, case.pool_after, "{name}: target");
             assert_eq!(last.action.is_terminal(), case.stops, "{name}: terminal");
             assert_eq!(ctl.settled(), case.stops, "{name}: stops adapting");
-            assert_eq!(ctl.current_threads(), case.pool_after, "{name}: pool");
+            assert_eq!(ctl.current_threads, case.pool_after, "{name}: pool");
         }
     }
 
@@ -855,13 +840,6 @@ mod tests {
                 "episode {stage} does not end terminal: {records:?}"
             );
         }
-    }
-
-    #[test]
-    fn das5_config_bounds() {
-        let cfg = MapeConfig::das5();
-        assert_eq!(cfg.c_min, 2);
-        assert_eq!(cfg.c_max, 32);
     }
 
     #[test]

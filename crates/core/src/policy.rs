@@ -75,16 +75,6 @@ impl BestFitTable {
     pub(crate) fn get(&self, stage_id: usize) -> Option<usize> {
         self.threads_by_stage.get(&stage_id).copied()
     }
-
-    /// Number of stages with explicit entries.
-    pub fn len(&self) -> usize {
-        self.threads_by_stage.len()
-    }
-
-    /// Whether the table has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.threads_by_stage.is_empty()
-    }
 }
 
 impl FromIterator<(usize, usize)> for BestFitTable {
@@ -224,9 +214,8 @@ mod tests {
     #[test]
     fn bestfit_table_bookkeeping() {
         let mut t = BestFitTable::new();
-        assert!(t.is_empty());
+        assert_eq!(t.get(1), None);
         t.set(1, 16);
-        assert_eq!(t.len(), 1);
         assert_eq!(t.get(1), Some(16));
         assert_eq!(t.get(9), None);
     }

@@ -91,9 +91,9 @@ pub struct NodeSlowdown {
 /// two-way cut.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireDirection {
-    /// Executor → driver frames only (heartbeats, `TaskFinished`).
+    /// Executor → driver frames only (heartbeats, `JobTaskOutcome`).
     ToDriver,
-    /// Driver → executor frames only (`AssignTask`, `StageStart`).
+    /// Driver → executor frames only (`AssignJobTask`, `StageStart`).
     ToExecutor,
     /// Both directions.
     Both,
@@ -316,17 +316,6 @@ impl FaultPlan {
     pub fn with_disk_fault(mut self, task: usize, at: f64) -> Self {
         self.disk.push(DiskFault { task, at });
         self
-    }
-
-    /// Whether the plan injects nothing at all.
-    pub fn is_empty(&self) -> bool {
-        self.crashes.is_empty()
-            && self.slowdowns.is_empty()
-            && self.task_failure_probability == 0.0
-            && self.heartbeat_loss_probability == 0.0
-            && self.message_delay_max == 0.0
-            && self.wire.is_empty()
-            && self.disk.is_empty()
     }
 
     /// Validates the plan against a cluster size.
@@ -765,11 +754,6 @@ impl ParameterCatalog {
         self.parameters.len()
     }
 
-    /// Iterates all parameters.
-    pub fn iter(&self) -> impl Iterator<Item = &ConfigParameter> {
-        self.parameters.iter()
-    }
-
     /// Renders Table 1: `(category name, count)` rows plus the total.
     pub fn table(&self) -> Vec<(String, usize)> {
         let mut rows: Vec<(String, usize)> = ConfigCategory::ALL
@@ -876,8 +860,6 @@ mod tests {
         plan.validate(4);
         assert_eq!(plan.crashes.len(), 2);
         assert_eq!(plan.slowdowns.len(), 1);
-        assert!(!plan.is_empty());
-        assert!(FaultPlan::new(7).is_empty());
     }
 
     #[test]
@@ -900,10 +882,6 @@ mod tests {
         plan.validate(4);
         assert_eq!(plan.wire.len(), 6);
         assert_eq!(plan.disk.len(), 1);
-        assert!(!plan.is_empty());
-        // Wire-only and disk-only plans are non-empty too.
-        assert!(!FaultPlan::new(0).with_throttle(0, 1.0, 1.0, 1.0).is_empty());
-        assert!(!FaultPlan::new(0).with_disk_fault(0, 1.0).is_empty());
     }
 
     #[test]

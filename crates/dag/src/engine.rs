@@ -144,16 +144,6 @@ impl Engine {
         Self { config, policy }
     }
 
-    /// The engine's configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
-    /// The engine's thread policy.
-    pub fn policy(&self) -> &ThreadPolicy {
-        &self.policy
-    }
-
     /// Runs `job` to completion, or to a clean failure when a fault plan
     /// exhausts some task's retry budget.
     ///

@@ -39,19 +39,6 @@ impl Operator {
     pub(crate) fn writes_storage(self) -> bool {
         matches!(self, Operator::SaveAsTextFile | Operator::SaveAsHadoopFile)
     }
-
-    /// Whether this operator requires a shuffle boundary after it.
-    pub fn shuffles(self) -> bool {
-        matches!(
-            self,
-            Operator::SortByKey
-                | Operator::ReduceByKey
-                | Operator::GroupByKey
-                | Operator::AggregateByKey
-                | Operator::Join
-                | Operator::Distinct
-        )
-    }
 }
 
 /// One stage of a job: a set of identical tasks, one per partition.
@@ -389,8 +376,6 @@ mod tests {
         assert!(Operator::TextFile.reads_storage());
         assert!(Operator::SaveAsTextFile.writes_storage());
         assert!(Operator::SaveAsHadoopFile.writes_storage());
-        assert!(Operator::ReduceByKey.shuffles());
-        assert!(!Operator::Map.shuffles());
         assert!(!Operator::Map.reads_storage());
     }
 

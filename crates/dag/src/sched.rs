@@ -99,11 +99,6 @@ impl PendingQueue {
         self.len == 0
     }
 
-    /// Whether `task` currently sits in the queue.
-    pub fn contains(&self, task: usize) -> bool {
-        self.queued[task]
-    }
-
     /// Enqueues `task` with the given preferred (data-local) nodes.
     ///
     /// # Panics

@@ -220,17 +220,6 @@ impl ExecutionTrace {
             .count()
     }
 
-    /// Executors the driver blacklisted, in order.
-    pub fn blacklisted_executors(&self) -> Vec<usize> {
-        self.events
-            .iter()
-            .filter_map(|e| match *e {
-                TraceEvent::ExecutorBlacklisted { executor, .. } => Some(executor),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Exports the trace in the Chrome trace-event JSON format.
     ///
     /// Stages become duration events on a "driver" row; tasks become
@@ -485,7 +474,6 @@ mod tests {
         });
         assert_eq!(t.retried_tasks(), vec![3, 5]);
         assert_eq!(t.failed_attempts(), 1);
-        assert_eq!(t.blacklisted_executors(), vec![0]);
         // The failed attempt closes its duration slice in the export.
         let json = t.to_chrome_trace();
         assert!(json.contains("task-3.0"));

@@ -26,7 +26,7 @@
 //! the merged Chrome trace gains a per-executor `zeta-exec{N}` counter
 //! track.
 //!
-//! [`LiveExecutor::kill`] makes the executor *silent*, not disconnected:
+//! The kill switch makes the executor *silent*, not disconnected:
 //! heartbeats stop, outcome reports are suppressed, assignments are
 //! swallowed, but the socket stays open. The driver therefore has to
 //! detect the failure from heartbeat silence — the scenario the paper's
@@ -177,13 +177,6 @@ impl LiveExecutor {
         }
     }
 
-    /// Makes the executor go silent immediately (see the module docs).
-    /// With a [`RespawnConfig`], the silence lasts one downtime window
-    /// and then the executor reincarnates.
-    pub fn kill(&self) {
-        self.kill.store(true, Ordering::Relaxed);
-    }
-
     /// The executor's decision journal (a shared handle; complete once
     /// the executor has been joined).
     pub fn journal(&self) -> DecisionJournal {
@@ -215,9 +208,9 @@ impl LiveExecutor {
 /// This is the entry point the `sae-executor` binary uses to run an
 /// executor as its own OS process; [`LiveExecutor::launch`] wraps the
 /// same loop in a thread for the in-process fast path, so both fleet
-/// modes execute identical protocol logic. `kill` carries
-/// [`LiveExecutor::kill`] semantics: flip it and the executor goes
-/// silent with the socket open (heartbeat-silence failure, not EOF).
+/// modes execute identical protocol logic. `kill` is the kill switch:
+/// flip it and the executor goes silent with the socket open
+/// (heartbeat-silence failure, not EOF).
 pub fn run_foreground(
     addr: SocketAddr,
     cfg: LiveExecutorConfig,

@@ -269,11 +269,6 @@ impl Subscription {
         self.shared.queue.lock().len()
     }
 
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Events this subscriber lost to queue overwrites.
     pub fn dropped(&self) -> u64 {
         self.shared.dropped.load(Ordering::Relaxed)
@@ -452,16 +447,6 @@ impl FlightRecorder {
         Subscription { shared }
     }
 
-    /// Live (not yet dropped) subscriber handles.
-    pub fn subscribers(&self) -> usize {
-        self.inner
-            .subs
-            .read()
-            .iter()
-            .filter(|s| !s.closed.load(Ordering::Acquire))
-            .count()
-    }
-
     /// Cumulative events lost across all subscriber queues, including
     /// queues whose subscribers have since disconnected.
     pub(crate) fn subscriber_dropped(&self) -> u64 {
@@ -511,23 +496,6 @@ impl FlightRecorder {
             .slots
             .iter()
             .filter_map(|s| s.lock().clone())
-            .collect();
-        pairs.sort_by(|a, b| {
-            a.1.at()
-                .partial_cmp(&b.1.at())
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        });
-        pairs.into_iter().map(|(_, e)| e).collect()
-    }
-
-    /// Like [`FlightRecorder::snapshot`], additionally clearing the ring.
-    pub fn drain(&self) -> Vec<LiveEvent> {
-        let mut pairs: Vec<(u64, LiveEvent)> = self
-            .inner
-            .slots
-            .iter()
-            .filter_map(|s| s.lock().take())
             .collect();
         pairs.sort_by(|a, b| {
             a.1.at()
@@ -729,10 +697,8 @@ mod tests {
         }
         assert_eq!(rec.recorded(), 3);
         assert_eq!(rec.dropped(), 0);
-        // Snapshot is non-destructive; drain clears.
+        // Snapshot is non-destructive.
         assert_eq!(rec.snapshot().len(), 3);
-        assert_eq!(rec.drain().len(), 3);
-        assert!(rec.snapshot().is_empty());
     }
 
     #[test]
@@ -784,7 +750,7 @@ mod tests {
     fn subscribers_receive_pushed_events_in_order() {
         let rec = FlightRecorder::new(16);
         let sub = rec.subscribe(8);
-        assert_eq!(rec.subscribers(), 1);
+        assert_eq!(rec.inner.subs.read().len(), 1);
         for i in 0..5 {
             rec.push(heartbeat(i, i as f64));
         }
@@ -821,7 +787,7 @@ mod tests {
         let sub = rec.subscribe(4);
         drop(sub);
         rec.push(heartbeat(0, 0.0)); // GC pass runs inside push
-        assert_eq!(rec.subscribers(), 0);
+        assert!(rec.inner.subs.read().is_empty());
         rec.push(heartbeat(0, 1.0));
         assert_eq!(rec.snapshot().len(), 2);
     }

@@ -1570,10 +1570,13 @@ struct SubmittedSpec {
     weight: u64,
 }
 
-/// Caps that keep one submission from monopolising the server.
+/// Caps that keep one submission from monopolising the server. A task
+/// builds all its records in memory at 100 B each, and the in-process
+/// fleet runs up to `c_max` tasks per executor at once, so the record cap
+/// bounds the server's memory: 1 000 000 records are 100 MB per task.
 const MAX_STAGES: usize = 16;
 const MAX_TASKS: u64 = 4096;
-const MAX_RECORDS: u64 = 50_000_000;
+const MAX_RECORDS: u64 = 1_000_000;
 
 /// Parses and validates a `POST /jobs` body.
 ///
@@ -1696,7 +1699,7 @@ fn stage_numbers(v: &Value) -> Result<(u64, u64, u64), &'static str> {
         .and_then(Value::as_u64)
         .ok_or("records_per_task must be a positive integer")?;
     if records == 0 || records > MAX_RECORDS {
-        return Err("records_per_task must be in 1..=50000000");
+        return Err("records_per_task must be in 1..=1000000");
     }
     let seed = v.get("seed").and_then(Value::as_u64).unwrap_or(42);
     Ok((tasks, records, seed))
@@ -1726,6 +1729,22 @@ mod tests {
         assert_eq!(short.job.stages.len(), 2);
         assert_eq!(short.job.stages[0].kind, LiveStageKind::Spill);
         assert_eq!(short.job.stages[0].seed, 42);
+    }
+
+    #[test]
+    fn records_per_task_is_capped_at_a_million() {
+        let shapes: [fn(u64) -> String; 2] = [
+            |n| format!(r#"{{"tasks":2,"records_per_task":{n}}}"#),
+            |n| format!(r#"{{"stages":[{{"kind":"spill","tasks":2,"records_per_task":{n}}}]}}"#),
+        ];
+        for shape in shapes {
+            let spec = parse_job_spec(&shape(1_000_000)).unwrap();
+            assert_eq!(spec.job.stages[0].records_per_task, 1_000_000);
+            assert_eq!(
+                parse_job_spec(&shape(1_000_001)).err(),
+                Some("records_per_task must be in 1..=1000000")
+            );
+        }
     }
 
     #[test]

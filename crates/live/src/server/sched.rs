@@ -74,16 +74,6 @@ impl FairShare {
         self.entries.remove(&job);
     }
 
-    /// Whether `job` is currently admitted.
-    pub fn contains(&self, job: u64) -> bool {
-        self.entries.contains_key(&job)
-    }
-
-    /// Admitted jobs, ascending by id.
-    pub fn jobs(&self) -> impl Iterator<Item = u64> + '_ {
-        self.entries.keys().copied()
-    }
-
     /// The runnable job with the lowest `(pass, id)`, without charging it.
     /// `runnable` filters jobs that could actually use the slot (current
     /// stage has queued tasks); jobs it rejects keep their pass, so a job
@@ -227,7 +217,7 @@ mod tests {
         for _ in 0..5 {
             assert_eq!(fs.pick(|_| true).unwrap().job, 1);
         }
-        assert!(!fs.contains(0));
+        assert!(!fs.entries.contains_key(&0));
         fs.retire(1);
         assert!(fs.pick(|_| true).is_none());
     }

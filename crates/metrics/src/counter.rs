@@ -13,7 +13,7 @@ use std::sync::Arc;
 /// ```
 /// use sae_metrics::Counter;
 ///
-/// let tasks = Counter::new();
+/// let tasks = Counter::default();
 /// let handle = tasks.clone();
 /// handle.add(3);
 /// tasks.inc();
@@ -25,11 +25,6 @@ pub struct Counter {
 }
 
 impl Counter {
-    /// Creates a counter starting at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Increments the counter by one.
     pub fn inc(&self) {
         self.add(1);
@@ -44,14 +39,6 @@ impl Counter {
     pub fn value(&self) -> u64 {
         self.inner.load(Ordering::Relaxed)
     }
-
-    /// Resets the counter to zero and returns the previous value.
-    ///
-    /// Intended for interval-based sampling (drain-and-report), e.g. the
-    /// per-interval byte totals behind the I/O throughput metric `µ`.
-    pub fn take(&self) -> u64 {
-        self.inner.swap(0, Ordering::Relaxed)
-    }
 }
 
 /// A monotonically increasing floating-point counter.
@@ -65,7 +52,7 @@ impl Counter {
 /// ```
 /// use sae_metrics::FloatCounter;
 ///
-/// let wait = FloatCounter::new();
+/// let wait = FloatCounter::default();
 /// wait.add(0.25);
 /// wait.add(0.5);
 /// assert!((wait.value() - 0.75).abs() < 1e-12);
@@ -84,11 +71,6 @@ impl Default for FloatCounter {
 }
 
 impl FloatCounter {
-    /// Creates a counter starting at `0.0`.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Adds `delta` to the counter.
     ///
     /// # Panics
@@ -116,11 +98,6 @@ impl FloatCounter {
     pub fn value(&self) -> f64 {
         f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
-
-    /// Resets the counter to `0.0` and returns the previous value.
-    pub fn take(&self) -> f64 {
-        f64::from_bits(self.bits.swap(0f64.to_bits(), Ordering::Relaxed))
-    }
 }
 
 /// An instantaneous value that may go up or down.
@@ -130,7 +107,7 @@ impl FloatCounter {
 /// ```
 /// use sae_metrics::Gauge;
 ///
-/// let pool_size = Gauge::new();
+/// let pool_size = Gauge::default();
 /// pool_size.set(32.0);
 /// pool_size.set(8.0);
 /// assert_eq!(pool_size.value(), 8.0);
@@ -149,11 +126,6 @@ impl Default for Gauge {
 }
 
 impl Gauge {
-    /// Creates a gauge starting at `0.0`.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Sets the gauge to `value`.
     pub fn set(&self, value: f64) {
         self.bits.store(value.to_bits(), Ordering::Relaxed);
@@ -189,28 +161,20 @@ mod tests {
 
     #[test]
     fn counter_starts_at_zero() {
-        assert_eq!(Counter::new().value(), 0);
+        assert_eq!(Counter::default().value(), 0);
     }
 
     #[test]
     fn counter_accumulates() {
-        let c = Counter::new();
+        let c = Counter::default();
         c.inc();
         c.add(41);
         assert_eq!(c.value(), 42);
     }
 
     #[test]
-    fn counter_take_drains() {
-        let c = Counter::new();
-        c.add(7);
-        assert_eq!(c.take(), 7);
-        assert_eq!(c.value(), 0);
-    }
-
-    #[test]
     fn counter_clone_shares_state() {
-        let c = Counter::new();
+        let c = Counter::default();
         let d = c.clone();
         d.add(5);
         assert_eq!(c.value(), 5);
@@ -218,7 +182,7 @@ mod tests {
 
     #[test]
     fn counter_is_thread_safe() {
-        let c = Counter::new();
+        let c = Counter::default();
         let handles: Vec<_> = (0..8)
             .map(|_| {
                 let c = c.clone();
@@ -237,23 +201,15 @@ mod tests {
 
     #[test]
     fn float_counter_accumulates() {
-        let c = FloatCounter::new();
+        let c = FloatCounter::default();
         c.add(1.5);
         c.add(2.25);
         assert!((c.value() - 3.75).abs() < 1e-12);
     }
 
     #[test]
-    fn float_counter_take_drains() {
-        let c = FloatCounter::new();
-        c.add(9.0);
-        assert_eq!(c.take(), 9.0);
-        assert_eq!(c.value(), 0.0);
-    }
-
-    #[test]
     fn float_counter_concurrent_adds_do_not_lose_updates() {
-        let c = FloatCounter::new();
+        let c = FloatCounter::default();
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let c = c.clone();
@@ -272,7 +228,7 @@ mod tests {
 
     #[test]
     fn gauge_set_and_adjust() {
-        let g = Gauge::new();
+        let g = Gauge::default();
         g.set(10.0);
         g.adjust(-3.0);
         assert_eq!(g.value(), 7.0);
@@ -280,7 +236,7 @@ mod tests {
 
     #[test]
     fn gauge_can_go_negative() {
-        let g = Gauge::new();
+        let g = Gauge::default();
         g.adjust(-1.0);
         assert_eq!(g.value(), -1.0);
     }

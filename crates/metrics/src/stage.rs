@@ -40,13 +40,6 @@ pub struct StageSummary {
     pub bytes_written: u64,
 }
 
-impl StageSummary {
-    /// Total I/O activity (storage reads + writes) during the stage.
-    pub fn io_bytes(&self) -> u64 {
-        self.bytes_read + self.bytes_written
-    }
-}
-
 /// Incrementally builds a [`StageSummary`] from utilisation samples.
 ///
 /// # Examples
@@ -180,7 +173,6 @@ mod tests {
         let s = b.finish(1.0);
         assert_eq!(s.bytes_read, 30);
         assert_eq!(s.bytes_written, 5);
-        assert_eq!(s.io_bytes(), 35);
     }
 
     #[test]

@@ -21,7 +21,6 @@
 //!
 //! let mut kernel: Kernel<u32> = Kernel::new();
 //! let fabric = Fabric::register(&mut kernel, FabricConfig::das5(), 4);
-//! assert_eq!(fabric.nodes(), 4);
 //! // A 120 MB transfer into node 2:
 //! kernel.start_flow(fabric.ingress(2), 0, 120.0, 7);
 //! kernel.run_to_idle();
@@ -93,7 +92,6 @@ impl Default for FabricConfig {
 /// Per-node ingress NICs registered on a simulation kernel.
 #[derive(Debug, Clone)]
 pub struct Fabric {
-    config: FabricConfig,
     ingress: Vec<ResourceId>,
 }
 
@@ -129,12 +127,7 @@ impl Fabric {
                 )
             })
             .collect();
-        Self { config, ingress }
-    }
-
-    /// Number of nodes in the fabric.
-    pub fn nodes(&self) -> usize {
-        self.ingress.len()
+        Self { ingress }
     }
 
     /// The ingress NIC resource of `node`.
@@ -144,11 +137,6 @@ impl Fabric {
     /// Panics if `node` is out of range.
     pub fn ingress(&self, node: usize) -> ResourceId {
         self.ingress[node]
-    }
-
-    /// The fabric configuration.
-    pub fn config(&self) -> FabricConfig {
-        self.config
     }
 }
 

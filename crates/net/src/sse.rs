@@ -56,7 +56,7 @@ pub(crate) const MAX_SSE_FRAME: usize = 1024 * 1024;
 
 /// Encoder for one streaming (chunked) HTTP/1.1 response.
 ///
-/// Usage is `head` once, then any number of `chunk`/`frame` calls, then
+/// Usage is `head` once, then any number of `frame` calls, then
 /// `finish`. The encoder is sans-io: every method appends bytes to a
 /// caller-owned buffer, which is what lets the server's reactor splice
 /// stream output into the same per-connection write queues (and the same
@@ -64,41 +64,19 @@ pub(crate) const MAX_SSE_FRAME: usize = 1024 * 1024;
 #[derive(Debug, Clone)]
 pub struct StreamEncoder {
     status: u16,
-    content_type: &'static str,
-    headers: Vec<(String, String)>,
 }
 
 impl StreamEncoder {
-    /// An encoder for a chunked response with `content_type`.
-    pub(crate) fn new(status: u16, content_type: &'static str) -> Self {
-        Self {
-            status,
-            content_type,
-            headers: Vec::new(),
-        }
-    }
-
     /// An encoder for a Server-Sent-Events response: `text/event-stream`,
     /// `Cache-Control: no-cache` (intermediaries must not buffer or replay
     /// a live feed).
     pub fn sse(status: u16) -> Self {
-        let mut enc = Self::new(status, "text/event-stream");
-        enc.headers
-            .push(("Cache-Control".to_string(), "no-cache".to_string()));
-        enc
+        Self { status }
     }
 
-    /// Adds an extra response header (emitted by the next [`head`] call).
-    ///
-    /// [`head`]: StreamEncoder::head
-    pub fn header(mut self, name: &str, value: &str) -> Self {
-        self.headers.push((name.to_string(), value.to_string()));
-        self
-    }
-
-    /// Appends the response head: status line, headers,
-    /// `Transfer-Encoding: chunked`, and **no** `Content-Length` — the
-    /// body's length is open-ended by construction.
+    /// Appends the response head: status line, `Cache-Control`,
+    /// `Content-Type`, `Transfer-Encoding: chunked`, and **no**
+    /// `Content-Length` — the body's length is open-ended by construction.
     pub fn head(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(
             format!(
@@ -108,17 +86,11 @@ impl StreamEncoder {
             )
             .as_bytes(),
         );
-        for (k, v) in &self.headers {
-            out.extend_from_slice(format!("{k}: {v}\r\n").as_bytes());
-        }
-        out.extend_from_slice(format!("Content-Type: {}\r\n", self.content_type).as_bytes());
-        out.extend_from_slice(b"Transfer-Encoding: chunked\r\n\r\n");
-    }
-
-    /// Appends one data chunk: `{len:x}\r\n{data}\r\n`. Empty payloads are
-    /// skipped — a zero-length chunk would terminate the stream.
-    pub fn chunk(&self, data: &[u8], out: &mut Vec<u8>) {
-        encode_chunk(data, out);
+        out.extend_from_slice(
+            b"Cache-Control: no-cache\r\n\
+              Content-Type: text/event-stream\r\n\
+              Transfer-Encoding: chunked\r\n\r\n",
+        );
     }
 
     /// Encodes `frame` as SSE wire text and appends it as one chunk.
@@ -364,11 +336,6 @@ impl SseParser {
     /// Appends decoded (de-chunked) stream bytes.
     pub fn extend(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
-    }
-
-    /// Bytes buffered but not yet consumed by a complete frame.
-    pub fn pending_bytes(&self) -> usize {
-        self.buf.len() - self.start
     }
 
     /// Parses the next complete frame (terminated by a blank line), or
@@ -624,16 +591,16 @@ mod tests {
 
     #[test]
     fn stream_encoder_emits_chunked_head_without_content_length() {
-        let enc = StreamEncoder::sse(200).header("X-Extra", "1");
+        let enc = StreamEncoder::sse(200);
         let mut out = Vec::new();
         enc.head(&mut out);
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
-        assert!(text.contains("Content-Type: text/event-stream\r\n"));
-        assert!(text.contains("Cache-Control: no-cache\r\n"));
-        assert!(text.contains("Transfer-Encoding: chunked\r\n"));
-        assert!(text.contains("X-Extra: 1\r\n"));
-        assert!(!text.to_ascii_lowercase().contains("content-length"));
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            "HTTP/1.1 200 OK\r\n\
+             Cache-Control: no-cache\r\n\
+             Content-Type: text/event-stream\r\n\
+             Transfer-Encoding: chunked\r\n\r\n"
+        );
     }
 
     #[test]

@@ -7,11 +7,9 @@
 //!   non-blocking sockets (`epoll` on Linux, where the cluster runs).
 //!   This is the only place in the workspace that talks to the kernel
 //!   directly; everything above it is safe Rust over `std` sockets.
-//! * [`TimerWheel`] — a hashed timer wheel that coalesces heartbeat
-//!   checks, per-task deadlines and the job deadline into one "next
-//!   wakeup" the poller can sleep towards, with O(1) insertion and lazy
-//!   cancellation (stale entries are filtered by the caller when they
-//!   fire, the same trick the simulator's finish-credit heap uses).
+//! * [`TimerWheel`] — a min-heap of deadlines that folds the reactor's
+//!   periodic sweep tick, and any other timer, into one "next wakeup"
+//!   the poller can sleep towards.
 //!
 //! No external crates: the build environment vendors no `mio`/`libc`, so
 //! the epoll shim declares the four syscall wrappers it needs against the

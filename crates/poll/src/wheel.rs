@@ -1,11 +1,11 @@
 //! A coalescing timer wheel.
 //!
-//! The reactor needs many cheap timers — a heartbeat sweep tick, one
-//! deadline per in-flight task, a job deadline — and a single answer to
-//! "how long may the poller sleep?". A hashed wheel gives O(1) insert
-//! and cancel-by-forgetting: entries carry a [`TimerId`]; cancellation
-//! is lazy (the caller ignores ids it no longer cares about when they
-//! fire), the same trick the simulator's finish-credit heap uses.
+//! The reactor needs its periodic sweep tick, and any other timer,
+//! folded into one answer to "how long may the poller sleep?". The wheel
+//! is a min-heap of `(due, id)` entries: scheduling is O(log n), the
+//! earliest deadline is read in O(1), and entries due at the same
+//! instant fire in the order they were scheduled. A timer fires once and
+//! is then gone; there is no cancellation.
 //!
 //! The wheel is driven by caller-supplied [`Instant`]s, so it is
 //! deterministic under test and never reads the clock itself.
@@ -15,9 +15,8 @@ use std::time::{Duration, Instant};
 
 /// Opaque handle identifying a scheduled timer.
 ///
-/// Ids are unique per wheel for its lifetime and never reused, so a
-/// caller can safely treat a stale id as "cancelled".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// Ids are unique per wheel for its lifetime and never reused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct TimerId(u64);
 
 #[derive(Debug)]
@@ -69,7 +68,6 @@ impl Ord for Entry {
 pub struct TimerWheel {
     heap: BinaryHeap<Entry>,
     next_id: u64,
-    cancelled: std::collections::HashSet<TimerId>,
 }
 
 impl TimerWheel {
@@ -86,28 +84,16 @@ impl TimerWheel {
         id
     }
 
-    /// Cancels a previously scheduled timer. Cancelling an id that
-    /// already fired (or never existed) is a no-op.
-    pub fn cancel(&mut self, id: TimerId) {
-        self.cancelled.insert(id);
-    }
-
-    /// How long the caller may sleep from `now` before the earliest live
+    /// How long the caller may sleep from `now` before the earliest
     /// timer is due. `None` means no timers are scheduled; `Some(ZERO)`
     /// means something is already due.
-    pub fn next_timeout(&mut self, now: Instant) -> Option<Duration> {
-        loop {
-            let head = self.heap.peek()?;
-            if self.cancelled.remove(&head.id) {
-                self.heap.pop();
-                continue;
-            }
-            return Some(head.due.saturating_duration_since(now));
-        }
+    pub fn next_timeout(&self, now: Instant) -> Option<Duration> {
+        let head = self.heap.peek()?;
+        Some(head.due.saturating_duration_since(now))
     }
 
     /// Pops every timer due at or before `now`, in due order, as
-    /// `(id, payload)` pairs. Cancelled entries are silently dropped.
+    /// `(id, payload)` pairs.
     pub fn expire(&mut self, now: Instant) -> Vec<(TimerId, u64)> {
         let mut fired = Vec::new();
         while let Some(head) = self.heap.peek() {
@@ -115,23 +101,9 @@ impl TimerWheel {
                 break;
             }
             let entry = self.heap.pop().expect("peeked entry exists");
-            if self.cancelled.remove(&entry.id) {
-                continue;
-            }
             fired.push((entry.id, entry.what));
         }
         fired
-    }
-
-    /// Number of scheduled-and-not-yet-fired entries, including lazily
-    /// cancelled ones still occupying heap slots.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no entries are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -146,23 +118,24 @@ mod tests {
         wheel.schedule_at(t0 + Duration::from_millis(30), 3);
         wheel.schedule_at(t0 + Duration::from_millis(10), 1);
         wheel.schedule_at(t0 + Duration::from_millis(20), 2);
+        // Due at the same instant as 3: fires after it, in schedule order.
+        wheel.schedule_at(t0 + Duration::from_millis(30), 4);
         let fired = wheel.expire(t0 + Duration::from_millis(25));
         assert_eq!(fired.iter().map(|&(_, w)| w).collect::<Vec<_>>(), [1, 2]);
         let fired = wheel.expire(t0 + Duration::from_millis(40));
-        assert_eq!(fired.iter().map(|&(_, w)| w).collect::<Vec<_>>(), [3]);
-        assert!(wheel.is_empty());
+        assert_eq!(fired.iter().map(|&(_, w)| w).collect::<Vec<_>>(), [3, 4]);
+        assert_eq!(wheel.next_timeout(t0), None);
     }
 
     #[test]
-    fn next_timeout_tracks_earliest_live_entry() {
+    fn next_timeout_tracks_earliest_entry() {
         let mut wheel = TimerWheel::new();
         let t0 = Instant::now();
         assert_eq!(wheel.next_timeout(t0), None);
-        let early = wheel.schedule_at(t0 + Duration::from_millis(10), 0);
         wheel.schedule_at(t0 + Duration::from_millis(50), 1);
+        wheel.schedule_at(t0 + Duration::from_millis(10), 0);
         assert_eq!(wheel.next_timeout(t0), Some(Duration::from_millis(10)));
-        wheel.cancel(early);
-        // Cancellation is lazy but next_timeout must skip dead heads.
+        wheel.expire(t0 + Duration::from_millis(10));
         assert_eq!(wheel.next_timeout(t0), Some(Duration::from_millis(50)));
     }
 
@@ -175,17 +148,6 @@ mod tests {
             wheel.next_timeout(t0 + Duration::from_millis(5)),
             Some(Duration::ZERO)
         );
-    }
-
-    #[test]
-    fn cancelled_entries_do_not_fire() {
-        let mut wheel = TimerWheel::new();
-        let t0 = Instant::now();
-        let a = wheel.schedule_at(t0 + Duration::from_millis(5), 10);
-        let b = wheel.schedule_at(t0 + Duration::from_millis(5), 11);
-        wheel.cancel(a);
-        let fired = wheel.expire(t0 + Duration::from_millis(10));
-        assert_eq!(fired, vec![(b, 11)]);
     }
 
     #[test]

@@ -95,12 +95,6 @@ impl AdaptivePool {
         *ctl = ctl.clone().with_executor(executor);
     }
 
-    /// The controller's decision journal (a shared handle: clone it and
-    /// read records from anywhere).
-    pub fn journal(&self) -> DecisionJournal {
-        self.controller.lock().journal().clone()
-    }
-
     /// Funnels the controller's records into `journal` — the hook a
     /// cluster uses to collect every executor's journal through handles it
     /// created up front. Call before the first stage starts.
@@ -280,11 +274,13 @@ mod tests {
     #[test]
     fn journal_ends_terminal_after_shutdown() {
         let pool = AdaptivePool::new(MapeConfig::new(2, 8), Arc::new(|| (0.0, 0.0)));
+        let journal = DecisionJournal::new();
+        pool.set_journal(journal.clone());
         pool.set_executor(5);
         pool.stage_started(Some(500));
         // Shut down mid-climb: no task ever completes an interval.
         pool.shutdown();
-        let records = pool.journal().records();
+        let records = journal.records();
         assert!(!records.is_empty());
         let last = records.last().unwrap();
         assert!(last.action.is_terminal(), "open journal: {records:?}");

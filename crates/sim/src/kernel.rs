@@ -198,11 +198,6 @@ impl<P> Kernel<P> {
         removed.map(|f| f.payload)
     }
 
-    /// Number of active flows on `resource`.
-    pub fn active_flows(&self, resource: ResourceId) -> usize {
-        self.resources[resource.0].active_flows()
-    }
-
     /// Cumulative usage accounting for `resource`, up to the current time.
     pub fn usage(&mut self, resource: ResourceId) -> ResourceUsage {
         let now = self.now.seconds();

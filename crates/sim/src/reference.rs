@@ -239,11 +239,6 @@ impl<P> ReferenceKernel<P> {
         Self::default()
     }
 
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
     /// Registers a new processor-sharing resource governed by `curve`.
     pub fn add_resource(&mut self, curve: CapacityCurve) -> RefResourceId {
         self.resources.push(Resource::new(curve));
@@ -377,11 +372,6 @@ impl<P> ReferenceKernel<P> {
                 }
             }
         }
-    }
-
-    /// Runs the simulation to completion, discarding occurrences.
-    pub fn run_to_idle(&mut self) {
-        while self.next().is_some() {}
     }
 }
 

@@ -200,10 +200,6 @@ impl<P> Resource<P> {
         out.sort_unstable_by_key(|&(id, _)| id);
     }
 
-    pub(crate) fn active_flows(&self) -> usize {
-        self.flows.len()
-    }
-
     pub(crate) fn usage(&self) -> UsageAccum {
         self.usage
     }

@@ -102,22 +102,6 @@ impl DeterministicRng {
         self.normal(mu, sigma).exp()
     }
 
-    /// Exponential sample with the given rate (`1 / mean`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is not positive.
-    pub fn exponential(&mut self, rate: f64) -> f64 {
-        assert!(rate > 0.0, "rate must be positive");
-        let u = loop {
-            let u = self.uniform();
-            if u > f64::MIN_POSITIVE {
-                break u;
-            }
-        };
-        -u.ln() / rate
-    }
-
     /// Fisher–Yates shuffle.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
@@ -173,14 +157,6 @@ mod tests {
         for _ in 0..1000 {
             assert!(rng.lognormal(0.0, 0.5) > 0.0);
         }
-    }
-
-    #[test]
-    fn exponential_mean_close_to_inverse_rate() {
-        let mut rng = DeterministicRng::seed(19);
-        let n = 20_000;
-        let mean = (0..n).map(|_| rng.exponential(2.0)).sum::<f64>() / n as f64;
-        assert!((mean - 0.5).abs() < 0.05, "mean = {mean}");
     }
 
     #[test]

@@ -42,11 +42,6 @@ impl SimTime {
     pub fn seconds(self) -> f64 {
         self.0
     }
-
-    /// Saturating subtraction: returns zero instead of going negative.
-    pub fn saturating_sub(self, other: SimTime) -> SimTime {
-        SimTime((self.0 - other.0).max(0.0))
-    }
 }
 
 impl Eq for SimTime {}
@@ -78,8 +73,7 @@ impl Sub for SimTime {
     type Output = SimTime;
     /// # Panics
     ///
-    /// Panics if the result would be negative; use
-    /// [`SimTime::saturating_sub`] when that is expected.
+    /// Panics if the result would be negative.
     fn sub(self, rhs: SimTime) -> SimTime {
         SimTime::from_seconds(self.0 - rhs.0)
     }
@@ -134,13 +128,6 @@ mod tests {
     #[should_panic(expected = "finite")]
     fn nan_rejected() {
         let _ = SimTime::from_seconds(f64::NAN);
-    }
-
-    #[test]
-    fn saturating_sub_clamps() {
-        let a = SimTime::from_seconds(1.0);
-        let b = SimTime::from_seconds(2.0);
-        assert_eq!(a.saturating_sub(b), SimTime::ZERO);
     }
 
     #[test]

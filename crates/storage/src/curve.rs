@@ -76,11 +76,6 @@ impl ContentionCurve {
         self
     }
 
-    /// A curve with no concurrency effects at all (always 1.0).
-    pub fn flat() -> Self {
-        Self::new(1.0, 1.0, 0.0, 0.0, 1.0)
-    }
-
     /// Efficiency factor for `n` concurrent streams (0 streams → 1.0 by
     /// convention; the device is simply idle).
     pub fn efficiency(&self, n: usize) -> f64 {
@@ -102,7 +97,7 @@ mod tests {
 
     #[test]
     fn flat_curve_is_one_everywhere() {
-        let c = ContentionCurve::flat();
+        let c = ContentionCurve::new(1.0, 1.0, 0.0, 0.0, 1.0);
         for n in [0, 1, 4, 32, 500] {
             assert_eq!(c.efficiency(n), 1.0);
         }

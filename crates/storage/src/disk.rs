@@ -50,8 +50,6 @@ impl DiskClass {
 #[derive(Debug, Clone)]
 pub struct Disk {
     resource: ResourceId,
-    profile: DeviceProfile,
-    speed_factor: f64,
 }
 
 impl Disk {
@@ -66,7 +64,7 @@ impl Disk {
             speed_factor.is_finite() && speed_factor > 0.0,
             "speed factor must be finite and positive, got {speed_factor}"
         );
-        let curve_profile = profile.clone();
+        let per_stream_cap = profile.per_stream_cap();
         let curve = CapacityCurve::from_fn(move |counts| {
             let streams = [
                 (DiskClass::Read, counts.of(DiskClass::Read.flow_class())),
@@ -76,35 +74,22 @@ impl Disk {
                     counts.of(DiskClass::ShuffleRead.flow_class()),
                 ),
             ];
-            curve_profile.bandwidth(&streams) * speed_factor
+            profile.bandwidth(&streams) * speed_factor
         })
         // The per-stream cap stems from request-response think time in the
         // task, not from the device, so it does NOT scale with the node's
         // speed factor — slow disks therefore saturate at fewer streams,
         // which is why different executors can settle on different thread
         // counts (Figure 6).
-        .with_per_flow_cap(profile.per_stream_cap());
-        let resource = kernel.add_resource(curve);
+        .with_per_flow_cap(per_stream_cap);
         Self {
-            resource,
-            profile,
-            speed_factor,
+            resource: kernel.add_resource(curve),
         }
     }
 
     /// The simulation resource backing this disk.
     pub fn resource(&self) -> ResourceId {
         self.resource
-    }
-
-    /// The device profile.
-    pub fn profile(&self) -> &DeviceProfile {
-        &self.profile
-    }
-
-    /// The node's speed factor applied to all bandwidths.
-    pub fn speed_factor(&self) -> f64 {
-        self.speed_factor
     }
 }
 

@@ -112,11 +112,6 @@ impl NodeVariability {
         }
         factor.clamp(self.config.min_factor, self.config.max_factor)
     }
-
-    /// The configuration in use.
-    pub fn config(&self) -> VariabilityConfig {
-        self.config
-    }
 }
 
 #[cfg(test)]

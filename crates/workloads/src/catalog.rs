@@ -54,29 +54,6 @@ impl WorkloadKind {
         }
     }
 
-    /// HiBench category (Table 3's "Type" column).
-    pub(crate) fn hibench_category(self) -> &'static str {
-        match self {
-            WorkloadKind::Terasort => "micro",
-            WorkloadKind::Scan | WorkloadKind::Aggregation | WorkloadKind::Join => "sql",
-            WorkloadKind::PageRank => "websearch",
-            WorkloadKind::NWeight => "graph",
-            WorkloadKind::Bayes | WorkloadKind::Lda | WorkloadKind::Svm => "ml",
-        }
-    }
-
-    /// HiBench problem-size label (Table 3's "Size" column).
-    pub(crate) fn problem_size(self) -> &'static str {
-        match self {
-            WorkloadKind::Terasort => "120 GiB",
-            WorkloadKind::PageRank => "gigantic",
-            WorkloadKind::Aggregation | WorkloadKind::Join | WorkloadKind::Scan => "bigdata",
-            WorkloadKind::Bayes | WorkloadKind::Lda | WorkloadKind::NWeight | WorkloadKind::Svm => {
-                "huge"
-            }
-        }
-    }
-
     /// Input size in GiB (Table 2's "Input Size" column).
     pub fn input_gib(self) -> f64 {
         match self {
@@ -176,62 +153,6 @@ impl Workload {
             .map(|s| s.read_mb + s.shuffle_in_mb + s.shuffle_out_mb + s.output_mb * rep)
             .sum()
     }
-
-    /// Predicted I/O amplification relative to input.
-    pub(crate) fn expected_amplification(&self, nodes: usize) -> f64 {
-        self.expected_io_mb(nodes) / self.input_mb
-    }
-
-    /// Renders a human-readable stage table for this workload.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use sae_workloads::WorkloadKind;
-    ///
-    /// let text = WorkloadKind::Terasort.build().describe();
-    /// assert!(text.contains("reduce"));
-    /// assert!(text.contains("io"));
-    /// ```
-    pub fn describe(&self) -> String {
-        let mut out = format!(
-            "{} ({}, {} input, {:.2} GiB)
-",
-            self.kind.name(),
-            self.kind.hibench_category(),
-            self.kind.problem_size(),
-            self.input_mb / 1024.0,
-        );
-        out.push_str(
-            "stage  name            kind     read GiB  shuf-in  shuf-out  out GiB  cpu s/MB
-",
-        );
-        for (i, s) in self.job.stages.iter().enumerate() {
-            let kind = match s.kind() {
-                sae_core::StageKind::Io => "io",
-                sae_core::StageKind::Generic => "generic",
-            };
-            out.push_str(&format!(
-                "{:<6} {:<15} {:<8} {:>8.2} {:>8.2} {:>9.2} {:>8.2} {:>9.3}
-",
-                i,
-                s.name,
-                kind,
-                s.read_mb / 1024.0,
-                s.shuffle_in_mb / 1024.0,
-                s.shuffle_out_mb / 1024.0,
-                s.output_mb / 1024.0,
-                s.cpu_per_mb,
-            ));
-        }
-        out.push_str(&format!(
-            "modelled I/O amplification (4 nodes): {:.2}x (paper: {:.2}x)
-",
-            self.expected_amplification(4),
-            self.kind.paper_io_activity_gib() / self.kind.input_gib(),
-        ));
-        out
-    }
 }
 
 #[cfg(test)]
@@ -262,7 +183,7 @@ mod tests {
         // must be within ±35% of Table 2's measured ratio.
         for kind in WorkloadKind::ALL {
             let w = kind.build_scaled(1.0);
-            let modelled = w.expected_amplification(4);
+            let modelled = w.expected_io_mb(4) / w.input_mb;
             let paper = kind.paper_io_activity_gib() / kind.input_gib();
             let rel = (modelled - paper).abs() / paper;
             assert!(
@@ -291,30 +212,6 @@ mod tests {
         let w = WorkloadKind::Scan.build();
         let cfg = w.configure(EngineConfig::four_node_hdd());
         assert_eq!(cfg.output_replication, 4);
-    }
-
-    #[test]
-    fn categories_match_table_3() {
-        assert_eq!(WorkloadKind::Terasort.hibench_category(), "micro");
-        assert_eq!(WorkloadKind::Join.hibench_category(), "sql");
-        assert_eq!(WorkloadKind::Aggregation.hibench_category(), "sql");
-        assert_eq!(WorkloadKind::PageRank.hibench_category(), "websearch");
-    }
-
-    #[test]
-    fn describe_renders_every_stage() {
-        for kind in WorkloadKind::ALL {
-            let w = kind.build();
-            let text = w.describe();
-            assert!(text.contains(kind.name()));
-            assert_eq!(
-                text.lines().count(),
-                w.job.stages.len() + 3,
-                "{}:
-{text}",
-                kind.name()
-            );
-        }
     }
 
     #[test]
