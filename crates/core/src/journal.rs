@@ -315,13 +315,17 @@ impl<'a> JsonParser<'a> {
                         Some(b'r') => out.push('\r'),
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
-                            let hex = self
+                            // Exactly four hex digits: `from_str_radix`
+                            // would also take a sign.
+                            let code = self
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
+                                .and_then(|h| {
+                                    h.iter().try_fold(0u32, |acc, &c| {
+                                        Some(acc << 4 | (c as char).to_digit(16)?)
+                                    })
+                                })
+                                .ok_or("bad \\u escape")?;
                             out.push(char::from_u32(code).ok_or("bad \\u code point")?);
                             self.pos += 4;
                         }
@@ -533,6 +537,17 @@ mod tests {
         assert_eq!(parse_jsonl(&text).unwrap(), vec![r]);
         let err = parse_jsonl("{\"stage\":}").unwrap_err();
         assert!(err.contains("line 1"), "{err}");
+        // A `\u` escape is exactly four hex digits, with no sign.
+        let with_rationale = |escaped: &str| {
+            let r = record(0, DecisionAction::Hold);
+            r.to_json().replace(&escape_json(&r.rationale), escaped)
+        };
+        let parsed = parse_jsonl(&with_rationale("\\u0041")).unwrap();
+        assert_eq!(parsed[0].rationale, "A");
+        for bad in ["\\u+041", "\\u-041", "\\u04"] {
+            let err = parse_jsonl(&with_rationale(bad)).unwrap_err();
+            assert!(err.contains("line 1"), "{bad}: {err}");
+        }
     }
 
     #[test]

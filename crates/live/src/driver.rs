@@ -22,11 +22,11 @@
 //! Executor membership — the `Register` handshake, registration epochs
 //! that fence stale incarnations and resurrect lost executors showing
 //! live traffic, heartbeats, the `PoolSizeChanged` fold into the slot
-//! registry and the `FaultNotice` broadcast on loss — is the fleet
-//! ledger's (`fleet.rs`), and the stage's attempts — queue, holders,
-//! failures, requeues — are the task ledger's (`ledger.rs`); the job
-//! server shares both. Blacklisting, probation and graceful degradation
-//! are policies only the driver applies.
+//! registry, the `FaultNotice` broadcast on loss and the bookings each
+//! executor holds — is the fleet ledger's (`fleet.rs`), and the stage's
+//! attempts — queue, holders, failures, requeues — are the task ledger's
+//! (`ledger.rs`); the job server shares both. Blacklisting, probation and
+//! graceful degradation are policies only the driver applies.
 //!
 //! Executors hear the job server's task dialect from the driver too: its
 //! one job runs under the wire id `SINGLE_JOB`, each stage is announced
@@ -397,11 +397,9 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Run<'j, Obs> {
     fn handle(&mut self, ev: Ev) -> Result<(), LiveError> {
         match ev {
             Ev::Joined(joined) => {
-                if joined.reincarnated {
-                    // The superseded incarnation's reports are fenced from
-                    // here on: requeue whatever it was running.
-                    self.requeue_from(joined.executor)?;
-                }
+                // A superseded incarnation's reports are fenced from here
+                // on: requeue whatever it was running.
+                self.requeue(joined.executor, joined.orphaned)?;
                 // Late joiners still need the current stage announcement.
                 self.announce_stage_to(joined.executor);
             }
@@ -511,7 +509,7 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Run<'j, Obs> {
                     continue;
                 }
                 if let Some(task) = self.tasks.pick(e) {
-                    self.execs.book(e);
+                    self.execs.book(e, SINGLE_JOB, task);
                     self.metrics.tasks_started[e].inc();
                     self.recorder
                         .push(LiveEvent::Trace(TraceEvent::TaskStarted {
@@ -544,8 +542,8 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Run<'j, Obs> {
     /// The periodic sweep: heartbeat timeouts, probation and the degraded
     /// floor.
     fn tick(&mut self, now: Instant) -> Result<(), LiveError> {
-        for e in self.execs.sweep(now) {
-            self.recover(e)?;
+        for (e, orphaned) in self.execs.sweep(now) {
+            self.recover(e, orphaned)?;
         }
         self.execs.lift_probation(self.cfg.probation, now);
         self.check_degraded(now)
@@ -598,21 +596,23 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Run<'j, Obs> {
     /// The executor's socket broke: the fleet declares it lost, and the
     /// attempts it was running are recovered.
     fn lose(&mut self, executor: usize) -> Result<(), LiveError> {
-        self.execs.lose(executor);
-        self.recover(executor)
+        let orphaned = self.execs.lose(executor);
+        self.recover(executor, orphaned)
     }
 
     /// The live analogue of the simulated engine's executor-lost path:
     /// every attempt the lost executor was running is requeued.
-    fn recover(&mut self, executor: usize) -> Result<(), LiveError> {
+    fn recover(&mut self, executor: usize, orphaned: Vec<(u64, usize)>) -> Result<(), LiveError> {
         self.lost.push(executor);
-        self.requeue_from(executor)
+        self.requeue(executor, orphaned)
     }
 
-    /// Requeues every unfinished attempt `e` holds, booking a failure
-    /// against it.
-    fn requeue_from(&mut self, e: usize) -> Result<(), LiveError> {
-        for (task, outcome) in self.tasks.requeue_from(e, MAX_TASK_ATTEMPTS) {
+    /// Requeues the attempts the fleet handed back from `e`, in dispatch
+    /// order, booking a failure against it for each; stops at the first
+    /// that exhausts its task.
+    fn requeue(&mut self, e: usize, orphaned: Vec<(u64, usize)>) -> Result<(), LiveError> {
+        for (_, task) in orphaned {
+            let outcome = self.tasks.settle(task, e, false, MAX_TASK_ATTEMPTS);
             self.record_failure(task, e, outcome)?;
         }
         Ok(())
@@ -621,11 +621,15 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Run<'j, Obs> {
     /// Settles the attempt of `task` that `e` reported. A
     /// failure also counts toward blacklisting `e`.
     fn settle(&mut self, e: usize, task: usize, ok: bool, now: Instant) -> Result<(), LiveError> {
+        // Only a booked attempt is settled, and only once: the fleet
+        // refuses a duplicate report and one of requeued work.
+        if !self.execs.release(e, SINGLE_JOB, task) {
+            return Ok(());
+        }
         let outcome = self.tasks.settle(task, e, ok, MAX_TASK_ATTEMPTS);
         if outcome == Outcome::Stale {
-            return Ok(()); // stale or duplicate report
+            return Ok(());
         }
-        self.execs.release(e);
         let Outcome::Done { stage_done } = outcome else {
             self.execs.note_failure(e, self.cfg.blacklist_after, now);
             return self.record_failure(task, e, outcome);
@@ -705,5 +709,63 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Run<'j, Obs> {
             lost_executors: self.lost,
             metrics: self.cfg.metrics.snapshot(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_loss_that_exhausts_two_tasks_stops_at_the_first_dispatched() {
+        // One executor, and each round fails task 1 before task 0: both
+        // retry in that order and reach their last attempt booked as
+        // [1, 0], the reverse of task order.
+        let cfg = DriverConfig {
+            executors: 1,
+            ..DriverConfig::default()
+        };
+        let job = crate::job::terasort(2, 1, 7);
+        let mut run = Run::new(&cfg, &job, |_: &PoolDecision, _: &[SlotInfo]| {});
+        assert!(run.start());
+        let register = Frame::Register {
+            executor: 0,
+            slots: 2,
+        };
+        let joined = run.execs.handshake(register, 1, 0, Instant::now());
+        run.handle(Ev::Joined(joined.unwrap())).unwrap();
+        run.try_assign().unwrap();
+        for _ in 0..MAX_TASK_ATTEMPTS - 1 {
+            for task in [1, 0] {
+                let frame = Frame::JobTaskOutcome {
+                    job: SINGLE_JOB,
+                    task,
+                    executor: 0,
+                    attempt: run.tasks.attempt(task),
+                    ok: false,
+                };
+                let ev = Ev::Frame {
+                    executor: 0,
+                    conn: 1,
+                    frame,
+                    bytes: 0,
+                };
+                run.handle(ev).unwrap();
+            }
+            run.try_assign().unwrap();
+        }
+        assert_eq!(run.execs[0].running, [(SINGLE_JOB, 1), (SINGLE_JOB, 0)]);
+        // Executor 0's socket breaks: task 1 runs out of attempts first,
+        // and the requeue stops there.
+        let lost = run.handle(Ev::Gone {
+            executor: 0,
+            conn: 1,
+        });
+        assert!(matches!(
+            lost,
+            Err(LiveError::MaxAttemptsExceeded { task: 1 })
+        ));
+        assert_eq!(run.tasks.holder(0), Some(0), "task 0 was not settled");
+        assert_eq!(run.tasks.attempt(0), MAX_TASK_ATTEMPTS - 1);
     }
 }

@@ -2,11 +2,14 @@
 //! driver and the job server share — the `Register` handshake, epoch
 //! fencing and resurrection, the heartbeat sweep, the §5.4 fold of
 //! `PoolSizeChanged` into the slot registry, the `FaultNotice` broadcast
-//! on loss and the slot gate assignment passes through. [`Fleet`] reads
-//! no clock (every liveness decision takes `now`) and owns no socket
+//! on loss and the slot gate assignment passes through. It is the one
+//! record of the attempts each executor holds: `(job, task)` bookings in
+//! dispatch order, each released at most once, and handed back in that
+//! order when the executor is lost or superseded. [`Fleet`] reads no
+//! clock (every liveness decision takes `now`) and owns no socket
 //! (frames go to its [`Lanes`], which the loop flushes). Calls answer
-//! with what happened — joined, reincarnated, resurrected, fenced,
-//! resized, lost — and the caller requeues work and re-announces stages.
+//! with what happened — joined, resurrected, fenced, resized, lost — and
+//! the caller requeues work and re-announces stages.
 //! Membership telemetry is recorded here, under the caller's logger and
 //! metric prefix. Blacklist and probation are ledger state, but only the
 //! driver applies them.
@@ -46,8 +49,9 @@ pub(crate) struct Member {
     blacklisted_at: Option<Instant>,
     /// The executor's last announced pool size: its task slots.
     pub(crate) slots: usize,
-    /// Attempts booked on the executor and not yet settled.
-    pub(crate) running: usize,
+    /// Attempts booked on the executor and not yet settled, as
+    /// `(job, task)` in dispatch order; its length is the slots in use.
+    pub(crate) running: Vec<(u64, usize)>,
     failures_in_stage: usize,
     /// The last sign of life; `None` before the first registration.
     last_heartbeat: Option<Instant>,
@@ -60,11 +64,12 @@ impl Member {
 }
 
 /// An executor that passed the `Register` handshake.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Joined {
     pub(crate) executor: usize,
-    /// It superseded an earlier incarnation, whose work is now orphaned.
-    pub(crate) reincarnated: bool,
+    /// The bookings of the live incarnation it superseded, in dispatch
+    /// order: orphaned work for the caller to requeue.
+    pub(crate) orphaned: Vec<(u64, usize)>,
 }
 
 /// The verdict on a frame from a registered executor's connection.
@@ -163,6 +168,7 @@ impl Fleet {
         }
         let reg = self.epochs.register(executor, conn);
         self.lanes.attach(executor, conn, conn_slot);
+        let orphaned = std::mem::take(&mut self.members[executor].running);
         self.members[executor] = Member {
             alive: true,
             slots,
@@ -187,10 +193,7 @@ impl Fleet {
                 .info(|| format!("executor {executor} registered with {slots} slots"));
         }
         self.record_slots(executor);
-        Some(Joined {
-            executor,
-            reincarnated: reg.reincarnation,
-        })
+        Some(Joined { executor, orphaned })
     }
 
     /// Admits a frame that arrived from `executor` on connection `conn`:
@@ -224,7 +227,6 @@ impl Fleet {
         let epoch = self.epochs.resurrect(executor);
         let m = &mut self.members[executor];
         m.alive = true;
-        m.running = 0;
         m.last_heartbeat = Some(now);
         self.reincarnations.inc();
         self.recorder.push(LiveEvent::ExecutorReincarnated {
@@ -312,8 +314,9 @@ impl Fleet {
     }
 
     /// The heartbeat sweep: loses every live executor silent for longer
-    /// than the heartbeat timeout at `now`, and returns them.
-    pub(crate) fn sweep(&mut self, now: Instant) -> Vec<usize> {
+    /// than the heartbeat timeout at `now`, and returns each with its
+    /// bookings.
+    pub(crate) fn sweep(&mut self, now: Instant) -> Vec<(usize, Vec<(u64, usize)>)> {
         let timeout = self.heartbeat_timeout;
         let silent: Vec<usize> = (0..self.members.len())
             .filter(|&e| {
@@ -323,10 +326,7 @@ impl Fleet {
                         .is_some_and(|t| now.duration_since(t) > timeout)
             })
             .collect();
-        for &e in &silent {
-            self.lose(e);
-        }
-        silent
+        silent.into_iter().map(|e| (e, self.lose(e))).collect()
     }
 
     /// Connection `conn` of `executor` closed. `true` when it was the
@@ -341,14 +341,15 @@ impl Fleet {
         self.members[executor].alive
     }
 
-    /// Declares `executor` lost and tells the survivors, whose current
+    /// Declares `executor` lost, tells the survivors (whose current
     /// monitoring interval the requeued work about to land on them
-    /// poisons. Its connection stays attached: a partitioned socket may
-    /// heal, and resurrection then re-announces through it.
-    pub(crate) fn lose(&mut self, executor: usize) {
+    /// poisons) and hands back its bookings in dispatch order. Its
+    /// connection stays attached: a partitioned socket may heal, and
+    /// resurrection then re-announces through it.
+    pub(crate) fn lose(&mut self, executor: usize) -> Vec<(u64, usize)> {
         let m = &mut self.members[executor];
         m.alive = false;
-        m.running = 0;
+        let orphaned = std::mem::take(&mut m.running);
         self.executors_lost.inc();
         self.recorder
             .push(LiveEvent::Trace(TraceEvent::ExecutorFailed {
@@ -361,24 +362,28 @@ impl Fleet {
         for x in (0..self.members.len()).filter(|&x| x != executor) {
             self.send(x, &Frame::FaultNotice { executor });
         }
+        orphaned
     }
 
     /// The assignment gate: `executor` is usable, runs fewer attempts than
     /// its announced pool size, and its write queue is below high water.
     pub(crate) fn has_free_slot(&self, executor: usize) -> bool {
         let m = &self.members[executor];
-        m.usable() && m.running < m.slots && self.lanes.accepts_work(executor)
+        m.usable() && m.running.len() < m.slots && self.lanes.accepts_work(executor)
     }
 
-    /// Books one attempt on `executor`.
-    pub(crate) fn book(&mut self, executor: usize) {
-        self.members[executor].running += 1;
+    /// Books the attempt of `job`'s `task` on `executor`.
+    pub(crate) fn book(&mut self, executor: usize, job: u64, task: usize) {
+        self.members[executor].running.push((job, task));
     }
 
-    /// Settles one attempt booked on `executor`.
-    pub(crate) fn release(&mut self, executor: usize) {
-        let m = &mut self.members[executor];
-        m.running = m.running.saturating_sub(1);
+    /// Settles the attempt of `job`'s `task` booked on `executor`. `false`,
+    /// and nothing freed, when `executor` holds no such booking: it was
+    /// never made, already released, or handed back by a loss.
+    pub(crate) fn release(&mut self, executor: usize, job: u64, task: usize) -> bool {
+        let running = &mut self.members[executor].running;
+        let at = running.iter().position(|&b| b == (job, task));
+        at.map(|at| running.remove(at)).is_some()
     }
 
     /// Counts a failed attempt against `executor` and blacklists it,
@@ -418,11 +423,10 @@ impl Fleet {
         }
     }
 
-    /// A new stage starts: per-stage failure counts and bookings reset.
+    /// A new stage starts: per-stage failure counts reset.
     pub(crate) fn new_stage(&mut self) {
         for m in &mut self.members {
             m.failures_in_stage = 0;
-            m.running = 0;
         }
     }
 
@@ -444,7 +448,7 @@ impl Fleet {
                 alive: m.alive,
                 blacklisted: m.blacklisted_at.is_some(),
                 slots: m.slots,
-                free: m.slots.saturating_sub(m.running),
+                free: m.slots.saturating_sub(m.running.len()),
             })
             .collect()
     }
@@ -473,7 +477,7 @@ impl Fleet {
         self.recorder.push(LiveEvent::SlotRegistryChanged {
             executor,
             slots: m.slots,
-            free: m.slots.saturating_sub(m.running),
+            free: m.slots.saturating_sub(m.running.len()),
             at: self.recorder.now(),
         });
     }
@@ -531,7 +535,7 @@ mod tests {
             joined,
             Joined {
                 executor: 1,
-                reincarnated: false
+                orphaned: Vec::new()
             }
         );
         assert!(f.has_free_slot(1));
@@ -543,7 +547,11 @@ mod tests {
         let (registry, t0) = (MetricRegistry::new(), Instant::now());
         let mut f = fleet(1, &registry);
         register(&mut f, 0, 1, t0);
-        assert!(register(&mut f, 0, 2, t0).reincarnated);
+        f.book(0, 7, 1);
+        f.book(0, 7, 0);
+        let orphaned = register(&mut f, 0, 2, t0).orphaned;
+        assert_eq!(orphaned, [(7, 1), (7, 0)], "in dispatch order");
+        assert!(f[0].running.is_empty());
         assert_eq!(f.admit(0, 1, heartbeat(0), t0), Admit::Fenced);
         assert_eq!(f.admit(0, 1, heartbeat(0), t0), Admit::Fenced);
         assert_eq!(f.admit(0, 2, heartbeat(0), t0), Admit::Current);
@@ -563,9 +571,12 @@ mod tests {
         let (registry, t0) = (MetricRegistry::new(), Instant::now());
         let mut f = fleet(2, &registry);
         register(&mut f, 0, 1, t0);
-        f.book(0);
-        f.lose(0);
-        assert!(!f[0].alive && f[0].running == 0);
+        for (job, task) in [(1, 3), (1, 0), (2, 1), (1, 2)] {
+            f.book(0, job, task);
+        }
+        assert!(f.release(0, 1, 0));
+        assert_eq!(f.lose(0), [(1, 3), (2, 1), (1, 2)], "in dispatch order");
+        assert!(!f[0].alive && f[0].running.is_empty());
         assert!(!f.has_free_slot(0));
 
         let later = t0 + Duration::from_secs(5);
@@ -588,7 +599,9 @@ mod tests {
         let beat = t0 + Duration::from_millis(300);
         assert_eq!(f.observe(0, heartbeat(0), beat), None);
         assert!(f.sweep(beat + TIMEOUT).is_empty());
-        assert_eq!(f.sweep(beat + TIMEOUT + Duration::from_nanos(1)), [0]);
+        f.book(0, 1, 2);
+        let lost = f.sweep(beat + TIMEOUT + Duration::from_nanos(1));
+        assert_eq!(lost, [(0, vec![(1, 2)])]);
         assert!(!f[0].alive);
         assert!(f.sweep(beat + 10 * TIMEOUT).is_empty(), "lost once only");
         assert_eq!(counter(&registry, "test.executors_lost"), 1);
@@ -603,8 +616,8 @@ mod tests {
         let (registry, t0) = (MetricRegistry::new(), Instant::now());
         let mut f = fleet(1, &registry);
         register(&mut f, 0, 1, t0);
-        for _ in 0..3 {
-            f.book(0);
+        for task in 0..3 {
+            f.book(0, 1, task);
         }
         let resize = Frame::Core(Message::PoolSizeChanged {
             executor: 0,
@@ -613,12 +626,37 @@ mod tests {
         assert_eq!(f.observe(0, resize, t0), Some(2));
         assert_eq!(f.registry()[0].slots, 2);
         assert!(!f.has_free_slot(0), "3 running on 2 slots");
-        f.release(0);
+        assert!(f.release(0, 1, 0));
         assert!(!f.has_free_slot(0), "2 running on 2 slots");
-        f.release(0);
+        assert!(f.release(0, 1, 2));
         assert!(f.has_free_slot(0));
         let gauges = registry.snapshot().gauges;
         assert_eq!(gauges["test.pool_size{executor=\"0\"}"], 2.0);
+    }
+
+    #[test]
+    fn releasing_an_attempt_never_booked_or_already_released_frees_nothing() {
+        let (registry, t0) = (MetricRegistry::new(), Instant::now());
+        let mut f = fleet(2, &registry);
+        register(&mut f, 0, 1, t0);
+        register(&mut f, 1, 2, t0);
+        f.book(0, 1, 0);
+        f.book(0, 2, 0);
+        let held = |f: &Fleet| (f[0].running.clone(), f.registry()[0].free);
+        let booked = held(&f);
+        assert_eq!(booked, (vec![(1, 0), (2, 0)], 2));
+        // Never booked: another task, another job, another executor.
+        assert!(!f.release(0, 1, 1));
+        assert!(!f.release(0, 3, 0));
+        assert!(!f.release(1, 1, 0));
+        assert_eq!(held(&f), booked);
+        assert_eq!(f.registry()[1].free, 4);
+        // Released once, then refused.
+        assert!(f.release(0, 1, 0));
+        let released = held(&f);
+        assert_eq!(released, (vec![(2, 0)], 3));
+        assert!(!f.release(0, 1, 0));
+        assert_eq!(held(&f), released);
     }
 
     #[test]

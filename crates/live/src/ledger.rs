@@ -1,7 +1,10 @@
 //! The task ledger: one stage's attempts, as the single-job driver and
 //! each job of the job server book them — the stage's [`PendingQueue`]
 //! (seeded with the `task % executors` locality preference) and, per task,
-//! whether it is done, who holds its attempt, and where it failed.
+//! whether it is done, who holds its attempt, and where it failed. The
+//! holder only screens reports: the fleet (`fleet.rs`) is the record of
+//! what each executor runs, and a lost or superseded executor's attempts
+//! come back from it, each for the caller to settle as a failure.
 //! [`TaskLedger`] reads no clock (the caller passes the stage start) and
 //! records no telemetry: each call answers with what happened — picked,
 //! stale, done, requeued, exhausted — and the caller records metrics and
@@ -123,22 +126,6 @@ impl TaskLedger {
         Outcome::Requeued { attempt }
     }
 
-    /// Fails every attempt executor `e` holds — it was lost or superseded —
-    /// in task order, stopping after the first that exhausts its task.
-    pub(crate) fn requeue_from(&mut self, e: usize, budget: usize) -> Vec<(usize, Outcome)> {
-        let mut failed = Vec::new();
-        for task in 0..self.tasks.len() {
-            if self.tasks[task].holder == Some(e) {
-                let outcome = self.settle(task, e, false, budget);
-                failed.push((task, outcome));
-                if let Outcome::Exhausted { .. } = outcome {
-                    break;
-                }
-            }
-        }
-        failed
-    }
-
     /// The index of `task`'s current (or next) attempt: its failures so
     /// far.
     pub(crate) fn attempt(&self, task: usize) -> usize {
@@ -258,27 +245,10 @@ mod tests {
             Outcome::Exhausted { attempt: 2 }
         );
         assert_eq!((l.queued(), l.remaining(), l.failed_attempts()), (0, 1, 3));
-
-        // Through `requeue_from`, the exhausted task is named and the
-        // sweep stops there.
-        let mut l = TaskLedger::new(3, 1, t0);
-        assert_eq!(pick_n(&mut l, 0, 3), [0, 1, 2]);
-        for attempt in 0..MAX - 1 {
-            assert_eq!(l.settle(1, 0, false, MAX), Outcome::Requeued { attempt });
-            assert_eq!(l.pick(0), Some(1));
-        }
-        assert_eq!(
-            l.requeue_from(0, MAX),
-            [
-                (0, Outcome::Requeued { attempt: 0 }),
-                (1, Outcome::Exhausted { attempt: 2 })
-            ]
-        );
-        assert_eq!(l.holder(2), Some(0), "the sweep stopped at task 1");
     }
 
     #[test]
-    fn requeue_from_fails_exactly_the_executors_unfinished_attempts_once() {
+    fn a_lost_executors_failures_requeue_once_and_steer_retries_away() {
         let t0 = Instant::now();
         let mut l = TaskLedger::new(6, 3, t0);
         // Executor 0 holds tasks 0 and 3, executor 1 holds 1 and 4,
@@ -288,10 +258,13 @@ mod tests {
         assert_eq!(pick_n(&mut l, 2, 1), [2]);
         let done = Outcome::Done { stage_done: false };
         assert_eq!(l.settle(3, 0, true, MAX), done);
+        // Executors 0 and 1 are lost: the fleet hands back their bookings,
+        // and each is settled as a failure, once.
         let requeued = Outcome::Requeued { attempt: 0 };
-        assert_eq!(l.requeue_from(0, MAX), [(0, requeued)]);
-        assert_eq!(l.requeue_from(0, MAX), [], "once each");
-        assert_eq!(l.requeue_from(1, MAX), [(1, requeued), (4, requeued)]);
+        for (task, e) in [(0, 0), (1, 1), (4, 1)] {
+            assert_eq!(l.settle(task, e, false, MAX), requeued);
+            assert_eq!(l.settle(task, e, false, MAX), Outcome::Stale);
+        }
         assert_eq!(l.holder(2), Some(2), "other executors keep theirs");
         assert_eq!((l.failed_attempts(), l.queued(), l.remaining()), (3, 4, 5));
         // Each failure is booked against its executor: retries steer away
@@ -317,13 +290,12 @@ mod tests {
             let e = next(executors as u64);
             match next(8) {
                 0..=3 => picks += usize::from(l.pick(e).is_some()),
-                4..=6 => match l.settle(next(18), e, next(4) > 0, usize::MAX) {
+                _ => match l.settle(next(18), e, next(4) > 0, usize::MAX) {
                     Outcome::Done { .. } => done += 1,
                     Outcome::Requeued { .. } => failed += 1,
                     Outcome::Stale => {}
                     Outcome::Exhausted { .. } => unreachable!("no budget"),
                 },
-                _ => failed += l.requeue_from(e, usize::MAX).len(),
             }
             let held = l.tasks.iter().filter(|t| t.holder.is_some()).count();
             let finished = l.tasks.iter().filter(|t| t.done).count();

@@ -69,9 +69,9 @@ impl JobState {
         self.status == JobStatus::Running && self.tasks.queued() > 0
     }
 
-    fn runtime_secs(&self) -> f64 {
+    fn runtime_secs(&self, now: Instant) -> f64 {
         self.started_at
-            .map(|t| t.elapsed().as_secs_f64())
+            .map(|t| now.duration_since(t).as_secs_f64())
             .unwrap_or(0.0)
     }
 
@@ -116,8 +116,8 @@ pub(super) struct RetiredJob {
 }
 
 impl RetiredJob {
-    /// Strips a job that just turned terminal down to its terminal reads.
-    fn from_live(js: &mut JobState) -> Self {
+    /// Strips a job that turned terminal at `now` to its terminal reads.
+    fn from_live(js: &mut JobState, now: Instant) -> Self {
         let mut status_line = String::new();
         js.write_status_line(&mut status_line);
         let mut journal = std::mem::take(&mut js.journal);
@@ -132,7 +132,7 @@ impl RetiredJob {
                 stages_completed: js.stage_idx,
                 attempts: js.total_attempts,
                 failed_attempts: js.total_failed,
-                runtime_secs: js.runtime_secs(),
+                runtime_secs: js.runtime_secs(now),
                 journal,
             },
             stages: std::mem::take(&mut js.job.stages).into_boxed_slice(),
@@ -214,7 +214,13 @@ impl JobTable {
     }
 
     /// Admits a job as [`JobStatus::Queued`] under the next dense id.
-    pub(super) fn admit(&mut self, job: LiveJob, tenant: String, weight: u64) -> &mut JobState {
+    pub(super) fn admit(
+        &mut self,
+        job: LiveJob,
+        tenant: String,
+        weight: u64,
+        now: Instant,
+    ) -> &mut JobState {
         let id = self.base + self.slots.len() as u64 + 1;
         self.live.insert(id);
         self.slots.push_back(Slot::Live(Box::new(JobState {
@@ -224,7 +230,7 @@ impl JobTable {
             weight,
             status: JobStatus::Queued,
             stage_idx: 0,
-            tasks: TaskLedger::new(0, 0, Instant::now()),
+            tasks: TaskLedger::new(0, 0, now),
             started_at: None,
             total_attempts: 0,
             total_failed: 0,
@@ -267,12 +273,12 @@ impl JobTable {
     }
 
     /// Moves a queued job to [`JobStatus::Running`].
-    pub(super) fn start(&mut self, id: u64) -> Option<&mut JobState> {
+    pub(super) fn start(&mut self, id: u64, now: Instant) -> Option<&mut JobState> {
         let idx = self.index(id).ok()?;
         match &mut self.slots[idx] {
             Slot::Live(js) if js.status == JobStatus::Queued => {
                 js.status = JobStatus::Running;
-                js.started_at = Some(Instant::now());
+                js.started_at = Some(now);
                 self.running += 1;
                 Some(js)
             }
@@ -284,7 +290,7 @@ impl JobTable {
     /// its slot down to a [`RetiredJob`], evicting the oldest retired job
     /// if that leaves more than [`RETAINED_JOBS`]. No-op on a job already
     /// terminal.
-    pub(super) fn retire(&mut self, id: u64, status: JobStatus) {
+    pub(super) fn retire(&mut self, id: u64, status: JobStatus, now: Instant) {
         debug_assert!(status.terminal());
         let Ok(idx) = self.index(id) else {
             return;
@@ -296,7 +302,7 @@ impl JobTable {
             self.running -= 1;
         }
         js.status = status;
-        let retired = Box::new(RetiredJob::from_live(js));
+        let retired = Box::new(RetiredJob::from_live(js, now));
         self.retired_line_bytes += retired.status_line.len();
         self.slots[idx] = Slot::Retired(retired);
         self.live.remove(&id);
@@ -361,12 +367,12 @@ impl JobTable {
     }
 
     /// The `GET /jobs/:id/report` body.
-    pub(super) fn report(&self, id: u64) -> Result<String, Missing> {
+    pub(super) fn report(&self, id: u64, now: Instant) -> Result<String, Missing> {
         let report = match self.slot(id)? {
             Slot::Live(js) => Report {
                 id,
                 status: js.status,
-                runtime_secs: js.runtime_secs(),
+                runtime_secs: js.runtime_secs(now),
                 attempts: js.total_attempts,
                 failed_attempts: js.total_failed,
                 stages_completed: js.stage_idx,
@@ -532,18 +538,18 @@ mod tests {
 
     #[test]
     fn slots_are_dense_and_convert_in_place() {
-        let mut table = JobTable::default();
+        let (mut table, t0) = (JobTable::default(), Instant::now());
         for want in 1..=3u64 {
-            let js = table.admit(one_stage_job(), "t".into(), 1);
+            let js = table.admit(one_stage_job(), "t".into(), 1, t0);
             assert_eq!((js.id, js.status()), (want, JobStatus::Queued));
             table.assert_consistent();
         }
         assert_eq!(table.find(0), Err(Missing::Unknown));
         assert_eq!(table.find(3), Ok(3));
         assert_eq!(table.find(4), Err(Missing::Unknown));
-        assert!(table.start(1).is_some() && table.start(2).is_some());
-        assert!(table.start(2).is_none(), "already running");
-        assert!(table.start(9).is_none(), "never admitted");
+        assert!(table.start(1, t0).is_some() && table.start(2, t0).is_some());
+        assert!(table.start(2, t0).is_none(), "already running");
+        assert!(table.start(9, t0).is_none(), "never admitted");
         table.assert_consistent();
         assert_eq!(table.running(), 2);
 
@@ -552,8 +558,9 @@ mod tests {
         let js = table.live_mut(2).unwrap();
         js.journal.push_str("{\"event\":\"x\"}\n");
         js.total_attempts = 7;
-        let live_report = table.report(2).unwrap();
-        table.retire(2, JobStatus::Failed);
+        let at = t0 + std::time::Duration::from_millis(1500);
+        let live_report = table.report(2, at).unwrap();
+        table.retire(2, JobStatus::Failed, at);
         table.assert_consistent();
         assert_eq!(table.running(), 1);
         assert_eq!(table.live_ids().collect::<Vec<_>>(), [1, 3]);
@@ -567,15 +574,16 @@ mod tests {
             line.contains("\"status\":\"failed\"") && line.contains("\"attempts\":7"),
             "the attempts total carries over: {line}"
         );
-        let report = table.report(2).unwrap();
-        let stages = |r: &str| r[r.find("\"stages\"").unwrap()..].to_string();
-        assert_eq!(stages(&report), stages(&live_report));
+        // Runtime runs on the clock the caller passes.
+        let report = table.report(2, at + at.duration_since(t0)).unwrap();
+        assert_eq!(report, live_report.replace("running", "failed"));
+        assert!(report.contains("\"runtime_secs\":1.500000"), "{report}");
         assert!(report.contains("\"status\":\"failed\"") && report.contains("\"attempts\":7"));
 
         // A queued job retires without touching the running count, and
         // retiring twice changes nothing.
-        table.retire(3, JobStatus::Cancelled);
-        table.retire(3, JobStatus::Completed);
+        table.retire(3, JobStatus::Cancelled, at);
+        table.retire(3, JobStatus::Completed, at);
         table.assert_consistent();
         assert_eq!(table.running(), 1);
         assert_eq!(table.view(3).map(|v| v.0), Ok(JobStatus::Cancelled));
@@ -592,7 +600,7 @@ mod tests {
         );
         assert!(list.len() <= list.capacity());
 
-        table.retire(1, JobStatus::Completed);
+        table.retire(1, JobStatus::Completed, at);
         let summaries = table.into_summaries();
         assert_eq!(
             summaries

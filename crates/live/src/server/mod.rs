@@ -16,8 +16,10 @@
 //! HTTP listener, and all accepted connections — on a
 //! [`sae_poll::Poller`] event loop over the same socket shell
 //! (`shell.rs`: connection table, write queues, accept loop) as the
-//! single-job driver. Per wakeup it drains readiness, decodes frames /
-//! HTTP requests, runs due timers, and dispatches tasks to free slots.
+//! single-job driver. Per wakeup it reads the clock once (every handler
+//! in that turn sees the same instant), drains readiness, decodes frames /
+//! HTTP requests, runs due timers, and dispatches tasks to free slots;
+//! the sleep before the next wakeup counts from a fresh reading.
 //!
 //! # Control API
 //!
@@ -63,12 +65,14 @@
 //!
 //! Every task dispatch charges the owning job `STRIDE1 / weight` pass
 //! points; free slots go to the runnable job with the lowest pass. Slot
-//! accounting is exact: each `AssignJobTask` is booked in an in-flight
-//! table keyed `(job, task)` and freed only by the matching
-//! `JobTaskOutcome` (executors report outcomes even for attempts whose
-//! job was cancelled before they started) or by the executor being
-//! declared lost. Frames from superseded executor incarnations are fenced
-//! by the fleet ledger, as in the single-job driver.
+//! accounting is exact: the fleet ledger books each `AssignJobTask` as
+//! `(job, task)` on its executor, in dispatch order, and frees it only on
+//! the matching `JobTaskOutcome` from that executor (executors report
+//! outcomes even for attempts whose job was cancelled before they
+//! started), or when the executor is declared lost or superseded, which
+//! hands its bookings back in dispatch order to be requeued. Frames from
+//! superseded executor incarnations are fenced by the fleet ledger, as in
+//! the single-job driver.
 //!
 //! Each job keeps a **journal**: JSONL lifecycle lines with no wall-clock
 //! times, no executor placement and no server-assigned ids, so two
@@ -414,11 +418,8 @@ struct ServerLoop {
     fair: FairShare,
     jobs: JobTable,
     waiting: VecDeque<u64>,
-    /// `(job, task) -> executor` for every assignment whose outcome has
-    /// not arrived: the cross-job slot ledger, and the only place slot
-    /// accounting is decremented. Unlike a job's task ledger it outlives
-    /// the job's retirement, so late outcomes still free their slots.
-    inflight: HashMap<(u64, usize), usize>,
+    /// The clock, read once per loop turn: what every handler calls now.
+    now: Instant,
     draining: Option<Instant>,
     metrics: ServerMetrics,
     /// Last metric values streamed to cluster `/events` subscribers;
@@ -458,7 +459,7 @@ impl ServerLoop {
             fair: FairShare::new(),
             jobs: JobTable::default(),
             waiting: VecDeque::new(),
-            inflight: HashMap::new(),
+            now: Instant::now(),
             draining: None,
             metrics: ServerMetrics::new(&cfg.metrics),
             last_metrics: BTreeMap::new(),
@@ -477,17 +478,20 @@ impl ServerLoop {
             )
         });
         self.wheel
-            .schedule_at(Instant::now() + self.cfg.check_interval, TIMER_TICK);
+            .schedule_at(self.now + self.cfg.check_interval, TIMER_TICK);
         loop {
             while let Some(e) = self.execs.lanes.pop_dirty() {
                 self.flush_lane(e);
             }
+            // The sleep counts from a fresh reading: this turn's work ran
+            // after `self.now` was read.
             let timeout = self
                 .wheel
                 .next_timeout(Instant::now())
                 .unwrap_or(self.cfg.check_interval);
             let mut events = std::mem::take(&mut self.events);
             self.poller.wait(&mut events, Some(timeout))?;
+            self.now = Instant::now();
             self.metrics.wakeups.inc();
             for ev in &events {
                 match ev.token {
@@ -528,11 +532,11 @@ impl ServerLoop {
                 }
             }
             self.events = events;
-            for (_, what) in self.wheel.expire(Instant::now()) {
+            for (_, what) in self.wheel.expire(self.now) {
                 if what == TIMER_TICK {
                     self.tick();
                     self.wheel
-                        .schedule_at(Instant::now() + self.cfg.check_interval, TIMER_TICK);
+                        .schedule_at(self.now + self.cfg.check_interval, TIMER_TICK);
                 }
             }
             self.try_assign();
@@ -540,7 +544,7 @@ impl ServerLoop {
             self.conns.end_batch();
             if let Some(since) = self.draining {
                 let idle = self.jobs.live_ids().next().is_none();
-                if idle || since.elapsed() > self.cfg.shutdown_drain {
+                if idle || self.now.duration_since(since) > self.cfg.shutdown_drain {
                     break;
                 }
             }
@@ -553,8 +557,8 @@ impl ServerLoop {
     fn tick(&mut self) {
         self.wire.rearm(&self.poller);
         self.http.rearm(&self.poller);
-        for e in self.execs.sweep(Instant::now()) {
-            self.requeue_inflight_on(e);
+        for (e, orphaned) in self.execs.sweep(self.now) {
+            self.requeue(e, orphaned);
         }
         if self.draining.is_none()
             && (sae_poll::signal::triggered() || self.cfg.stop.load(Ordering::Relaxed))
@@ -641,7 +645,7 @@ impl ServerLoop {
     /// Stops admission and cancels queued jobs; running jobs get the
     /// drain window.
     fn begin_drain(&mut self) {
-        self.draining = Some(Instant::now());
+        self.draining = Some(self.now);
         self.log.info(|| {
             format!(
                 "draining: admission closed, running jobs get {:?}",
@@ -772,15 +776,12 @@ impl ServerLoop {
             match *executor {
                 Some(e) => self.handle_wire_frame(e, conn_id, frame),
                 None => {
-                    let now = Instant::now();
-                    let Some(joined) = self.execs.handshake(frame, conn_id, idx, now) else {
+                    let Some(joined) = self.execs.handshake(frame, conn_id, idx, self.now) else {
                         self.close_conn(idx);
                         return false;
                     };
                     *executor = Some(joined.executor);
-                    if joined.reincarnated {
-                        self.requeue_inflight_on(joined.executor);
-                    }
+                    self.requeue(joined.executor, joined.orphaned);
                     self.announce_jobs_to(joined.executor);
                 }
             }
@@ -899,8 +900,8 @@ impl ServerLoop {
         } = conn.kind
         {
             if self.execs.disconnect(e, conn.id) {
-                self.execs.lose(e);
-                self.requeue_inflight_on(e);
+                let orphaned = self.execs.lose(e);
+                self.requeue(e, orphaned);
             }
         }
     }
@@ -908,13 +909,12 @@ impl ServerLoop {
     // ---- executor fleet -----------------------------------------------
 
     fn handle_wire_frame(&mut self, e: usize, conn: u64, frame: Frame) {
-        let now = Instant::now();
-        match self.execs.admit(e, conn, frame, now) {
+        match self.execs.admit(e, conn, frame, self.now) {
             Admit::Fenced => return,
             Admit::Resurrected => self.announce_jobs_to(e),
             Admit::Current => {}
         }
-        self.execs.observe(e, frame, now);
+        self.execs.observe(e, frame, self.now);
         // Liveness and telemetry were the fleet's; echoes are ignored.
         if let Frame::JobTaskOutcome { job, task, ok, .. } = frame {
             self.handle_outcome(job, task, e, ok);
@@ -930,17 +930,11 @@ impl ServerLoop {
         }
     }
 
-    /// Books a failure for (and requeues) every in-flight assignment on
-    /// `e` — the executor died or was superseded.
-    fn requeue_inflight_on(&mut self, e: usize) {
-        let hit: Vec<(u64, usize)> = self
-            .inflight
-            .iter()
-            .filter(|(_, ex)| **ex == e)
-            .map(|(k, _)| *k)
-            .collect();
-        for (job, task) in hit {
-            self.inflight.remove(&(job, task));
+    /// Books a failure for (and requeues) each attempt the fleet handed
+    /// back from `e`, in dispatch order — the executor died or was
+    /// superseded.
+    fn requeue(&mut self, e: usize, orphaned: Vec<(u64, usize)>) {
+        for (job, task) in orphaned {
             self.settle(job, task, e, false);
         }
     }
@@ -948,18 +942,16 @@ impl ServerLoop {
     // ---- job lifecycle ------------------------------------------------
 
     fn handle_outcome(&mut self, job: u64, task: usize, from: usize, ok: bool) {
-        // The in-flight table is the slot ledger: only a booked assignment
-        // frees a slot, and only once. Late outcomes of requeued or
-        // retired work miss the table and change nothing. So does a stale
-        // outcome from an executor that no longer holds the booking (the
-        // task was requeued and reassigned, e.g. after a lost-then-
-        // resurrected peer replayed its result): the booking — and the
-        // current assignee's slot — wait for the real outcome.
-        if self.inflight.get(&(job, task)) != Some(&from) {
+        // Only a booked attempt frees a slot, and only once. The fleet
+        // refuses a late outcome of requeued work, and a stale outcome
+        // from an executor that no longer holds the booking (the task was
+        // requeued and reassigned, e.g. after a lost-then-resurrected peer
+        // replayed its result): the booking — and the current assignee's
+        // slot — wait for the real outcome. A retired job's bookings stay,
+        // so its stragglers still free their slots.
+        if !self.execs.release(from, job, task) {
             return;
         }
-        self.inflight.remove(&(job, task));
-        self.execs.release(from);
         self.metrics.outcomes.inc();
         self.settle(job, task, from, ok);
     }
@@ -994,7 +986,7 @@ impl ServerLoop {
         let js = self.jobs.live_mut(job).expect("job is live");
         let spec = &js.job.stages[js.stage_idx];
         let (tasks, kind) = (spec.tasks, spec.kind);
-        js.tasks = TaskLedger::new(tasks, executors, Instant::now());
+        js.tasks = TaskLedger::new(tasks, executors, self.now);
         let line = format!(
             "{{\"event\":\"stage-start\",\"stage\":{},\"kind\":\"{}\",\"tasks\":{}}}",
             js.stage_idx,
@@ -1031,7 +1023,7 @@ impl ServerLoop {
         );
         journal_line(recorder, js, line);
         js.stage_durations
-            .push(js.tasks.started().elapsed().as_secs_f64());
+            .push(self.now.duration_since(js.tasks.started()).as_secs_f64());
         js.stage_idx += 1;
         let stages = js.job.stages.len();
         if js.stage_idx == stages {
@@ -1071,8 +1063,8 @@ impl ServerLoop {
     /// the allocator, its slot is stripped to a retired record, `JobEnd`
     /// goes to the fleet (which fences queued-but-unstarted attempts on
     /// the executors), and a queued job is promoted into the freed active
-    /// slot. In-flight table entries stay — their outcomes still free
-    /// slots.
+    /// slot. The job's bookings stay in the fleet — their outcomes still
+    /// free slots.
     fn end_job(&mut self, job: u64, status: JobStatus, line: String) {
         let Some(js) = self.jobs.live_mut(job) else {
             return;
@@ -1085,7 +1077,7 @@ impl ServerLoop {
             JobStatus::Failed => tenant.failed.inc(),
             _ => tenant.cancelled.inc(),
         }
-        self.jobs.retire(job, status);
+        self.jobs.retire(job, status, self.now);
         self.fair.retire(job);
         self.execs.broadcast(&Frame::JobEnd { job });
         self.promote_waiting();
@@ -1103,7 +1095,7 @@ impl ServerLoop {
     /// Moves a queued job into an active slot; a job that is no longer
     /// queued is left alone.
     fn start_job(&mut self, job: u64) {
-        let Some(js) = self.jobs.start(job) else {
+        let Some(js) = self.jobs.start(job, self.now) else {
             return;
         };
         status_event(&self.cfg.recorder, job, &js.tenant, JobStatus::Running);
@@ -1128,13 +1120,12 @@ impl ServerLoop {
                 let js = self.jobs.live_mut(job).expect("picked job is live");
                 let task = js.tasks.pick(e).expect("a runnable job has a task");
                 js.total_attempts += 1;
-                self.inflight.insert((job, task), e);
-                self.execs.book(e);
+                self.execs.book(e, job, task);
                 self.metrics.tasks_dispatched.inc();
                 if !self.execs.send(e, &Frame::AssignJobTask { job, task }) {
                     // No usable lane: treat like a broken socket.
-                    self.execs.lose(e);
-                    self.requeue_inflight_on(e);
+                    let orphaned = self.execs.lose(e);
+                    self.requeue(e, orphaned);
                     break;
                 }
             }
@@ -1170,7 +1161,7 @@ impl ServerLoop {
             }
             (Method::Get, ["jobs", id, "report"]) => found(
                 self.parse_id(id)
-                    .and_then(|job| self.jobs.report(job))
+                    .and_then(|job| self.jobs.report(job, self.now))
                     .map(|body| Response::json(200, body)),
             ),
             (Method::Get, ["jobs", id, "journal"]) => found(
@@ -1394,7 +1385,9 @@ impl ServerLoop {
             self.metrics.jobs_rejected.inc();
             return Response::error(429, "admission queue is full");
         }
-        let js = self.jobs.admit(spec.job, spec.tenant, spec.weight);
+        let js = self
+            .jobs
+            .admit(spec.job, spec.tenant, spec.weight, self.now);
         let id = js.id;
         let line = format!(
             "{{\"event\":\"submitted\",\"name\":\"{}\",\"tenant\":\"{}\",\"weight\":{},\"stages\":{}}}",
@@ -1783,17 +1776,17 @@ mod tests {
 
     /// A server loop with no sockets behind it. Every configured executor
     /// passes the fleet's Register handshake with `slots` slots on
-    /// connection `e + 1`, whose lane accepts frames (and never flushes:
-    /// no socket backs it), so the real submit / dispatch / outcome paths
-    /// run without a fleet.
+    /// connection `e + 1` at the loop's clock, whose lane accepts frames
+    /// (and never flushes: no socket backs it), so the real submit /
+    /// dispatch / outcome paths run without a fleet. Tests move the clock
+    /// by setting `sl.now`.
     fn test_loop(cfg: ServerConfig, slots: usize) -> ServerLoop {
         let wire = TcpListener::bind("127.0.0.1:0").unwrap();
         let http = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut sl = ServerLoop::new(wire, http, cfg).unwrap();
         for e in 0..sl.execs.len() {
             let register = Frame::Register { executor: e, slots };
-            sl.execs
-                .handshake(register, e as u64 + 1, e, Instant::now());
+            sl.execs.handshake(register, e as u64 + 1, e, sl.now);
         }
         sl
     }
@@ -1813,16 +1806,24 @@ mod tests {
         (resp.status, id)
     }
 
+    /// Every booking in the fleet as `(job, task, executor)`, sorted.
+    fn bookings(sl: &ServerLoop) -> Vec<(u64, usize, usize)> {
+        let mut all: Vec<_> = (0..sl.execs.len())
+            .flat_map(|e| sl.execs[e].running.iter().map(move |&(j, t)| (j, t, e)))
+            .collect();
+        all.sort_unstable();
+        all
+    }
+
+    /// The executor booked with `job`'s `task`.
+    fn holder(sl: &ServerLoop, job: u64, task: usize) -> Option<usize> {
+        let mut booked = bookings(sl).into_iter();
+        booked.find(|b| (b.0, b.1) == (job, task)).map(|b| b.2)
+    }
+
     /// Reports `ok` for every attempt of `job` now in flight.
     fn settle_inflight(sl: &mut ServerLoop, job: u64, ok: bool) {
-        let mut booked: Vec<(usize, usize)> = sl
-            .inflight
-            .iter()
-            .filter(|((j, _), _)| *j == job)
-            .map(|((_, task), e)| (*task, *e))
-            .collect();
-        booked.sort_unstable();
-        for (task, e) in booked {
+        for (_, task, e) in bookings(sl).into_iter().filter(|b| b.0 == job) {
             sl.handle_outcome(job, task, e, ok);
         }
     }
@@ -1835,26 +1836,23 @@ mod tests {
         let mut sl = test_loop(ServerConfig::default(), 1);
         let (_, job) = post(&mut sl, r#"{"tasks":2,"records_per_task":1}"#);
         sl.try_assign();
-        let holder = sl.inflight[&(job, 0)];
-        let other = 1 - holder;
+        let assignee = holder(&sl, job, 0).unwrap();
+        let other = 1 - assignee;
         sl.handle_outcome(job, 0, other, true);
+        assert_eq!(holder(&sl, job, 0), Some(assignee), "booking was dropped");
         assert_eq!(
-            sl.inflight.get(&(job, 0)),
-            Some(&holder),
-            "booking was dropped"
-        );
-        assert_eq!(
-            sl.execs[holder].running, 1,
+            sl.execs[assignee].running.len(),
+            1,
             "assignee's slot was over-freed"
         );
         let js = sl.jobs.live(job).unwrap();
         assert!(!js.tasks.is_done(0));
-        assert_eq!(js.tasks.holder(0), Some(holder));
+        assert_eq!(js.tasks.holder(0), Some(assignee));
 
         // The real outcome from the holder then settles the ledger once.
-        sl.handle_outcome(job, 0, holder, true);
-        assert!(!sl.inflight.contains_key(&(job, 0)));
-        assert_eq!(sl.execs[holder].running, 0);
+        sl.handle_outcome(job, 0, assignee, true);
+        assert_eq!(holder(&sl, job, 0), None);
+        assert!(sl.execs[assignee].running.is_empty());
         let js = sl.jobs.live(job).unwrap();
         assert!(js.tasks.is_done(0));
         assert_eq!(js.tasks.remaining(), 1);
@@ -1862,7 +1860,7 @@ mod tests {
 
     /// The tasks of every attempt now in flight, in task order.
     fn inflight_tasks(sl: &ServerLoop) -> std::collections::BTreeSet<usize> {
-        sl.inflight.keys().map(|&(_, task)| task).collect()
+        bookings(sl).into_iter().map(|(_, task, _)| task).collect()
     }
 
     #[test]
@@ -1891,8 +1889,7 @@ mod tests {
         assert_eq!(inflight_tasks(&sl), ever, "a shrink dispatches nothing");
 
         while let Some(&task) = inflight_tasks(&sl).iter().next() {
-            let running = sl.execs[0].running;
-            assert_eq!(running, sl.inflight.len());
+            let running = sl.execs[0].running.len();
             let outcome = Frame::JobTaskOutcome {
                 job,
                 task,
@@ -1901,7 +1898,7 @@ mod tests {
                 ok: true,
             };
             sl.handle_wire_frame(0, 1, outcome);
-            let left = sl.execs[0].running;
+            let left = sl.execs[0].running.len();
             assert_eq!(left, running - 1, "one outcome, one booking");
             let before = inflight_tasks(&sl);
             sl.try_assign();
@@ -1915,8 +1912,147 @@ mod tests {
             }
         }
         assert_eq!(ever, (0..8).collect());
-        assert_eq!(sl.execs[0].running, 0);
+        assert!(sl.execs[0].running.is_empty());
         assert!(sl.jobs.live(job).is_none(), "the job completed");
+    }
+
+    #[test]
+    fn the_sweep_loses_a_silent_executor_on_the_loop_clock_and_requeues_its_work() {
+        let cfg = ServerConfig::default();
+        let timeout = cfg.heartbeat_timeout;
+        let mut sl = test_loop(cfg, 2);
+        let t0 = sl.now;
+        let spec = r#"{"stages":[{"kind":"spill","tasks":4,"records_per_task":1}]}"#;
+        let (_, job) = post(&mut sl, spec);
+        sl.try_assign();
+        let held = sl.execs[0].running.clone();
+        assert_eq!(held.len(), 2);
+        // Executor 1 beats halfway through; executor 0 stays silent.
+        sl.now = t0 + timeout / 2;
+        let beat = Frame::Core(sae_dag::Message::Heartbeat { executor: 1 });
+        sl.handle_wire_frame(1, 2, beat);
+        sl.now = t0 + timeout;
+        sl.tick();
+        assert!(
+            sl.execs.registry()[0].alive,
+            "silent for exactly the timeout"
+        );
+        assert_eq!(sl.execs[0].running, held);
+        sl.now += Duration::from_nanos(1);
+        sl.tick();
+        let registry = sl.execs.registry();
+        assert!(!registry[0].alive && registry[1].alive);
+        assert!(sl.execs[0].running.is_empty());
+        // Both of its attempts failed and went back on the job's queue.
+        let js = sl.jobs.live(job).unwrap();
+        assert_eq!((js.total_failed, js.tasks.queued()), (2, 2));
+        assert!(held
+            .iter()
+            .all(|&(_, task)| js.tasks.holder(task).is_none()));
+        // Executor 1's silence counts from its heartbeat.
+        sl.now = t0 + timeout / 2 + timeout;
+        sl.tick();
+        assert!(sl.execs.registry()[1].alive);
+        sl.now += Duration::from_nanos(1);
+        sl.tick();
+        assert!(!sl.execs.registry()[1].alive);
+        assert_eq!(sl.jobs.live(job).unwrap().tasks.queued(), 4);
+    }
+
+    /// Every frame queued on executor `e`'s lane, oldest first.
+    fn queued_frames(sl: &ServerLoop, e: usize) -> Vec<Frame> {
+        let mut cursor = FrameCursor::new();
+        cursor.extend(&sl.execs.lanes.queued(e));
+        std::iter::from_fn(|| cursor.next().unwrap()).collect()
+    }
+
+    /// The tasks of `job` among `bookings`, in their order.
+    fn tasks_of(bookings: &[(u64, usize)], job: u64) -> Vec<usize> {
+        let of_job = bookings.iter().filter(|b| b.0 == job);
+        of_job.map(|&(_, task)| task).collect()
+    }
+
+    #[test]
+    fn a_lost_executors_work_requeues_in_dispatch_order_on_every_run() {
+        // One executor: every task prefers it, and a retry that already
+        // failed there runs in queue order, the order the loss requeued it.
+        let script = || {
+            let cfg = ServerConfig {
+                executors: 1,
+                ..ServerConfig::default()
+            };
+            let timeout = cfg.heartbeat_timeout;
+            let mut sl = test_loop(cfg, 8);
+            let spec = r#"{"stages":[{"kind":"spill","tasks":4,"records_per_task":1}]}"#;
+            let (a, b) = (post(&mut sl, spec).1, post(&mut sl, spec).1);
+            sl.try_assign();
+            // One failed attempt each moves a task to the back of its
+            // job's dispatch order.
+            sl.handle_outcome(a, 0, 0, false);
+            sl.handle_outcome(b, 1, 0, false);
+            sl.try_assign();
+            let dispatched = sl.execs[0].running.clone();
+            assert_eq!(tasks_of(&dispatched, a), [1, 2, 3, 0]);
+            assert_eq!(tasks_of(&dispatched, b), [0, 2, 3, 1]);
+            let sent = queued_frames(&sl, 0);
+            // Executor 0 falls silent and is swept; then it registers again.
+            sl.now += timeout + Duration::from_nanos(1);
+            sl.tick();
+            assert!(sl.execs[0].running.is_empty());
+            let register = Frame::Register {
+                executor: 0,
+                slots: 8,
+            };
+            sl.execs.handshake(register, 2, 0, sl.now);
+            sl.announce_jobs_to(0);
+            sl.try_assign();
+            let redispatched = sl.execs[0].running.clone();
+            for job in [a, b] {
+                let order = tasks_of(&redispatched, job);
+                assert_eq!(order, tasks_of(&dispatched, job), "job {job}");
+            }
+            (sent, queued_frames(&sl, 0))
+        };
+        let (sent, resent) = script();
+        assert_eq!(sent.len(), 2 + 10, "two stage starts, ten assignments");
+        assert_eq!(resent.len(), 2 + 8);
+        assert_eq!(script(), (sent, resent), "the same script, other frames");
+    }
+
+    #[test]
+    fn a_loss_that_exhausts_two_tasks_fails_the_job_on_the_first_dispatched() {
+        // One executor, and each round fails task 1 before task 0: both
+        // retry in that order and reach their last attempt booked as
+        // [1, 0], the reverse of task order.
+        let cfg = ServerConfig {
+            executors: 1,
+            ..ServerConfig::default()
+        };
+        let timeout = cfg.heartbeat_timeout;
+        let mut sl = test_loop(cfg, 2);
+        let spec = r#"{"stages":[{"kind":"spill","tasks":2,"records_per_task":1}]}"#;
+        let (_, job) = post(&mut sl, spec);
+        sl.try_assign();
+        for _ in 0..MAX_TASK_ATTEMPTS - 1 {
+            sl.handle_outcome(job, 1, 0, false);
+            sl.handle_outcome(job, 0, 0, false);
+            sl.try_assign();
+        }
+        assert_eq!(sl.execs[0].running, [(job, 1), (job, 0)]);
+        let js = sl.jobs.live(job).unwrap();
+        let last = MAX_TASK_ATTEMPTS - 1;
+        assert_eq!((js.tasks.attempt(0), js.tasks.attempt(1)), (last, last));
+        // Executor 0 is swept: task 1 runs out of attempts first and fails
+        // the job, and settling task 0's booking after it adds nothing.
+        sl.now += timeout + Duration::from_nanos(1);
+        sl.tick();
+        assert!(sl.execs[0].running.is_empty());
+        assert!(sl.jobs.live(job).is_none(), "the job retired");
+        let (status, journal) = sl.jobs.view(job).unwrap();
+        assert_eq!(status, JobStatus::Failed);
+        let last_line = journal.lines().last().unwrap();
+        assert_eq!(last_line, r#"{"event":"failed","stage":0,"task":1}"#);
+        assert_eq!(journal.matches(r#""event":"failed""#).count(), 1);
     }
 
     #[test]
@@ -1943,7 +2079,7 @@ mod tests {
 
         // Complete: both stages of `a`; `c` takes over its active slot.
         sl.try_assign();
-        assert_eq!(sl.inflight.len(), 4, "two tasks each of a and b");
+        assert_eq!(bookings(&sl).len(), 4, "two tasks each of a and b");
         settle_inflight(&mut sl, a, true);
         sl.jobs.assert_consistent();
         sl.try_assign();
@@ -1959,7 +2095,7 @@ mod tests {
 
         // Cancel mid-stage: one task done, one in flight.
         sl.try_assign();
-        let e0 = sl.inflight[&(c, 0)];
+        let e0 = holder(&sl, c, 0).unwrap();
         sl.handle_outcome(c, 0, e0, true);
         sl.cancel_job(c);
         sl.jobs.assert_consistent();
@@ -1968,11 +2104,11 @@ mod tests {
         // The cancelled job's straggler reports late: the slot ledger
         // settles, the table does not move. Likewise an outcome for a
         // job retired long ago, which misses the ledger altogether.
-        let e1 = sl.inflight[&(c, 1)];
-        let before = sl.execs[e1].running;
+        let e1 = holder(&sl, c, 1).unwrap();
+        let before = sl.execs[e1].running.len();
         sl.handle_outcome(c, 1, e1, true);
-        assert_eq!(sl.execs[e1].running, before - 1);
-        assert!(!sl.inflight.contains_key(&(c, 1)));
+        assert_eq!(sl.execs[e1].running.len(), before - 1);
+        assert_eq!(holder(&sl, c, 1), None);
         sl.handle_outcome(a, 0, 0, true);
         sl.jobs.assert_consistent();
         assert_eq!(sl.jobs.live_ids().collect::<Vec<_>>(), [b]);
@@ -1980,7 +2116,7 @@ mod tests {
         // Fail: task 0 of `b` burns its attempt budget (task 1 stays in
         // flight throughout).
         for _ in 0..MAX_TASK_ATTEMPTS {
-            let e = sl.inflight[&(b, 0)];
+            let e = holder(&sl, b, 0).unwrap();
             sl.handle_outcome(b, 0, e, false);
             sl.jobs.assert_consistent();
             sl.try_assign();

@@ -398,6 +398,14 @@ impl<K> Conns<K> {
 }
 
 #[cfg(test)]
+impl Lanes {
+    /// The bytes queued for `executor`, oldest first.
+    pub(crate) fn queued(&self, executor: usize) -> Vec<u8> {
+        self.lanes[executor].out.buf.iter().copied().collect()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::recorder::FlightRecorder;
