@@ -47,6 +47,7 @@ struct Task {
 pub(crate) const MAX_TASK_ATTEMPTS: usize = 4;
 
 /// One stage's attempts. See the module docs.
+#[derive(Debug)]
 pub(crate) struct TaskLedger {
     queue: PendingQueue,
     executors: usize,

@@ -49,6 +49,7 @@ pub mod cluster;
 pub mod driver;
 mod epochs;
 pub mod executor;
+mod explore;
 mod fleet;
 pub mod job;
 mod ledger;
