@@ -136,7 +136,8 @@ pub struct TraceKey {
     pub stage: usize,
     /// Task index within the stage.
     pub task: usize,
-    /// Attempt number of the task execution.
+    /// Attempt number of the task execution. The live executor has no
+    /// attempt ordinal to stamp and always sends 0.
     pub attempt: usize,
     /// The executor incarnation (registration epoch) that produced the
     /// event — what distinguishes a span from a pre-crash incarnation.

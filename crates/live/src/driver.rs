@@ -24,8 +24,9 @@
 //! live traffic, heartbeats, the `PoolSizeChanged` fold into the slot
 //! registry, the `FaultNotice` broadcast on loss and the bookings each
 //! executor holds — is the fleet ledger's (`fleet.rs`), and the stage's
-//! attempts — queue, holders, failures, requeues — are the task ledger's
-//! (`ledger.rs`); the job server shares both. Blacklisting, probation and
+//! attempts — queue, failures, requeues — are the task ledger's
+//! (`ledger.rs`); the job server shares both. An outcome reaches the task
+//! ledger only through the booking `Fleet::release` frees for it. Blacklisting, probation and
 //! graceful degradation are policies only the driver applies.
 //!
 //! Executors hear the job server's task dialect from the driver too: its
@@ -627,9 +628,6 @@ impl<'j, Obs: FnMut(&PoolDecision, &[SlotInfo])> Run<'j, Obs> {
             return Ok(());
         }
         let outcome = self.tasks.settle(task, e, ok, MAX_TASK_ATTEMPTS);
-        if outcome == Outcome::Stale {
-            return Ok(());
-        }
         let Outcome::Done { stage_done } = outcome else {
             self.execs.note_failure(e, self.cfg.blacklist_after, now);
             return self.record_failure(task, e, outcome);
@@ -765,7 +763,69 @@ mod tests {
             lost,
             Err(LiveError::MaxAttemptsExceeded { task: 1 })
         ));
-        assert_eq!(run.tasks.holder(0), Some(0), "task 0 was not settled");
+        let failed = 2 * (MAX_TASK_ATTEMPTS - 1) + 1;
+        assert_eq!(
+            run.tasks.failed_attempts(),
+            failed,
+            "task 0 was not settled"
+        );
         assert_eq!(run.tasks.attempt(0), MAX_TASK_ATTEMPTS - 1);
+    }
+
+    /// Feeds `run` a successful outcome of `task` from `executor`.
+    fn report<Obs: FnMut(&PoolDecision, &[SlotInfo])>(
+        run: &mut Run<'_, Obs>,
+        executor: usize,
+        task: usize,
+    ) {
+        let frame = Frame::JobTaskOutcome {
+            job: SINGLE_JOB,
+            task,
+            executor,
+            attempt: 0,
+            ok: true,
+        };
+        let conn = executor as u64 + 1;
+        let ev = Ev::Frame {
+            executor,
+            conn,
+            frame,
+            bytes: 0,
+        };
+        run.handle(ev).unwrap();
+    }
+
+    #[test]
+    fn an_outcome_counts_once_and_only_from_the_executor_holding_its_booking() {
+        let cfg = DriverConfig::default();
+        let job = crate::job::terasort(2, 1, 7);
+        let mut run = Run::new(&cfg, &job, |_: &PoolDecision, _: &[SlotInfo]| {});
+        assert!(run.start());
+        for e in 0..2 {
+            let register = Frame::Register {
+                executor: e,
+                slots: 1,
+            };
+            let joined = run
+                .execs
+                .handshake(register, e as u64 + 1, e, Instant::now());
+            run.handle(Ev::Joined(joined.unwrap())).unwrap();
+        }
+        run.try_assign().unwrap();
+        let booked = |run: &Run<'_, _>| [0, 1].map(|e| run.execs[e].running.clone());
+        let both = [vec![(SINGLE_JOB, 0)], vec![(SINGLE_JOB, 1)]];
+        assert_eq!(booked(&run), both);
+        // Executor 1 reports task 0, which executor 0 holds: no booking is
+        // freed and no task settles.
+        report(&mut run, 1, 0);
+        assert_eq!(booked(&run), both);
+        assert_eq!(run.tasks.remaining(), 2);
+        // Executor 0's report settles it; its duplicate counts nothing more.
+        report(&mut run, 0, 0);
+        report(&mut run, 0, 0);
+        assert_eq!(booked(&run), [vec![], vec![(SINGLE_JOB, 1)]]);
+        assert_eq!(run.tasks.remaining(), 1);
+        let finished = [0, 1].map(|e| run.metrics.tasks_finished[e].value());
+        assert_eq!(finished, [1, 0]);
     }
 }

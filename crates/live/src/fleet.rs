@@ -5,7 +5,9 @@
 //! on loss and the slot gate assignment passes through. It is the one
 //! record of the attempts each executor holds: `(job, task)` bookings in
 //! dispatch order, each released at most once, and handed back in that
-//! order when the executor is lost or superseded. [`Fleet`] reads no
+//! order when the executor is lost or superseded. It is also the one
+//! screen on an outcome: both loops settle a report in the task ledger
+//! only when `Fleet::release` freed its booking. [`Fleet`] reads no
 //! clock (every liveness decision takes `now`) and owns no socket
 //! (frames go to its [`Lanes`], which the loop flushes). Calls answer
 //! with what happened — joined, resurrected, fenced, resized, lost — and

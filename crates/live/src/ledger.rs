@@ -1,15 +1,15 @@
 //! The task ledger: one stage's attempts, as the single-job driver and
 //! each job of the job server book them — the stage's [`PendingQueue`]
 //! (seeded with the `task % executors` locality preference) and, per task,
-//! whether it is done, who holds its attempt, and where it failed. The
-//! holder only screens reports: the fleet (`fleet.rs`) is the record of
-//! what each executor runs, and a lost or superseded executor's attempts
-//! come back from it, each for the caller to settle as a failure.
+//! whether it is done, how often it failed and where. Which executor runs
+//! an attempt is the fleet's record alone (`fleet.rs`): a caller settles
+//! only an attempt whose booking `Fleet::release` freed or a loss handed
+//! back, so a duplicate, stale or foreign report never reaches the ledger.
 //! [`TaskLedger`] reads no clock (the caller passes the stage start) and
 //! records no telemetry: each call answers with what happened — picked,
-//! stale, done, requeued, exhausted — and the caller records metrics and
-//! trace events and applies its own policies (blacklisting, giving up on
-//! the job).
+//! done, requeued, exhausted — and the caller records metrics and trace
+//! events and applies its own policies (blacklisting, giving up on the
+//! job).
 
 use std::time::Instant;
 
@@ -18,9 +18,6 @@ use sae_dag::sched::PendingQueue;
 /// What settling one attempt did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Outcome {
-    /// The report is not from the task's current holder (a duplicate, or a
-    /// task already done or requeued): nothing changed.
-    Stale,
     /// The task is done; `stage_done` when it was the stage's last.
     Done { stage_done: bool },
     /// Attempt `attempt` failed and the task is queued again.
@@ -34,8 +31,6 @@ pub(crate) enum Outcome {
 #[derive(Debug, Clone, Default)]
 struct Task {
     done: bool,
-    /// The executor running the current attempt.
-    holder: Option<usize>,
     /// Failed attempts so far: the index of the next attempt.
     failures: usize,
     /// Executors an attempt of this task failed on.
@@ -86,28 +81,20 @@ impl TaskLedger {
     }
 
     /// Dequeues the task executor `e` should run next, steering retries
-    /// away from executors they failed on, and books the attempt on `e`.
-    /// `None` only when nothing is queued.
+    /// away from executors they failed on, and counts the attempt. `None`
+    /// only when nothing is queued.
     pub(crate) fn pick(&mut self, e: usize) -> Option<usize> {
         let tasks = &self.tasks;
         let task = self.queue.pick(e, |t| tasks[t].failed_on.contains(&e))?;
-        self.tasks[task].holder = Some(e);
         self.attempts += 1;
         Some(task)
     }
 
-    /// Settles the attempt of `task` that `from` holds: done when `ok`,
-    /// otherwise a failure booked against `from`, which requeues the task
-    /// unless it spent the task's attempt `budget`.
+    /// Settles the attempt of `task` that the fleet booked on `from`:
+    /// done when `ok`, otherwise a failure booked against `from`, which
+    /// requeues the task unless it spent the task's attempt `budget`.
     pub(crate) fn settle(&mut self, task: usize, from: usize, ok: bool, budget: usize) -> Outcome {
-        // A done task has no holder, so this also drops reports for it.
-        let Some(t) = self.tasks.get_mut(task) else {
-            return Outcome::Stale;
-        };
-        if t.holder != Some(from) {
-            return Outcome::Stale;
-        }
-        t.holder = None;
+        let t = &mut self.tasks[task];
         if ok {
             t.done = true;
             self.remaining -= 1;
@@ -166,11 +153,6 @@ impl TaskLedger {
 
 #[cfg(test)]
 impl TaskLedger {
-    /// The executor holding `task`'s current attempt.
-    pub(crate) fn holder(&self, task: usize) -> Option<usize> {
-        self.tasks[task].holder
-    }
-
     /// Whether `task` is done.
     pub(crate) fn is_done(&self, task: usize) -> bool {
         self.tasks[task].done
@@ -189,47 +171,12 @@ mod tests {
     }
 
     #[test]
-    fn picks_follow_the_locality_preference_and_book_the_holder() {
+    fn picks_follow_the_locality_preference() {
         let t0 = Instant::now();
         let mut l = TaskLedger::new(4, 2, t0);
         assert_eq!((l.len(), l.queued(), l.remaining()), (4, 4, 4));
         assert_eq!(pick_n(&mut l, 1, 3), [1, 3, 0], "local tasks first");
-        assert_eq!(l.holder(3), Some(1));
         assert_eq!((l.attempts(), l.queued(), l.started()), (3, 1, t0));
-    }
-
-    #[test]
-    fn a_stale_report_changes_nothing() {
-        let t0 = Instant::now();
-        let mut l = TaskLedger::new(2, 2, t0);
-        assert_eq!(l.pick(0), Some(0));
-        // From a non-holder, for a queued task, for a task out of range.
-        for (task, from, ok) in [(0, 1, true), (0, 1, false), (1, 0, false), (9, 0, true)] {
-            assert_eq!(l.settle(task, from, ok, MAX), Outcome::Stale);
-        }
-        assert_eq!(l.holder(0), Some(0));
-        assert_eq!((l.remaining(), l.failed_attempts(), l.queued()), (2, 0, 1));
-        // For a task already done.
-        let done = Outcome::Done { stage_done: false };
-        assert_eq!(l.settle(0, 0, true, MAX), done);
-        assert_eq!(l.settle(0, 0, false, MAX), Outcome::Stale);
-        assert!(l.is_done(0) && l.holder(0).is_none());
-        assert_eq!((l.attempt(0), l.failed_attempts(), l.queued()), (0, 0, 1));
-    }
-
-    #[test]
-    fn a_duplicate_success_counts_once() {
-        let t0 = Instant::now();
-        let mut l = TaskLedger::new(2, 1, t0);
-        assert_eq!(pick_n(&mut l, 0, 2), [0, 1]);
-        let done = Outcome::Done { stage_done: false };
-        assert_eq!(l.settle(1, 0, true, MAX), done);
-        assert_eq!(l.settle(1, 0, true, MAX), Outcome::Stale);
-        assert_eq!(l.remaining(), 1);
-        let last = Outcome::Done { stage_done: true };
-        assert_eq!(l.settle(0, 0, true, MAX), last);
-        assert_eq!(l.settle(0, 0, true, MAX), Outcome::Stale);
-        assert_eq!(l.remaining(), 0);
     }
 
     #[test]
@@ -260,13 +207,11 @@ mod tests {
         let done = Outcome::Done { stage_done: false };
         assert_eq!(l.settle(3, 0, true, MAX), done);
         // Executors 0 and 1 are lost: the fleet hands back their bookings,
-        // and each is settled as a failure, once.
+        // each settled as a failure. Executor 2 keeps task 2.
         let requeued = Outcome::Requeued { attempt: 0 };
         for (task, e) in [(0, 0), (1, 1), (4, 1)] {
             assert_eq!(l.settle(task, e, false, MAX), requeued);
-            assert_eq!(l.settle(task, e, false, MAX), Outcome::Stale);
         }
-        assert_eq!(l.holder(2), Some(2), "other executors keep theirs");
         assert_eq!((l.failed_attempts(), l.queued(), l.remaining()), (3, 4, 5));
         // Each failure is booked against its executor: retries steer away
         // from it while another task is eligible.
@@ -280,6 +225,9 @@ mod tests {
         let (t0, executors) = (Instant::now(), 3);
         let mut l = TaskLedger::new(16, executors, t0);
         let (mut picks, mut done, mut failed) = (0, 0, 0);
+        // The executor running each task's attempt: the fleet's bookings,
+        // which settle only what they hold.
+        let mut holder: Vec<Option<usize>> = vec![None; l.len()];
         let mut rng: u64 = 0x9E37_79B9_7F4A_7C15;
         let mut next = |n: u64| {
             rng ^= rng << 13;
@@ -290,15 +238,26 @@ mod tests {
         for _ in 0..2_000 {
             let e = next(executors as u64);
             match next(8) {
-                0..=3 => picks += usize::from(l.pick(e).is_some()),
-                _ => match l.settle(next(18), e, next(4) > 0, usize::MAX) {
-                    Outcome::Done { .. } => done += 1,
-                    Outcome::Requeued { .. } => failed += 1,
-                    Outcome::Stale => {}
-                    Outcome::Exhausted { .. } => unreachable!("no budget"),
-                },
+                0..=3 => {
+                    if let Some(task) = l.pick(e) {
+                        holder[task] = Some(e);
+                        picks += 1;
+                    }
+                }
+                _ => {
+                    let task = next(16);
+                    if holder[task] != Some(e) {
+                        continue;
+                    }
+                    holder[task] = None;
+                    match l.settle(task, e, next(4) > 0, usize::MAX) {
+                        Outcome::Done { .. } => done += 1,
+                        Outcome::Requeued { .. } => failed += 1,
+                        Outcome::Exhausted { .. } => unreachable!("no budget"),
+                    }
+                }
             }
-            let held = l.tasks.iter().filter(|t| t.holder.is_some()).count();
+            let held = holder.iter().filter(|h| h.is_some()).count();
             let finished = l.tasks.iter().filter(|t| t.done).count();
             let failures: usize = l.tasks.iter().map(|t| t.failures).sum();
             assert_eq!(l.remaining(), l.len() - finished);

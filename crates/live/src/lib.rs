@@ -23,8 +23,9 @@
 //!
 //! The single-job [`Driver`] and the multi-tenant [`JobServer`] share one
 //! socket shell and two sans-io ledgers: executor membership (handshake,
-//! epochs, heartbeats, the §5.4 slot fold and the loss broadcast) and each
-//! stage's task attempts (queue, holders, failures and requeues).
+//! epochs, heartbeats, the §5.4 slot fold, the bookings and the loss
+//! broadcast) and each stage's task attempts (queue, failures and
+//! requeues).
 //!
 //! # Quick start
 //!

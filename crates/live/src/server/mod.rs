@@ -964,7 +964,6 @@ impl ServerLoop {
             return;
         };
         match js.tasks.settle(task, e, ok, MAX_TASK_ATTEMPTS) {
-            Outcome::Stale => {}
             Outcome::Done { stage_done } => {
                 self.metrics.tenant(&js.tenant).tasks.inc();
                 if stage_done {
@@ -1847,7 +1846,7 @@ mod tests {
         );
         let js = sl.jobs.live(job).unwrap();
         assert!(!js.tasks.is_done(0));
-        assert_eq!(js.tasks.holder(0), Some(assignee));
+        assert_eq!((js.tasks.remaining(), js.tasks.failed_attempts()), (2, 0));
 
         // The real outcome from the holder then settles the ledger once.
         sl.handle_outcome(job, 0, assignee, true);
@@ -1946,9 +1945,7 @@ mod tests {
         // Both of its attempts failed and went back on the job's queue.
         let js = sl.jobs.live(job).unwrap();
         assert_eq!((js.total_failed, js.tasks.queued()), (2, 2));
-        assert!(held
-            .iter()
-            .all(|&(_, task)| js.tasks.holder(task).is_none()));
+        assert!(held.iter().all(|&(_, task)| js.tasks.attempt(task) == 1));
         // Executor 1's silence counts from its heartbeat.
         sl.now = t0 + timeout / 2 + timeout;
         sl.tick();

@@ -123,7 +123,11 @@ pub enum Frame {
         task: usize,
         /// Reporting executor.
         executor: usize,
-        /// Attempt ordinal (0-based).
+        /// Always 0: executors send no attempt ordinal, and neither loop
+        /// reads this field. A loop knows an attempt only by the executor
+        /// it booked `(job, task)` on, so it cannot tell a duplicated or
+        /// late outcome from the report of a later attempt of the same
+        /// task on the same executor.
         attempt: usize,
         /// Whether the attempt succeeded.
         ok: bool,
