@@ -60,33 +60,30 @@ pub(crate) fn run() -> ExperimentOutput {
     let cfg = EngineConfig::four_node_hdd();
     let w = WorkloadKind::Terasort.build();
     let report = run_workload(&cfg, &w, ThreadPolicy::Default);
-    let summaries: Vec<sae_metrics::StageSummary> = report
-        .stages
-        .iter()
-        .map(|s| {
-            let mut b = sae_metrics::StageSummaryBuilder::new(s.stage_id);
-            b.observe(sae_metrics::UtilizationSample {
-                cpu_busy: s.avg_cpu_busy,
-                cpu_iowait: s.avg_cpu_iowait,
-                disk_util: s.avg_disk_util,
-            });
-            b.add_read_bytes(s.disk_read_mb as u64);
-            b.add_written_bytes(s.disk_write_mb as u64);
-            b.finish(s.duration)
-        })
-        .collect();
-    body.push_str(
-        "
-terasort, mpstat view:
-",
-    );
-    body.push_str(&sae_metrics::mpstat_report(&summaries));
-    body.push_str(
-        "
-terasort, iostat view (MB columns):
-",
-    );
-    body.push_str(&sae_metrics::iostat_report(&summaries));
+    body.push_str("\nterasort, mpstat view:\n");
+    body.push_str("stage      %usr  %iowait  %idle\n");
+    for s in &report.stages {
+        let usr = s.avg_cpu_busy.clamp(0.0, 1.0) * 100.0;
+        let iowait = s.avg_cpu_iowait.clamp(0.0, 1.0) * 100.0;
+        let idle = (100.0 - usr - iowait).max(0.0);
+        body.push_str(&format!(
+            "stage-{:<4} {:>5.1} {:>8.1} {:>6.1}\n",
+            s.stage_id, usr, iowait, idle
+        ));
+    }
+    body.push_str("\nterasort, iostat view (MB columns):\n");
+    body.push_str("stage      rMB/s   wMB/s   %util\n");
+    for s in &report.stages {
+        // Whole MB, as the tool prints them, over the stage's duration.
+        let dur = s.duration.max(1e-9);
+        body.push_str(&format!(
+            "stage-{:<4} {:>6.1} {:>7.1} {:>7.1}\n",
+            s.stage_id,
+            (s.disk_read_mb as u64) as f64 / dur,
+            (s.disk_write_mb as u64) as f64 / dur,
+            s.avg_disk_util.clamp(0.0, 1.0) * 100.0,
+        ));
+    }
     ExperimentOutput {
         artefact: "Figure 1",
         title: "Per-stage CPU usage and disk I/O wait (default configuration)",
