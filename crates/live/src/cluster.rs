@@ -533,7 +533,11 @@ impl LiveCluster {
         if let Some(sampler) = self.sampler.take() {
             let _ = sampler.join();
         }
-        self.dump_trace();
+        // Only a failure's post-mortem falls back to a fresh temp file: a
+        // shutdown with no `trace_out` has nowhere the caller would look.
+        if self.cfg.trace_out.is_some() {
+            self.dump_trace();
+        }
         if let Some(path) = self.cfg.journal_out.clone() {
             if let Err(e) = std::fs::write(&path, sae_core::to_jsonl(&self.journal_records())) {
                 first_err.get_or_insert(e);

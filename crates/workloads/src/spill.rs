@@ -232,16 +232,28 @@ mod tests {
     use crate::datagen::teragen;
     use proptest::prelude::*;
 
-    fn temp_path(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("sae-spill-test-{}", std::process::id()));
+    /// A test's own directory under the temp dir, removed on drop.
+    struct Scratch(std::path::PathBuf);
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// A path for `name` in a fresh directory that goes with the guard.
+    fn temp_path(name: &str) -> (Scratch, std::path::PathBuf) {
+        let pid = std::process::id();
+        let dir = std::env::temp_dir().join(format!("sae-spill-test-{pid}-{name}"));
         std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+        let path = dir.join(name);
+        (Scratch(dir), path)
     }
 
     #[test]
     fn round_trip_preserves_records() {
         let records = teragen(1000, 42);
-        let path = temp_path("roundtrip.spill");
+        let (_dir, path) = temp_path("roundtrip.spill");
         let written = write_records(&path, &records).unwrap();
         assert_eq!(written, (1000 * RECORD_BYTES + FOOTER_BYTES) as u64);
         assert_eq!(read_records(&path).unwrap(), records);
@@ -258,7 +270,7 @@ mod tests {
 
     #[test]
     fn flipped_byte_fails_the_checksum() {
-        let path = temp_path("bitrot.spill");
+        let (_dir, path) = temp_path("bitrot.spill");
         write_records(&path, &teragen(100, 5)).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[1234] ^= 0x40;
@@ -274,7 +286,7 @@ mod tests {
         // Chop exactly one record off the end: the remaining length still
         // parses as N-1 records plus a would-be footer (record bytes), so
         // only the magic/CRC can catch it.
-        let path = temp_path("truncated.spill");
+        let (_dir, path) = temp_path("truncated.spill");
         write_records(&path, &teragen(10, 9)).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - RECORD_BYTES]).unwrap();
@@ -285,7 +297,7 @@ mod tests {
 
     #[test]
     fn empty_spill_round_trips() {
-        let path = temp_path("empty.spill");
+        let (_dir, path) = temp_path("empty.spill");
         write_records(&path, &[]).unwrap();
         assert!(read_records(&path).unwrap().is_empty());
         std::fs::remove_file(&path).unwrap();
@@ -293,7 +305,7 @@ mod tests {
 
     #[test]
     fn rewrite_truncates_previous_attempt() {
-        let path = temp_path("rewrite.spill");
+        let (_dir, path) = temp_path("rewrite.spill");
         write_records(&path, &teragen(500, 1)).unwrap();
         let second = teragen(20, 2);
         write_records(&path, &second).unwrap();
@@ -303,7 +315,7 @@ mod tests {
 
     #[test]
     fn partial_record_rejected() {
-        let path = temp_path("partial.spill");
+        let (_dir, path) = temp_path("partial.spill");
         write_records(&path, &teragen(3, 7)).unwrap();
         // Simulate a crash mid-record: chop 10 bytes off the end.
         let bytes = std::fs::read(&path).unwrap();
@@ -325,7 +337,7 @@ mod tests {
         // Recorded from the byte-at-a-time CRC behind an 8 KiB buffered
         // writer: staging and slicing must not change a byte. 1000
         // records span two staging buffers, the second one partial.
-        let path = temp_path("golden.spill");
+        let (_dir, path) = temp_path("golden.spill");
         write_records(&path, &teragen(1000, 42)).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         assert_eq!(bytes.len(), 100_008);
@@ -349,7 +361,7 @@ mod tests {
             2 * STAGE_RECORDS,
         ] {
             let records = teragen(n, n as u64);
-            let path = temp_path(&format!("stage-{n}.spill"));
+            let (_dir, path) = temp_path(&format!("stage-{n}.spill"));
             let written = write_records(&path, &records).unwrap();
             assert_eq!(written, std::fs::metadata(&path).unwrap().len());
             assert_eq!(read_records(&path).unwrap(), records, "{n} records");
