@@ -26,8 +26,9 @@
 //! executor holds — is the fleet ledger's (`fleet.rs`), and the stage's
 //! attempts — queue, failures, requeues — are the task ledger's
 //! (`ledger.rs`); the job server shares both. An outcome reaches the task
-//! ledger only through the booking `Fleet::release` frees for it. Blacklisting, probation and
-//! graceful degradation are policies only the driver applies.
+//! ledger only through the booking `Fleet::release` frees for it.
+//! Blacklisting, probation and graceful degradation are policies only the
+//! driver applies.
 //!
 //! Executors hear the job server's task dialect from the driver too: its
 //! one job runs under the wire id `SINGLE_JOB`, each stage is announced

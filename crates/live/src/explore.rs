@@ -101,7 +101,6 @@ const TASKS: usize = 2;
 /// What one exploration covers.
 #[derive(Debug, Clone, Copy)]
 struct Scope {
-    tasks: usize,
     /// The channel fault allowed once: none, a dropped or a duplicated
     /// frame.
     channel: Fault,
@@ -237,7 +236,7 @@ impl World {
         let mut world = Self {
             scope,
             fleet: Fleet::new(EXECUTORS, TIMEOUT, "explore", &registry, log, recorder),
-            ledger: TaskLedger::new(scope.tasks, EXECUTORS, t0),
+            ledger: TaskLedger::new(TASKS, EXECUTORS, t0),
             now: t0,
             procs: Vec::new(),
             conns: BTreeMap::new(),
@@ -245,7 +244,7 @@ impl World {
             current: vec![None; EXECUTORS],
             booked: vec![Vec::new(); EXECUTORS],
             attempts: Vec::new(),
-            done: vec![0; scope.tasks],
+            done: vec![0; TASKS],
             failed: false,
             budget: Budget {
                 shrink: true,
@@ -359,7 +358,7 @@ impl World {
         match step {
             Step::Cut(e) => {
                 self.budget.channel = false;
-                self.die(e, false);
+                self.die(e);
             }
             Step::Rerun { e, i } => {
                 self.budget.channel = false;
@@ -387,7 +386,7 @@ impl World {
             }
             Step::Crash(e) => {
                 self.budget.crash = false;
-                self.die(e, false);
+                self.die(e);
             }
             Step::Deliver(conn, fault) => {
                 self.budget.channel &= fault == Fault::None;
@@ -411,19 +410,14 @@ impl World {
         Ok(())
     }
 
-    /// Ends `e`'s incarnation. Its written frames still arrive, then EOF;
-    /// with `cut`, its connection broke at the head of that channel, and
-    /// nothing written arrives.
-    fn die(&mut self, e: usize, cut: bool) {
+    /// Ends `e`'s incarnation: the frames it wrote still arrive, then
+    /// EOF.
+    fn die(&mut self, e: usize) {
         for attempt in std::mem::take(&mut self.procs[e].running) {
             self.attempts[attempt].state = State::Dead;
         }
         let conn = self.procs[e].conn;
-        let frames = &mut self.conn(conn).frames;
-        if cut {
-            frames.clear();
-        }
-        frames.push_back(Up::Eof);
+        self.conn(conn).frames.push_back(Up::Eof);
         // The respawn: when its `Register` arrives is the loop's choice.
         let conn = self.connect(e);
         self.procs[e] = Proc {
@@ -438,12 +432,12 @@ impl World {
         let c = self.conn(conn);
         let (e, head) = (c.executor, c.frames[0]);
         if fault == Fault::Drop {
+            // The connection breaks here: nothing written on it arrives.
+            self.conn(conn).frames.clear();
             if self.procs[e].conn == conn {
-                self.die(e, true);
+                self.die(e);
             } else {
-                let frames = &mut self.conn(conn).frames;
-                frames.clear();
-                frames.push_back(Up::Eof);
+                self.conn(conn).frames.push_back(Up::Eof);
             }
             return Ok(());
         }
@@ -623,11 +617,10 @@ impl World {
             }
         }
         let done: usize = self.done.iter().sum();
-        ensure(self.ledger.remaining() == self.scope.tasks - done, || {
+        ensure(self.ledger.remaining() == TASKS - done, || {
             format!(
-                "{} tasks remain, {done} of {} done",
-                self.ledger.remaining(),
-                self.scope.tasks
+                "{} tasks remain, {done} of {TASKS} done",
+                self.ledger.remaining()
             )
         })
     }
@@ -766,7 +759,6 @@ fn explore_and_report(scope: Scope) {
 #[test]
 fn a_crash_with_respawn_anywhere_keeps_the_slot_ledger_sound() {
     explore_and_report(Scope {
-        tasks: TASKS,
         channel: Fault::None,
         crash: true,
     });
@@ -775,7 +767,6 @@ fn a_crash_with_respawn_anywhere_keeps_the_slot_ledger_sound() {
 #[test]
 fn a_dropped_frame_anywhere_keeps_the_slot_ledger_sound() {
     explore_and_report(Scope {
-        tasks: TASKS,
         channel: Fault::Drop,
         crash: false,
     });
@@ -784,7 +775,6 @@ fn a_dropped_frame_anywhere_keeps_the_slot_ledger_sound() {
 #[test]
 fn a_duplicated_frame_anywhere_keeps_the_slot_ledger_sound() {
     explore_and_report(Scope {
-        tasks: TASKS,
         channel: Fault::Dup,
         crash: false,
     });
